@@ -6,7 +6,6 @@ verification of the governing PDE at reciprocal-integer stability.
 
 from .its_density import (
     DensityResult,
-    EvalConfig,
     EvalPoint,
     boundary_value,
     cdf,

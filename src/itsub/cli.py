@@ -12,8 +12,12 @@ import sys
 import numpy as np
 
 from . import its_density, moments, pde_check
-from .montecarlo import SimConfig, empirical_moment, first_passage_samples
-from .quadrature import QuadratureSpec
+from .montecarlo import (
+    HorizonError,
+    SimConfig,
+    empirical_moment,
+    first_passage_samples,
+)
 from .stable_family import (
     NonConvergenceError,
     ParameterError,
@@ -156,13 +160,13 @@ def cmd_simulate(args, out):
     if len(ts) != 1:
         raise _UsageError("simulate needs a single --t value")
     t = ts[0]
-    config = SimConfig(n_paths=args.paths, time_step=args.step,
-                       horizon=args.horizon, seed=args.seed)
     try:
+        config = SimConfig(n_paths=args.paths, time_step=args.step,
+                           horizon=args.horizon, seed=args.seed)
         samples = first_passage_samples(config, params, t)
-    except (ParameterError, Exception) as e:
-        if isinstance(e, _UsageError):
-            raise
+    except ParameterError as e:
+        raise _UsageError(str(e))
+    except HorizonError as e:
         print(f"simulation failed: {e}", file=sys.stderr)
         return _EXIT_NUMERIC
     writer = _Writer(["path_id", "t", "E_lambda"], args.format, out)

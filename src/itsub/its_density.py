@@ -8,7 +8,7 @@ negative order. Boundary behaviour at x = 0 (value, derivatives) and the
 CDF complete the picture.
 """
 
-import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,10 +20,9 @@ from .special_fn import upper_incomplete_gamma_scaled
 from .stable_family import (
     NonConvergenceError,
     ParameterError,
-    TemperedStableParams,
+    converged_value,
+    sum_series,
 )
-
-_METHODS = ("integral", "series")
 
 
 @dataclass(frozen=True)
@@ -50,25 +49,15 @@ class DensityResult:
     terms_or_panels: int
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Dispatch and accuracy knobs for density evaluation.
-
-    The series is preferred when x * lam**beta <= series_x_threshold and
-    lam * t >= series_min_lam_t (the incomplete gamma evaluation refuses
-    smaller products); otherwise the integral runs first.
-    """
-
-    quadrature: QuadratureSpec = QuadratureSpec()
-    max_terms: int = 400
-    series_x_threshold: float = 2.0
-    series_min_lam_t: float = 1e-6
+# The series runs first where x * lam**beta is at most this, and where
+# lam * t is at least the floor below which the incomplete gamma refuses.
+_SERIES_MAX_X_LAM_BETA = 2.0
+_SERIES_MIN_LAM_T = 1e-6
+_SERIES_MAX_TERMS = 400
+_RETRY_SPEC = QuadratureSpec(abs_tol=1e-9)
 
 
-_DEFAULT_CONFIG = EvalConfig()
-
-
-def _integrate_damped(f, spec, scale, power_singularity):
+def _integrate_damped(f, scale, power_singularity):
     """Half-line quadrature with a loosened-tolerance retry.
 
     Oscillatory integrands with large interior amplitude hit a rounding
@@ -76,14 +65,11 @@ def _integrate_damped(f, spec, scale, power_singularity):
     the value itself is accurate; a second pass at abs_tol=1e-9 accepts
     those while keeping the honest error estimate.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    res = integrate_semi_infinite(f, spec, scale=scale,
+    res = integrate_semi_infinite(f, scale=scale,
                                   power_singularity=power_singularity)
-    if not res.converged and spec.abs_tol < 1e-9:
-        res = integrate_semi_infinite(
-            f, dataclasses.replace(spec, abs_tol=1e-9),
-            scale=scale, power_singularity=power_singularity)
+    if not res.converged:
+        res = integrate_semi_infinite(f, _RETRY_SPEC, scale=scale,
+                                      power_singularity=power_singularity)
     return res
 
 
@@ -95,7 +81,7 @@ def _require_tempered(params):
         )
 
 
-def eval_integral(p, params, spec=None):
+def eval_integral(p, params):
     """Density h(x, t) by the half-line integral representation.
 
     h = (exp(lam**beta * x - lam * t) / pi) * I with
@@ -121,124 +107,98 @@ def eval_integral(p, params, spec=None):
         return (np.exp(shift - t * y - x * yb * c) / (y + lam)
                 * (lb * np.sin(phase) + yb * np.sin(beta * math.pi - phase)))
 
-    res = _integrate_damped(integrand, spec, 1.0 / t, beta)
-    if not res.converged:
-        raise NonConvergenceError(
-            f"density integral did not converge at x={x}, t={t}, "
-            f"beta={beta}, lam={lam}"
-        )
-    return DensityResult(res.value / math.pi, res.error_estimate / math.pi,
+    res = _integrate_damped(integrand, 1.0 / t, beta)
+    value = converged_value(
+        res, f"density integral at x={x}, t={t}, beta={beta}, lam={lam}")
+    return DensityResult(value / math.pi, res.error_estimate / math.pi,
                          "integral", res.subdivisions_used)
 
 
-def _series_coefficients(params, t, n):
-    """Log-magnitude and sign of A_j = Gamma(1+beta*j) * lam**(beta*j)
-    * Gamma(-beta*j, lam*t) * sin(j*beta*pi) for j = 0..n.
-
-    The incomplete gamma enters through its scaled form
-    lam**(beta*j) * Gamma(-beta*j, u) = t**(-beta*j) * g(-beta*j, u),
-    which keeps every factor in double range.
-    """
-    beta, lam = params.beta, params.lam
-    u = lam * t
-    log_mag = np.empty(n + 1)
-    sign = np.empty(n + 1)
-    log_mag[0] = -math.inf
-    sign[0] = 0.0
-    lt = math.log(t)
-    for j in range(1, n + 1):
-        sn = math.sin(j * beta * math.pi)
-        if sn == 0.0:
-            log_mag[j] = -math.inf
-            sign[j] = 0.0
-            continue
-        g = upper_incomplete_gamma_scaled(-beta * j, u)
-        log_mag[j] = (sp.gammaln(1.0 + beta * j) - beta * j * lt
-                      + math.log(g) + math.log(abs(sn)))
-        sign[j] = math.copysign(1.0, sn)
-    return log_mag, sign
-
-
-def eval_series(p, params, max_terms=None):
+def eval_series(p, params):
     """Density h(x, t) by the power series in x.
 
     h = (exp(lam**beta * x) / pi) * sum_k (-1)**k x**k / k! * (A_{k+1} - A_k)
-    with A_j as in _series_coefficients. The error estimate is the first
-    omitted term; the convergence flag requires the terms to have entered
-    decay before truncation.
+    with A_j = Gamma(1+beta*j) * lam**(beta*j) * Gamma(-beta*j, lam*t)
+    * sin(j*beta*pi). The error estimate is the last term summed plus the
+    cancellation error; NonConvergenceError when the sum did not converge.
     """
     _require_tempered(params)
-    if max_terms is None:
-        max_terms = _DEFAULT_CONFIG.max_terms
     beta, lam = params.beta, params.lam
     x, t = p.x, p.t
-    log_A, sign_A = _series_coefficients(params, t, max_terms + 1)
+    u = lam * t
+    lt = math.log(t)
     # The k-th term carries lam**(beta*(k+1)) against both bracket halves;
     # A_k only absorbs lam**(beta*k), so the trailing half gains lam**beta.
     log_lb = beta * math.log(lam)
     lx = math.log(x) if x > 0 else -math.inf
 
-    total = 0.0
-    peak = 0.0
-    prev_abs = math.inf
-    decaying = False
-    term = 0.0
-    used = 0
-    for k in range(max_terms):
-        # log of x**k / k!
-        lw = k * lx - sp.gammaln(k + 1.0) if x > 0 else (0.0 if k == 0 else None)
-        if lw is None:
-            used = k
-            term = 0.0
-            decaying = True
-            break
-        la, sa = log_A[k + 1] + lw, sign_A[k + 1]
-        lb_, sb = log_A[k] + lw + log_lb, sign_A[k]
-        if max(la, lb_) > 700.0:
-            return DensityResult(total, abs(total), "series", k)
-        term = (-1.0) ** k * (sa * math.exp(la) - sb * math.exp(lb_))
-        total += term
-        peak = max(peak, abs(term))
-        used = k + 1
-        if abs(term) <= prev_abs:
-            decaying = True
-        if decaying and abs(term) < 1e-15 * max(abs(total), 1e-300) and k >= 2:
-            break
-        prev_abs = abs(term)
+    @functools.cache
+    def log_coefficient(j):
+        """(log|A_j|, sign of A_j), computed when the sum first needs A_j.
+
+        The incomplete gamma enters through its scaled form
+        lam**(beta*j) * Gamma(-beta*j, u) = t**(-beta*j) * g(-beta*j, u),
+        which keeps every factor in double range.
+        """
+        sn = math.sin(j * beta * math.pi)
+        if sn == 0.0:
+            return -math.inf, 0.0
+        g = upper_incomplete_gamma_scaled(-beta * j, u)
+        if g <= 0.0:
+            # g underflows at large lam * t; A_j has no usable log then,
+            # and +inf ends the sum unconverged.
+            return math.inf, 0.0
+        return (sp.gammaln(1.0 + beta * j) - beta * j * lt
+                + math.log(g) + math.log(abs(sn))), math.copysign(1.0, sn)
+
+    def term(k):
+        if k > 0 and x == 0:
+            return -math.inf, 0.0
+        lw = k * lx - sp.gammaln(k + 1.0) if k > 0 else 0.0  # x**k / k!
+        la, sa = log_coefficient(k + 1)
+        lb, sb = log_coefficient(k)
+        la, lb = la + lw, lb + lw + log_lb
+        top = max(la, lb)
+        if math.isinf(top):
+            return top, 0.0
+        return top, (-1.0) ** k * (sa * math.exp(la - top)
+                                   - sb * math.exp(lb - top))
+
+    res = sum_series(term, 0, _SERIES_MAX_TERMS, 1e-13, 1e-8)
+    value = converged_value(
+        res, f"density series at x={x}, t={t}, beta={beta}, lam={lam}")
     pref = math.exp(lam ** beta * x) / math.pi
-    cancel = peak * 1e-16
-    err = pref * (abs(term) + cancel)
-    value = pref * total
-    converged = decaying and (cancel <= max(1e-13, 1e-8 * abs(total)))
-    if not converged:
-        return DensityResult(value, max(err, abs(value)), "series", used)
-    return DensityResult(value, err, "series", used)
+    return DensityResult(pref * value, pref * res.error_estimate, "series",
+                         res.terms)
 
 
-def eval(p, params, config=None):
+def eval(p, params):
     """Density h(x, t), dispatching between series and integral.
 
     Exact x = 0 routes to boundary_value; the series handles small
-    x * lam**beta, the integral the rest, each falling back to the other
-    on non-convergence.
+    x * lam**beta, the integral the rest. A series that converged but
+    misses 1e-8 relative is returned only when the integral fails;
+    NonConvergenceError when neither form converged.
     """
-    if config is None:
-        config = _DEFAULT_CONFIG
     _require_tempered(params)
     if p.x == 0:
         return DensityResult(boundary_value(p.t, params), 1e-12, "series", 1)
-    series_ok = (p.x * params.lam ** params.beta <= config.series_x_threshold
-                 and params.lam * p.t >= config.series_min_lam_t)
-    if series_ok:
-        res = eval_series(p, params, config.max_terms)
-        if res.error_estimate <= 1e-8 * max(1.0, abs(res.value)):
-            return res
+    series = None
+    if (p.x * params.lam ** params.beta <= _SERIES_MAX_X_LAM_BETA
+            and params.lam * p.t >= _SERIES_MIN_LAM_T):
+        try:
+            series = eval_series(p, params)
+        except NonConvergenceError:
+            pass
+        else:
+            if series.error_estimate <= 1e-8 * max(1.0, abs(series.value)):
+                return series
     try:
-        return eval_integral(p, params, config.quadrature)
+        return eval_integral(p, params)
     except NonConvergenceError:
-        if series_ok:
-            return eval_series(p, params, config.max_terms)
-        raise
+        if series is None:
+            raise
+        return series
 
 
 def boundary_value(t, params):
@@ -264,7 +224,7 @@ def boundary_value(t, params):
             * sp.gamma(1.0 + beta) * t ** (-beta) * g)
 
 
-def derivative_at_zero(k, t, params, spec=None):
+def derivative_at_zero(k, t, params):
     """k-th x-derivative of h(x, t) at x = 0+.
 
     For lam > 0 this is the half-line integral
@@ -303,16 +263,12 @@ def derivative_at_zero(k, t, params, spec=None):
         return (np.exp(-t * y) / (y + lam) * rho ** k
                 * (lb * np.sin(ka) + yb * np.sin(beta * math.pi - ka)))
 
-    res = _integrate_damped(integrand, spec, 1.0 / t, beta)
-    if not res.converged:
-        raise NonConvergenceError(
-            f"derivative integral did not converge at k={k}, t={t}, "
-            f"beta={beta}, lam={lam}"
-        )
-    return math.exp(-lam * t) / math.pi * res.value
+    res = _integrate_damped(integrand, 1.0 / t, beta)
+    return math.exp(-lam * t) / math.pi * converged_value(
+        res, f"derivative integral at k={k}, t={t}, beta={beta}, lam={lam}")
 
 
-def cdf(x, t, params, spec=None):
+def cdf(x, t, params):
     """P(E(t) <= x) by the half-line integral
 
     (exp(lam**beta * x) / pi) * int_0^inf exp(-t*(lam+u))/(lam+u)
@@ -342,11 +298,7 @@ def cdf(x, t, params, spec=None):
         return (np.exp(-t * (lam + u) - x * ub * c) / (lam + u)
                 * np.sin(x * ub * s))
 
-    res = _integrate_damped(integrand, spec, 1.0 / t, beta)
-    if not res.converged:
-        raise NonConvergenceError(
-            f"cdf integral did not converge at x={x}, t={t}, "
-            f"beta={beta}, lam={lam}"
-        )
-    value = math.exp(lam ** beta * x) / math.pi * res.value
+    res = _integrate_damped(integrand, 1.0 / t, beta)
+    value = math.exp(lam ** beta * x) / math.pi * converged_value(
+        res, f"cdf integral at x={x}, t={t}, beta={beta}, lam={lam}")
     return min(max(value, 0.0), 1.0)

@@ -19,6 +19,7 @@ from .stable_family import (
     NonConvergenceError,
     ParameterError,
     TemperedStableParams,
+    converged_value,
     inverse_stable_density,
 )
 
@@ -131,7 +132,7 @@ def boundary_derivative_check(m, t=1.0):
     return abs(derivative_at_zero(m - 1, t, params))
 
 
-def initial_condition_check(beta, x, spec=None):
+def initial_condition_check(beta, x):
     """|h_0(x, 0)| at fixed x > 0 via the t = 0 limit of the integral
     representation; equals 0 analytically for 0 < beta <= 1/2.
 
@@ -154,10 +155,7 @@ def initial_condition_check(beta, x, spec=None):
                 * np.sin(beta * math.pi - x * yb * s))
 
     scale = (1.0 / (x * max(c, 1e-2))) ** (1.0 / beta)
-    res = integrate_semi_infinite(integrand, spec, scale=scale,
+    res = integrate_semi_infinite(integrand, scale=scale,
                                   power_singularity=beta)
-    if not res.converged:
-        raise NonConvergenceError(
-            f"initial-condition integral did not converge at beta={beta}, x={x}"
-        )
-    return abs(res.value / math.pi)
+    return abs(converged_value(
+        res, f"initial-condition integral at beta={beta}, x={x}") / math.pi)

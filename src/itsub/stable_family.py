@@ -3,8 +3,10 @@ tempered version, and the inverse stable subordinator.
 
 The stable density f(x, t) (Laplace transform exp(-t s**beta)) is
 available as an alternating series in x * t**(-1/beta) and as a real
-integral; the inverse stable density has a power series in x with an
-integral fallback. All densities vanish for x <= 0 by convention.
+integral; the inverse stable density has a power series in x with a
+fallback to the stable density through the first-passage identity. All
+densities vanish for x <= 0 by convention. Every series in the package
+is summed by sum_series.
 """
 
 import math
@@ -14,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special as sp
 
-from .quadrature import QuadratureSpec, integrate_semi_infinite
+from .quadrature import integrate_semi_infinite
 
 
 class ParameterError(ValueError):
@@ -23,6 +25,14 @@ class ParameterError(ValueError):
 
 class NonConvergenceError(RuntimeError):
     """Neither representation of a density converged."""
+
+
+def converged_value(res, what):
+    """The value of a quadrature or series result, or NonConvergenceError
+    naming `what` when the result did not converge."""
+    if not res.converged:
+        raise NonConvergenceError(f"{what} did not converge")
+    return res.value
 
 
 @dataclass(frozen=True)
@@ -52,43 +62,48 @@ class SeriesEval(NamedTuple):
     terms: int
     converged: bool
 
+    def scaled(self, c):
+        return self._replace(value=self.value * c,
+                             error_estimate=self.error_estimate * c)
+
 
 _MAX_TERMS = 500
-_TERM_STOP = 1e-14
 # Below this x * t**(-1/beta) the alternating series cancels too badly.
 _SERIES_FLOOR = 0.1
 
 
-def _stable_series_std(z, beta, max_terms=_MAX_TERMS):
-    """Alternating series for the standardized stable density f(z, 1)."""
-    total = 0.0
-    peak = 0.0
-    term = 0.0
-    lz = math.log(z)
+def sum_series(term, first, max_terms, floor, rel):
+    """Sum term(first) + term(first + 1) + ..., one term at a time.
+
+    term(k) returns (log_scale, mantissa) for the term
+    mantissa * exp(log_scale), so coefficients that overflow doubles on
+    their own still give representable terms. The sum stops after three
+    consecutive terms below 1e-15 of the running total: zero terms occur
+    periodically for rational beta, so one small term proves nothing.
+    The error estimate is the last term plus the cancellation error,
+    1e-16 times the largest term, and the sum has converged when that
+    cancellation error is within max(floor, rel * |sum|). A log_scale
+    above 700 (+inf marks a term that cannot be represented) or
+    max_terms terms end the sum unconverged.
+    """
+    total = peak = value = 0.0
     small_run = 0
-    for k in range(1, max_terms + 1):
-        # Coefficients in log space: the gamma ratio overflows doubles
-        # long before the series is exhausted.
-        lc = (sp.gammaln(k * beta + 1.0) - sp.gammaln(k + 1.0)
-              - (beta * k + 1.0) * lz)
-        if lc > 700.0:
-            return SeriesEval(total / math.pi, abs(total), k, False)
-        term = ((-1.0) ** (k + 1) * math.exp(lc)
-                * math.sin(k * beta * math.pi))
-        total += term
-        peak = max(peak, abs(term))
-        # Zero terms occur periodically for rational beta; demand a run of
-        # small terms before declaring convergence.
-        if abs(term) < _TERM_STOP * max(abs(total), 1e-300):
+    for n in range(1, max_terms + 1):
+        log_scale, mantissa = term(first + n - 1)
+        if log_scale > 700.0:
+            return SeriesEval(total, abs(total), n, False)
+        value = mantissa * math.exp(log_scale)
+        total += value
+        peak = max(peak, abs(value))
+        if abs(value) < 1e-15 * max(abs(total), 1e-300):
             small_run += 1
         else:
             small_run = 0
-        if small_run >= 3 and k > 3:
+        if small_run == 3:
             cancel = peak * 1e-16
-            err = (abs(term) + cancel) / math.pi
-            ok = cancel <= max(2e-10, 1e-9 * abs(total))
-            return SeriesEval(total / math.pi, err, k, ok)
-    return SeriesEval(total / math.pi, abs(term) / math.pi, max_terms, False)
+            return SeriesEval(total, abs(value) + cancel, n,
+                              cancel <= max(floor, rel * abs(total)))
+    return SeriesEval(total, abs(value), max_terms, False)
 
 
 def _saddle_exponent(z, beta):
@@ -107,7 +122,7 @@ def _stable_saddle_std(z, beta):
     return pref * power * math.exp(-expo)
 
 
-def stable_density_series(x, t, beta, max_terms=_MAX_TERMS):
+def stable_density_series(x, t, beta):
     """Stable density f(x, t) by the alternating series.
 
     Uses self-similar scaling f(x, t) = t**(-1/beta) f(x t**(-1/beta), 1).
@@ -119,12 +134,17 @@ def stable_density_series(x, t, beta, max_terms=_MAX_TERMS):
     if t <= 0:
         raise ParameterError(f"require t > 0, got {t}")
     u = t ** (-1.0 / beta)
-    inner = _stable_series_std(x * u, beta, max_terms)
-    return SeriesEval(inner.value * u, inner.error_estimate * u,
-                      inner.terms, inner.converged)
+    lz = math.log(x * u)
+
+    def term(k):
+        return (sp.gammaln(k * beta + 1.0) - sp.gammaln(k + 1.0)
+                - (beta * k + 1.0) * lz,
+                (-1.0) ** (k + 1) * math.sin(k * beta * math.pi))
+
+    return sum_series(term, 1, _MAX_TERMS, 2e-10, 1e-9).scaled(u / math.pi)
 
 
-def stable_density_integral(x, t, beta, spec=None):
+def stable_density_integral(x, t, beta):
     """Stable density f(x, t) by the damped oscillatory integral."""
     if x <= 0:
         return 0.0
@@ -136,12 +156,9 @@ def stable_density_integral(x, t, beta, spec=None):
     def integrand(u):
         return np.exp(-u * x - t * u ** beta * c) * np.sin(t * u ** beta * s)
 
-    res = integrate_semi_infinite(integrand, spec, scale=max(1.0 / x, 1.0))
-    if not res.converged:
-        raise NonConvergenceError(
-            f"stable density integral did not converge at x={x}, t={t}, beta={beta}"
-        )
-    return res.value / math.pi
+    res = integrate_semi_infinite(integrand, scale=max(1.0 / x, 1.0))
+    return converged_value(
+        res, f"stable density integral at x={x}, t={t}, beta={beta}") / math.pi
 
 
 def stable_density(x, t, beta):
@@ -179,63 +196,22 @@ def tempered_density(x, t, params):
     return tilt * stable_density(x, t, params.beta)
 
 
-def inverse_stable_density_series(x, t, beta, max_terms=_MAX_TERMS):
+def inverse_stable_density_series(x, t, beta):
     """Inverse stable density by its power series in x."""
     if t <= 0:
         raise ParameterError(f"require t > 0, got {t}")
     if x < 0:
         return SeriesEval(0.0, 0.0, 0, True)
     lt_b = -beta * math.log(t)
-    lx = math.log(x) if x > 0 else 0.0
-    total = 0.0
-    peak = 0.0
-    term = 0.0
-    small_run = 0
-    for k in range(1, max_terms + 1):
-        if x == 0.0 and k > 1:
-            term = 0.0
-        else:
-            lc = (sp.gammaln(k * beta) - sp.gammaln(float(k))
-                  + k * lt_b + (k - 1) * lx)
-            if lc > 700.0:
-                return SeriesEval(total / math.pi, abs(total), k, False)
-            term = ((-1.0) ** (k - 1) * math.exp(lc)
-                    * math.sin(k * beta * math.pi))
-        total += term
-        peak = max(peak, abs(term))
-        if abs(term) < _TERM_STOP * max(abs(total), 1e-300):
-            small_run += 1
-        else:
-            small_run = 0
-        if small_run >= 3 and k > 3:
-            cancel = peak * 1e-16
-            err = (abs(term) + cancel) / math.pi
-            ok = cancel <= max(1e-11, 1e-9 * abs(total))
-            return SeriesEval(total / math.pi, err, k, ok)
-    return SeriesEval(total / math.pi, abs(term) / math.pi, max_terms, False)
+    lx = math.log(x) if x > 0 else -math.inf
 
+    def term(k):
+        # x**(k-1), with x**0 = 1 also at x = 0
+        lxk = (k - 1) * lx if k > 1 else 0.0
+        return (sp.gammaln(k * beta) - sp.gammaln(float(k)) + k * lt_b + lxk,
+                (-1.0) ** (k - 1) * math.sin(k * beta * math.pi))
 
-def inverse_stable_density_integral(x, t, beta, spec=None):
-    """Inverse stable density by the real integral (lam = 0 form)."""
-    if x < 0:
-        return 0.0
-    if t <= 0:
-        raise ParameterError(f"require t > 0, got {t}")
-    c = math.cos(beta * math.pi)
-    s = math.sin(beta * math.pi)
-
-    def integrand(y):
-        yb = y ** beta
-        return (np.exp(-t * y - x * yb * c) * yb / y
-                * np.sin(beta * math.pi - x * yb * s))
-
-    res = integrate_semi_infinite(integrand, spec, scale=1.0 / t,
-                                  power_singularity=beta)
-    if not res.converged:
-        raise NonConvergenceError(
-            f"inverse stable integral did not converge at x={x}, t={t}, beta={beta}"
-        )
-    return res.value / math.pi
+    return sum_series(term, 1, _MAX_TERMS, 1e-11, 1e-9).scaled(1.0 / math.pi)
 
 
 def inverse_stable_density(x, t, beta):

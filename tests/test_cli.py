@@ -159,3 +159,31 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     rows = list(csv.DictReader(target.open()))
     assert len(rows) == 2
+
+
+def test_density_unconverged_point_fails(capsys):
+    code, out, _ = _run(capsys, "density", "--beta", "0.95", "--lambda", "1",
+                        "--t", "0.001", "--x", "0.5")
+    assert code == 3
+    assert _rows(out)[0]["method"] == "failed"
+
+
+def test_density_large_lam_t(capsys):
+    code, out, _ = _run(capsys, "density", "--beta", "0.5", "--lambda", "1",
+                        "--t", "1000", "--x", "0.5")
+    assert code == 0
+    row = _rows(out)[0]
+    assert float(row["h"]) == 0.0
+    assert row["method"] == "integral"
+
+
+def test_simulate_exit_codes(capsys):
+    base = ["simulate", "--beta", "0.5", "--lambda", "1", "--t", "1"]
+    for bad in (["--paths", "0"], ["--step", "-1"]):
+        code, _, err = _run(capsys, *base, *bad)
+        assert code == 2
+        assert "error:" in err
+    # paths that cannot cross t = 1 within the horizon
+    code, _, err = _run(capsys, *base, "--paths", "5", "--horizon", "0.01")
+    assert code == 3
+    assert "simulation failed" in err

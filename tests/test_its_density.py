@@ -14,7 +14,12 @@ from itsub.its_density import (
     eval_integral,
     eval_series,
 )
-from itsub.stable_family import ParameterError, TemperedStableParams
+from itsub import its_density
+from itsub.stable_family import (
+    NonConvergenceError,
+    ParameterError,
+    TemperedStableParams,
+)
 
 # (beta, lam, x, t) -> h from high-precision numerical Laplace inversion
 # of Psi(s)/s * exp(-x*Psi(s)) in the time variable (40-digit Talbot).
@@ -182,3 +187,36 @@ def test_large_x_never_overflows():
             continue
         assert math.isfinite(res.value)
         assert res.value >= 0
+
+
+def test_series_computes_only_the_coefficients_it_uses(monkeypatch):
+    # one incomplete-gamma call per term summed, not a fixed table
+    calls = []
+    gamma = its_density.upper_incomplete_gamma_scaled
+
+    def counted(a, u):
+        calls.append(a)
+        return gamma(a, u)
+
+    monkeypatch.setattr(its_density, "upper_incomplete_gamma_scaled", counted)
+    res = eval_series(EvalPoint(0.8, 1.0), TemperedStableParams(0.4, 1.0))
+    assert len(calls) == res.terms_or_panels < 50
+
+
+def test_unconverged_forms_raise():
+    # neither form converges at beta = 0.95, t = 1e-3: a typed error, not
+    # the series' 1e303
+    with pytest.raises(NonConvergenceError):
+        eval_density(EvalPoint(0.5, 1e-3), TemperedStableParams(0.95, 1.0))
+
+
+def test_large_lam_t_series_hands_over_to_integral():
+    # at lam * t = 1000 the scaled incomplete gamma underflows: the series
+    # ends unconverged and the dispatcher returns the integral's value
+    params = TemperedStableParams(0.5, 1.0)
+    p = EvalPoint(0.5, 1000.0)
+    with pytest.raises(NonConvergenceError):
+        eval_series(p, params)
+    res = eval_density(p, params)
+    assert res.method == "integral"
+    assert res.value == eval_integral(p, params).value == 0.0

@@ -42,6 +42,9 @@ def test_moment_lt_closed_form():
     s = 3.0
     ref = G(2.0) / (s * (2.0 - 1.0))
     assert moment_lt(1.0, s, p) == pytest.approx(ref, rel=1e-14)
+    assert moment_lt(1.0, complex(s, 0.0), p) == pytest.approx(ref, rel=1e-14)
+    with pytest.raises(ParameterError):
+        moment_lt(1.0, -1.0, p)
 
 
 def test_talbot_inverts_known_transforms():

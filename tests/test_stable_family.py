@@ -10,6 +10,8 @@ from itsub.stable_family import (
     TemperedStableParams,
     inverse_stable_density,
     stable_density,
+    stable_density_series,
+    sum_series,
     tempered_density,
 )
 
@@ -153,3 +155,46 @@ def test_argument_validation():
         stable_density(1.0, -1.0, 0.5)
     with pytest.raises(ParameterError):
         inverse_stable_density(0.5, -1.0, 0.5)
+
+
+def test_sum_series_exponential():
+    # sum_k (-x)**k / k! = exp(-x); the sum stops after the first run of
+    # three terms below 1e-15 of the total
+    x = 2.0
+
+    def size(k):
+        return x ** k / math.factorial(k)
+
+    res = sum_series(lambda k: (k * math.log(x) - math.lgamma(k + 1.0),
+                                (-1.0) ** k), 0, 100, 1e-13, 1e-8)
+    assert res.converged
+    assert res.value == pytest.approx(math.exp(-x), rel=1e-14)
+    n = res.terms
+    small = 1e-15 * math.exp(-x)
+    assert all(size(k) < small for k in (n - 3, n - 2, n - 1))
+    assert size(n - 4) > small
+    assert res.error_estimate < 1e-15
+
+
+def test_sum_series_unconverged_endings():
+    # a term whose log scale passes 700 ends the sum unconverged
+    res = sum_series(lambda k: (701.0 if k == 3 else -k, 1.0),
+                     1, 100, 1e-13, 1e-8)
+    assert not res.converged
+    assert res.terms == 3
+    assert math.isfinite(res.value)
+    # so does running out of terms (the harmonic series)
+    res = sum_series(lambda k: (-math.log(k), 1.0), 1, 50, 1e-13, 1e-8)
+    assert not res.converged
+    assert res.terms == 50
+
+
+def test_stable_series_passes_zero_terms():
+    # at beta = 1/2 every even term is exactly zero; the series must run
+    # on to the closed form f(x, 1) = x**(-3/2) exp(-1/(4x)) / (2 sqrt(pi))
+    for x in (0.5, 1.0, 3.0):
+        res = stable_density_series(x, 1.0, 0.5)
+        ref = x ** -1.5 * math.exp(-0.25 / x) / (2 * math.sqrt(math.pi))
+        assert res.converged
+        assert res.value == pytest.approx(ref, rel=1e-12)
+        assert res.terms > 6
