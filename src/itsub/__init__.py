@@ -27,14 +27,11 @@ from .moments import (
 )
 from .montecarlo import (
     HorizonError,
-    PathRecord,
     SimConfig,
     empirical_moment,
-    first_passage,
     first_passage_samples,
     sample_stable_increment,
     sample_tempered_increment,
-    simulate_path,
 )
 from .pde_check import (
     PdeCase,
@@ -43,7 +40,7 @@ from .pde_check import (
     pde_residual,
     residual_decay_ratio,
 )
-from .quadrature import QuadratureResult, QuadratureSpec, integrate_semi_infinite
+from .quadrature import QuadratureResult, integrate_semi_infinite
 from .special_fn import (
     GammaPoleError,
     gamma,

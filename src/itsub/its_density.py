@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .quadrature import QuadratureSpec, integrate_semi_infinite
+from .quadrature import integrate_semi_infinite
 from .special_fn import upper_incomplete_gamma_scaled
 from .stable_family import (
     NonConvergenceError,
@@ -54,23 +54,6 @@ class DensityResult:
 _SERIES_MAX_X_LAM_BETA = 2.0
 _SERIES_MIN_LAM_T = 1e-6
 _SERIES_MAX_TERMS = 400
-_RETRY_SPEC = QuadratureSpec(abs_tol=1e-9)
-
-
-def _integrate_damped(f, scale, power_singularity):
-    """Half-line quadrature with a loosened-tolerance retry.
-
-    Oscillatory integrands with large interior amplitude hit a rounding
-    noise floor above the default 1e-12 absolute tolerance even though
-    the value itself is accurate; a second pass at abs_tol=1e-9 accepts
-    those while keeping the honest error estimate.
-    """
-    res = integrate_semi_infinite(f, scale=scale,
-                                  power_singularity=power_singularity)
-    if not res.converged:
-        res = integrate_semi_infinite(f, _RETRY_SPEC, scale=scale,
-                                      power_singularity=power_singularity)
-    return res
 
 
 def _require_tempered(params):
@@ -107,7 +90,7 @@ def eval_integral(p, params):
         return (np.exp(shift - t * y - x * yb * c) / (y + lam)
                 * (lb * np.sin(phase) + yb * np.sin(beta * math.pi - phase)))
 
-    res = _integrate_damped(integrand, 1.0 / t, beta)
+    res = integrate_semi_infinite(integrand, 1.0 / t, beta)
     value = converged_value(
         res, f"density integral at x={x}, t={t}, beta={beta}, lam={lam}")
     return DensityResult(value / math.pi, res.error_estimate / math.pi,
@@ -263,7 +246,7 @@ def derivative_at_zero(k, t, params):
         return (np.exp(-t * y) / (y + lam) * rho ** k
                 * (lb * np.sin(ka) + yb * np.sin(beta * math.pi - ka)))
 
-    res = _integrate_damped(integrand, 1.0 / t, beta)
+    res = integrate_semi_infinite(integrand, 1.0 / t, beta)
     return math.exp(-lam * t) / math.pi * converged_value(
         res, f"derivative integral at k={k}, t={t}, beta={beta}, lam={lam}")
 
@@ -298,7 +281,7 @@ def cdf(x, t, params):
         return (np.exp(-t * (lam + u) - x * ub * c) / (lam + u)
                 * np.sin(x * ub * s))
 
-    res = _integrate_damped(integrand, 1.0 / t, beta)
+    res = integrate_semi_infinite(integrand, 1.0 / t, beta)
     value = math.exp(lam ** beta * x) / math.pi * converged_value(
         res, f"cdf integral at x={x}, t={t}, beta={beta}, lam={lam}")
     return min(max(value, 0.0), 1.0)

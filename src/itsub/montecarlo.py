@@ -3,13 +3,13 @@ first-passage (inverse) process.
 
 Stable increments use the Kanter construction (exact, rejection-free);
 tempering is applied by rejection with acceptance weight exp(-lam*x).
-First-passage times are located on a grid and refined by repeatedly
-halving the bracket with fresh forward simulation from the left endpoint
-(valid by the Markov property; bias is O(step / 2**refinements)).
+First-passage times are located on the grid of the subordinator
+skeleton and returned as the midpoint of the grid step in which the
+crossing falls, so each sample is within half a step of its exact value.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,15 +24,14 @@ class HorizonError(RuntimeError):
 class SimConfig:
     """Simulation layout: path count, operational-time grid, horizon.
 
-    time_step is the grid spacing of the subordinator skeleton;
-    refine_bisection counts the crossing-refinement halvings.
+    time_step is the grid spacing of the subordinator skeleton; each
+    first-passage sample is the midpoint of the step that crosses.
     """
 
     n_paths: int
     time_step: float = 1e-3
     horizon: float = 10.0
     seed: int = 0
-    refine_bisection: int = 10
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -41,18 +40,6 @@ class SimConfig:
             raise ParameterError("time_step must be > 0")
         if self.horizon <= 0:
             raise ParameterError("horizon must be > 0")
-        if self.refine_bisection < 0:
-            raise ParameterError("refine_bisection must be >= 0")
-
-
-@dataclass
-class PathRecord:
-    """One simulated skeleton: grid times u, values D(u), and a cache of
-    first-passage results keyed by target level."""
-
-    grid_u: np.ndarray
-    grid_d: np.ndarray
-    crossing_cache: dict = field(default_factory=dict)
 
 
 def sample_stable_increment(dt, beta, rng, size=None):
@@ -122,56 +109,11 @@ def _tempered_step(dt, params, rng, size=None):
     return total
 
 
-def simulate_path(config, params, rng):
-    """Simulate one skeleton on {0, dt, 2dt, ...} until D exceeds the
-    horizon (in physical time)."""
-    dt = config.time_step
-    us = [0.0]
-    ds = [0.0]
-    d = 0.0
-    u = 0.0
-    while d <= config.horizon:
-        u += dt
-        d += _tempered_step(dt, params, rng)
-        us.append(u)
-        ds.append(d)
-    return PathRecord(np.array(us), np.array(ds))
-
-
-def first_passage(path, t, params, rng, refine_bisection=10):
-    """First-passage time E(t) = inf{u : D(u) > t} from a skeleton.
-
-    The grid bracket around the crossing is halved refine_bisection
-    times; each halving simulates a fresh increment over the left half
-    from the bracket's left endpoint (exact in distribution by the
-    Markov property) and keeps whichever half contains the crossing.
-    """
-    if t <= 0:
-        raise ParameterError(f"require t > 0, got {t}")
-    if t in path.crossing_cache:
-        return path.crossing_cache[t]
-    idx = int(np.searchsorted(path.grid_d, t, side="right"))
-    if idx >= len(path.grid_d):
-        raise HorizonError(f"path never crossed t={t} within its horizon")
-    u_left = path.grid_u[idx - 1]
-    d_left = path.grid_d[idx - 1]
-    width = path.grid_u[idx] - u_left
-    for _ in range(refine_bisection):
-        width *= 0.5
-        mid = d_left + _tempered_step(width, params, rng)
-        if mid <= t:
-            u_left += width
-            d_left = mid
-    result = float(u_left + 0.5 * width)
-    path.crossing_cache[t] = result
-    return result
-
-
 def first_passage_samples(config, params, t, rng=None):
     """Vectorized first-passage sampling: config.n_paths draws of E(t).
 
-    Equivalent in distribution to simulate_path + first_passage per
-    path, but advances all paths through the grid in lockstep.
+    All paths advance through the grid in lockstep; a path's sample is
+    the midpoint of the grid step in which D first exceeds t.
     """
     if t <= 0:
         raise ParameterError(f"require t > 0, got {t}")
@@ -198,15 +140,7 @@ def first_passage_samples(config, params, t, rng=None):
         u_left[active[still]] += dt
         active = active[still]
         steps += 1
-    width = np.full(n, dt)
-    for _ in range(config.refine_bisection):
-        width *= 0.5
-        inc = _tempered_step(width[0], params, rng, size=n)
-        mid = d_left + inc
-        ok = mid <= t
-        u_left[ok] += width[ok]
-        d_left[ok] = mid[ok]
-    return u_left + 0.5 * width
+    return u_left + 0.5 * dt
 
 
 def empirical_moment(samples, q):

@@ -5,9 +5,15 @@ The half line is covered by geometrically growing panels until the
 integrand falls below a truncation threshold; panels are then refined by
 bisecting the worst error estimate. Each panel uses the nested
 Gauss7/Kronrod15 pair, with the error taken as the difference of the two
-orders. Integrands must accept and return numpy arrays.
+orders. Refinement also stops once that error is within the rounding
+floor 50 * eps * int |f| (the roundoff test of QUADPACK's QAG/QAGI,
+Piessens et al. 1983), so an integrand whose cancelling oscillations
+leave rounding noise above the absolute tolerance still finishes in one
+pass. Integrands must accept and return numpy arrays.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,26 +41,21 @@ _WG = np.array([
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
 ])
+# Both rules as rows over the 15 abscissae (Gauss weights zero off its own
+# points), so one product evaluates both.
+_RULES = np.zeros((2, 15))
+_RULES[0] = _WK
+_RULES[1, 1::2] = _WG
 
 
-class QuadratureSpecError(ValueError):
-    """Invalid quadrature specification."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
-    truncation_threshold: float = 1e-16
-
-    def validate(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise QuadratureSpecError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise QuadratureSpecError("max_subdivisions must be >= 1")
-        if not 0 < self.truncation_threshold < 1:
-            raise QuadratureSpecError("truncation_threshold must be in (0, 1)")
+# Every caller integrates to the same standard: an absolute or relative
+# target, a panel budget, and a tail cut relative to the peak |f|.
+ABS_TOL = 1e-12
+REL_TOL = 1e-9
+MAX_SUBDIVISIONS = 2000
+TRUNCATION_THRESHOLD = 1e-16
+# Per-panel rounding floor as a multiple of int |f| (QUADPACK qk15).
+_ROUNDING = 50.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -66,14 +67,18 @@ class QuadratureResult:
 
 
 def _gk15(f, a, b):
-    """Gauss7/Kronrod15 on [a, b]: (value, error, peak |f|)."""
+    """Gauss7/Kronrod15 on [a, b]: (value, error, rounding floor, peak |f|).
+
+    The floor, 50 * eps * int |f| over the panel, is the error below which
+    the Gauss/Kronrod difference measures only rounding noise.
+    """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    y = mid + half * _XK
-    fy = np.asarray(f(y), dtype=float)
-    vk = half * float(_WK @ fy)
-    vg = half * float(_WG @ fy[1::2])
-    return vk, abs(vk - vg), float(np.max(np.abs(fy)))
+    fy = np.asarray(f(mid + half * _XK), dtype=float)
+    afy = np.abs(fy)
+    vk, vg = (_RULES @ fy).tolist()
+    floor = _ROUNDING * abs(half) * float(_WK @ afy)
+    return half * vk, abs(half * (vk - vg)), floor, float(afy.max())
 
 
 def _power_map(f, s):
@@ -88,7 +93,7 @@ def _power_map(f, s):
     return g
 
 
-def integrate_semi_infinite(f, spec=None, scale=1.0, power_singularity=None):
+def integrate_semi_infinite(f, scale=1.0, power_singularity=None):
     """Integrate f over (0, inf).
 
     f must be vectorized, finite on (0, inf), and decay at least
@@ -96,66 +101,66 @@ def integrate_semi_infinite(f, spec=None, scale=1.0, power_singularity=None):
     [0, scale]). `power_singularity` = s flags an integrable f ~ y**(s-1)
     behaviour at 0, handled by a power substitution on the first panel.
 
-    Non-convergence is reported through the `converged` flag, never
-    silently.
+    The integral has converged once the summed error is within ABS_TOL,
+    REL_TOL * |value| or the summed rounding floor, and the reported
+    error is never below that floor. Non-convergence (the panel budget
+    spent, or a non-finite panel) is reported through the `converged`
+    flag, never silently.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    spec.validate()
     scale = float(scale)
     if not np.isfinite(scale) or scale <= 0:
         scale = 1.0
 
-    # Panels as [a, b, value, error]; first panel possibly transformed.
+    # Panels as (integrand, a, b, value, error, floor); the first panel
+    # is possibly transformed.
     panels = []
     peak = 0.0
 
     def add_panel(fn, a, b):
         nonlocal peak
-        v, e, p = _gk15(fn, a, b)
-        panels.append([fn, a, b, v, e])
+        v, e, floor, p = _gk15(fn, a, b)
+        panels.append((fn, a, b, v, e, floor))
         peak = max(peak, p)
         return p
 
-    if power_singularity is not None and power_singularity != 1.0:
-        s = float(power_singularity)
-        add_panel(_power_map(f, s), 0.0, scale ** s)
-    else:
-        add_panel(f, 0.0, scale)
+    # A non-finite panel ends the integration as unconverged, so numpy's
+    # overflow and invalid-value warnings would only repeat that report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if power_singularity is not None and power_singularity != 1.0:
+            s = float(power_singularity)
+            add_panel(_power_map(f, s), 0.0, scale ** s)
+        else:
+            add_panel(f, 0.0, scale)
 
-    # Geometric tail coverage: stop once the integrand has dropped below
-    # truncation_threshold * peak on a panel (and at least a few panels
-    # beyond the scale have been seen).
-    a = scale
-    width = scale
-    n_tail = 0
-    while n_tail < spec.max_subdivisions:
-        p = add_panel(f, a, a + width)
-        a += width
-        width *= 2.0
-        n_tail += 1
-        if p <= spec.truncation_threshold * peak and n_tail >= 4:
-            break
+        # Geometric tail coverage: stop once the integrand has dropped
+        # below TRUNCATION_THRESHOLD * peak on a panel (and at least a few
+        # panels beyond the scale have been seen), or at the first
+        # non-finite panel.
+        a = scale
+        width = scale
+        n_tail = 0
+        while math.isfinite(panels[-1][4]) and n_tail < MAX_SUBDIVISIONS:
+            p = add_panel(f, a, a + width)
+            a += width
+            width *= 2.0
+            n_tail += 1
+            if p <= TRUNCATION_THRESHOLD * peak and n_tail >= 4:
+                break
 
-    def totals():
-        v = sum(p[3] for p in panels)
-        e = sum(p[4] for p in panels)
-        return v, e
-
-    subdivisions = len(panels)
-    while subdivisions < spec.max_subdivisions:
-        value, error = totals()
-        if error <= max(spec.abs_tol, spec.rel_tol * abs(value)):
-            return QuadratureResult(value, error, subdivisions, True)
-        # Bisect the worst panel; tie-break on width.
-        worst = max(panels, key=lambda p: (p[4], p[2] - p[1]))
-        panels.remove(worst)
-        fn, pa, pb = worst[0], worst[1], worst[2]
-        pm = 0.5 * (pa + pb)
-        add_panel(fn, pa, pm)
-        add_panel(fn, pm, pb)
-        subdivisions += 1
-
-    value, error = totals()
-    converged = error <= max(spec.abs_tol, spec.rel_tol * abs(value))
-    return QuadratureResult(value, error, subdivisions, converged)
+        while True:
+            value = sum(p[3] for p in panels)
+            error = sum(p[4] for p in panels)
+            floor = sum(p[5] for p in panels)
+            if not math.isfinite(error):
+                return QuadratureResult(value, math.inf, len(panels), False)
+            converged = error <= max(ABS_TOL, REL_TOL * abs(value), floor)
+            if converged or len(panels) >= MAX_SUBDIVISIONS:
+                return QuadratureResult(value, max(error, floor),
+                                        len(panels), converged)
+            # Bisect the worst panel; tie-break on width.
+            worst = max(panels, key=lambda p: (p[4], p[2] - p[1]))
+            panels.remove(worst)
+            fn, pa, pb = worst[:3]
+            pm = 0.5 * (pa + pb)
+            add_panel(fn, pa, pm)
+            add_panel(fn, pm, pb)

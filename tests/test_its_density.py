@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -203,11 +204,25 @@ def test_series_computes_only_the_coefficients_it_uses(monkeypatch):
     assert len(calls) == res.terms_or_panels < 50
 
 
-def test_unconverged_forms_raise():
+def test_unconverged_forms_raise(monkeypatch):
     # neither form converges at beta = 0.95, t = 1e-3: a typed error, not
-    # the series' 1e303
-    with pytest.raises(NonConvergenceError):
-        eval_density(EvalPoint(0.5, 1e-3), TemperedStableParams(0.95, 1.0))
+    # the series' 1e303. The integrand overflows there: the quadrature
+    # stops at its first non-finite panel, and the error is the only
+    # report, with no numpy warning.
+    panels = []
+    integrate = its_density.integrate_semi_infinite
+
+    def counted(*args, **kwargs):
+        res = integrate(*args, **kwargs)
+        panels.append(res.subdivisions_used)
+        return res
+
+    monkeypatch.setattr(its_density, "integrate_semi_infinite", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError):
+            eval_density(EvalPoint(0.5, 1e-3), TemperedStableParams(0.95, 1.0))
+    assert panels and max(panels) < 100
 
 
 def test_large_lam_t_series_hands_over_to_integral():

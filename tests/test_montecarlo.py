@@ -5,14 +5,11 @@ import pytest
 
 from itsub.moments import MomentQuery, moment_exact
 from itsub.montecarlo import (
-    HorizonError,
     SimConfig,
     empirical_moment,
-    first_passage,
     first_passage_samples,
     sample_stable_increment,
     sample_tempered_increment,
-    simulate_path,
 )
 from itsub.stable_family import ParameterError, TemperedStableParams
 
@@ -65,37 +62,6 @@ def test_large_step_auto_subdivision_in_path():
     assert np.all(samples > 0) and np.all(np.isfinite(samples))
 
 
-def test_path_is_increasing():
-    rng = np.random.default_rng(5)
-    params = TemperedStableParams(0.6, 1.0)
-    config = SimConfig(n_paths=1, time_step=0.01, horizon=5.0, seed=5)
-    path = simulate_path(config, params, rng)
-    assert np.all(np.diff(path.grid_d) > 0)
-    assert path.grid_d[-1] > config.horizon
-
-
-def test_first_passage_consistent_with_path():
-    rng = np.random.default_rng(9)
-    params = TemperedStableParams(0.6, 1.0)
-    config = SimConfig(n_paths=1, time_step=0.01, horizon=5.0, seed=9)
-    path = simulate_path(config, params, rng)
-    t = 1.0
-    e = first_passage(path, t, params, rng)
-    idx = int(np.searchsorted(path.grid_d, t, side="right"))
-    assert path.grid_u[idx - 1] <= e <= path.grid_u[idx]
-    # cached on repeat
-    assert first_passage(path, t, params, rng) == e
-
-
-def test_first_passage_horizon_error():
-    rng = np.random.default_rng(1)
-    params = TemperedStableParams(0.5, 1.0)
-    config = SimConfig(n_paths=1, time_step=0.01, horizon=0.5, seed=1)
-    path = simulate_path(config, params, rng)
-    with pytest.raises(HorizonError):
-        first_passage(path, 100.0, params, rng)
-
-
 def test_samples_deterministic_under_seed():
     params = TemperedStableParams(0.5, 1.0)
     config = SimConfig(n_paths=100, horizon=40.0, seed=42)
@@ -114,6 +80,17 @@ def test_samples_match_exact_mean():
     est, se = empirical_moment(samples, 1.0)
     exact = moment_exact(MomentQuery(1.0, 1.0, params))
     assert abs(est - exact) < 4 * se + 2e-3
+
+
+def test_coarse_step_midpoint_is_unbiased():
+    # the step midpoint leaves no bias in the mean that 1e5 paths can see,
+    # even on a coarse grid (dt = 0.1 against E[E(1)] = 2.47)
+    params = TemperedStableParams(0.5, 1.0)
+    config = SimConfig(n_paths=100_000, time_step=0.1, horizon=40.0)
+    samples = first_passage_samples(config, params, 1.0)
+    est, se = empirical_moment(samples, 1.0)
+    exact = moment_exact(MomentQuery(1.0, 1.0, params))
+    assert abs(est - exact) < 4 * se
 
 
 def test_untempered_samples_match_mittag_leffler_mean():
