@@ -17,12 +17,10 @@ from .its_density import eval as eval_density
 from .moments import (
     InversionError,
     MomentQuery,
-    MomentReport,
     gaver_stehfest_inversion,
     moment_asymptotic,
     moment_exact,
     moment_lt,
-    moment_report,
     talbot_inversion,
 )
 from .montecarlo import (
@@ -41,13 +39,7 @@ from .pde_check import (
     residual_decay_ratio,
 )
 from .quadrature import QuadratureResult, integrate_semi_infinite
-from .special_fn import (
-    GammaPoleError,
-    gamma,
-    upper_incomplete_gamma,
-    upper_incomplete_gamma_scaled,
-    weighted_exp_integral,
-)
+from .special_fn import upper_incomplete_gamma_scaled
 from .stable_family import (
     NonConvergenceError,
     ParameterError,

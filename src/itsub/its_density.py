@@ -2,12 +2,14 @@
 
 The density h(x, t) of the first-passage process E(t) = inf{u : D(u) > t}
 of a tempered stable subordinator D is evaluated by two independent
-representations: a real integral over the half line and a power series
-in x whose coefficients involve upper incomplete gamma functions of
-negative order. Boundary behaviour at x = 0 (value, derivatives) and the
-CDF complete the picture.
+representations: a power series in x whose coefficients involve upper
+incomplete gamma functions of negative order, and the inversion of
+Psi(s)/s * exp(-x*Psi(s)) along the branch cut s = -lam - y. On that
+cut one half-line integral gives the density, its x-derivatives at
+0+ and the CDF. The boundary value at x = 0 has a closed form.
 """
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -64,37 +66,45 @@ def _require_tempered(params):
         )
 
 
-def eval_integral(p, params):
-    """Density h(x, t) by the half-line integral representation.
+def _accurate(res):
+    """Whether a density result meets the 1e-8 relative bar of eval."""
+    return res.error_estimate <= 1e-8 * max(1.0, abs(res.value))
 
-    h = (exp(lam**beta * x - lam * t) / pi) * I with
-    I = int_0^inf exp(-t*y - x*y**beta*cos(beta*pi)) / (y + lam)
-        * [lam**beta * sin(x*y**beta*sin(beta*pi))
-           + y**beta * sin(beta*pi - x*y**beta*sin(beta*pi))] dy.
+
+def _branch_cut(m, x, t, params, what):
+    """(1/pi) int_0^inf Im[z**m * exp(x*z - t*(y+lam))] / (y+lam) dy with
+    z = lam**beta - y**beta * exp(-i*beta*pi), the value of
+    -Psi(s) just below the branch cut s = -lam - y.
+
+    m = 1 gives h(x, t), m = k+1 at x = 0 the k-th x-derivative at 0+,
+    m = 0 the CDF. Returns (value, error, panels); NonConvergenceError
+    naming `what` when the quadrature did not converge.
+    """
+    beta, lam = params.beta, params.lam
+    lb = lam ** beta
+    turn = cmath.exp(-1j * beta * math.pi)
+
+    def integrand(y):
+        z = lb - y ** beta * turn
+        return (z ** m * np.exp(x * z - t * (y + lam))).imag / (y + lam)
+
+    res = integrate_semi_infinite(integrand, 1.0 / t, beta)
+    value = converged_value(
+        res, f"{what} at x={x}, t={t}, beta={beta}, lam={lam}")
+    return value / math.pi, res.error_estimate / math.pi, res.subdivisions_used
+
+
+def eval_integral(p, params):
+    """Density h(x, t) by the branch-cut integral with m = 1.
+
+    The exp(lam**beta * x - lam * t) factor stays inside the integrand's
+    exponent, so large x cannot overflow the panel evaluations.
     """
     _require_tempered(params)
     if p.x <= 0:
         raise ParameterError("integral form needs x > 0; use boundary_value")
-    beta, lam = params.beta, params.lam
-    x, t = p.x, p.t
-    c = math.cos(beta * math.pi)
-    s = math.sin(beta * math.pi)
-    lb = lam ** beta
-    # Fold the exp(lam**beta * x - lam * t) prefactor into the integrand
-    # exponent so large x cannot overflow the panel evaluations.
-    shift = lb * x - lam * t
-
-    def integrand(y):
-        yb = y ** beta
-        phase = x * yb * s
-        return (np.exp(shift - t * y - x * yb * c) / (y + lam)
-                * (lb * np.sin(phase) + yb * np.sin(beta * math.pi - phase)))
-
-    res = integrate_semi_infinite(integrand, 1.0 / t, beta)
-    value = converged_value(
-        res, f"density integral at x={x}, t={t}, beta={beta}, lam={lam}")
-    return DensityResult(value / math.pi, res.error_estimate / math.pi,
-                         "integral", res.subdivisions_used)
+    value, err, panels = _branch_cut(1, p.x, p.t, params, "density integral")
+    return DensityResult(value, err, "integral", panels)
 
 
 def eval_series(p, params):
@@ -159,9 +169,10 @@ def eval(p, params):
     """Density h(x, t), dispatching between series and integral.
 
     Exact x = 0 routes to boundary_value; the series handles small
-    x * lam**beta, the integral the rest. A series that converged but
-    misses 1e-8 relative is returned only when the integral fails;
-    NonConvergenceError when neither form converged.
+    x * lam**beta, the integral the rest. Either form is accepted at an
+    error within 1e-8 * max(1, |value|). A series that converged but
+    misses that bar is returned only when the integral fails or misses
+    it too; NonConvergenceError when neither form meets it.
     """
     _require_tempered(params)
     if p.x == 0:
@@ -174,14 +185,22 @@ def eval(p, params):
         except NonConvergenceError:
             pass
         else:
-            if series.error_estimate <= 1e-8 * max(1.0, abs(series.value)):
+            if _accurate(series):
                 return series
     try:
-        return eval_integral(p, params)
+        integral = eval_integral(p, params)
     except NonConvergenceError:
         if series is None:
             raise
         return series
+    if _accurate(integral):
+        return integral
+    if series is not None:
+        return series
+    raise NonConvergenceError(
+        f"density integral at x={p.x}, t={p.t}, beta={params.beta}, "
+        f"lam={params.lam} gave {integral.value:.3g} with error "
+        f"{integral.error_estimate:.3g}, above 1e-8 * max(1, |value|)")
 
 
 def boundary_value(t, params):
@@ -210,12 +229,8 @@ def boundary_value(t, params):
 def derivative_at_zero(k, t, params):
     """k-th x-derivative of h(x, t) at x = 0+.
 
-    For lam > 0 this is the half-line integral
-        (exp(-lam*t)/pi) * int_0^inf exp(-t*y)/(y+lam) * rho**k
-            * [lam**beta * sin(k*alpha)
-               + y**beta * sin(beta*pi - k*alpha)] dy
-    with rho, alpha the polar form of lam**beta - y**beta * exp(i*beta*pi)
-    (alpha from the two-argument arctangent). For lam = 0 the closed form
+    For lam > 0 and k >= 1 this is the branch-cut integral with m = k+1
+    at x = 0; k = 0 is boundary_value. For lam = 0 the closed form
     (-1)**k * t**(-(k+1)*beta) / Gamma(1 - (k+1)*beta) applies while
     (k+1)*beta <= 1.
     """
@@ -234,28 +249,14 @@ def derivative_at_zero(k, t, params):
         return (-1.0) ** k * t ** (-(k + 1) * beta) * sp.rgamma(1.0 - (k + 1) * beta)
     if k == 0:
         return boundary_value(t, params)
-    c = math.cos(beta * math.pi)
-    s = math.sin(beta * math.pi)
-    lb = lam ** beta
-
-    def integrand(y):
-        yb = y ** beta
-        rho = np.sqrt(lb * lb + yb * yb - 2.0 * lb * yb * c)
-        alpha = np.arctan2(yb * s, lb - yb * c)
-        ka = k * alpha
-        return (np.exp(-t * y) / (y + lam) * rho ** k
-                * (lb * np.sin(ka) + yb * np.sin(beta * math.pi - ka)))
-
-    res = integrate_semi_infinite(integrand, 1.0 / t, beta)
-    return math.exp(-lam * t) / math.pi * converged_value(
-        res, f"derivative integral at k={k}, t={t}, beta={beta}, lam={lam}")
+    return _branch_cut(k + 1, 0.0, t, params, f"derivative {k} integral")[0]
 
 
 def cdf(x, t, params):
-    """P(E(t) <= x) by the half-line integral
+    """P(E(t) <= x) by the branch-cut integral with m = 0.
 
-    (exp(lam**beta * x) / pi) * int_0^inf exp(-t*(lam+u))/(lam+u)
-        * exp(-x*u**beta*cos(beta*pi)) * sin(x*u**beta*sin(beta*pi)) du.
+    NonConvergenceError when its error exceeds 1e-8; the clamp to [0, 1]
+    then trims only an overshoot within that error.
     """
     if t <= 0:
         raise ParameterError(f"require t > 0, got {t}")
@@ -273,15 +274,9 @@ def cdf(x, t, params):
         tail, _ = _quad(lambda v: tempered_density(v, x, params), 0.0, t,
                         limit=200)
         return min(max(1.0 - tail, 0.0), 1.0)
-    c = math.cos(beta * math.pi)
-    s = math.sin(beta * math.pi)
-
-    def integrand(u):
-        ub = u ** beta
-        return (np.exp(-t * (lam + u) - x * ub * c) / (lam + u)
-                * np.sin(x * ub * s))
-
-    res = integrate_semi_infinite(integrand, 1.0 / t, beta)
-    value = math.exp(lam ** beta * x) / math.pi * converged_value(
-        res, f"cdf integral at x={x}, t={t}, beta={beta}, lam={lam}")
+    value, err, _ = _branch_cut(0, x, t, params, "cdf integral")
+    if err > 1e-8:
+        raise NonConvergenceError(
+            f"cdf integral at x={x}, t={t}, beta={beta}, lam={lam} gave "
+            f"{value:.3g} with error {err:.3g}, above 1e-8")
     return min(max(value, 0.0), 1.0)

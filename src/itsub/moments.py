@@ -38,17 +38,6 @@ class MomentQuery:
             raise ParameterError(f"require t > 0, got {self.t}")
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """Exact and asymptotic values of one moment, side by side."""
-
-    exact: float
-    small_t_asymptotic: float
-    large_t_asymptotic: float
-    mc_estimate: float = None
-    mc_standard_error: float = None
-
-
 def moment_lt(q, s, params):
     """Laplace transform of M_q: Gamma(1+q) / (s * Psi(s)**q).
 
@@ -162,17 +151,3 @@ def moment_asymptotic(query, regime):
             raise ParameterError("large_t asymptotic needs lam > 0")
         return lam ** (q * (1.0 - beta)) / beta ** q * t ** q
     raise ParameterError(f"unknown regime {regime!r}")
-
-
-def moment_report(query, mc_samples=None):
-    """Exact and asymptotic moment values, optionally with an MC column."""
-    exact = moment_exact(query)
-    small = moment_asymptotic(query, "small_t")
-    large = (moment_asymptotic(query, "large_t")
-             if query.params.lam > 0 else math.inf)
-    if mc_samples is None:
-        return MomentReport(exact, small, large)
-    from .montecarlo import empirical_moment
-
-    est, se = empirical_moment(mc_samples, query.q)
-    return MomentReport(exact, small, large, est, se)

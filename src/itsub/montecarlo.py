@@ -121,7 +121,7 @@ def first_passage_samples(config, params, t, rng=None):
         rng = np.random.default_rng(config.seed)
     n = config.n_paths
     dt = config.time_step
-    u_left = np.zeros(n)
+    crossing = np.empty(n)
     d_left = np.zeros(n)
     active = np.arange(n)
     steps = 0
@@ -136,11 +136,13 @@ def first_passage_samples(config, params, t, rng=None):
         new_d = d_left[active] + inc
         crossed = new_d > t
         still = ~crossed
+        crossing[active[crossed]] = steps
         d_left[active[still]] = new_d[still]
-        u_left[active[still]] += dt
         active = active[still]
         steps += 1
-    return u_left + 0.5 * dt
+    # The step index is exact, so each sample is the rounded lattice
+    # midpoint, with no rounding summed over the steps before it.
+    return (crossing + 0.5) * dt
 
 
 def empirical_moment(samples, q):

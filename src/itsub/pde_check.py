@@ -70,7 +70,7 @@ def _density_fn(beta, lam):
     return lambda x, t: eval_density(EvalPoint(x, t), params).value
 
 
-def _spatial_operator(h_fn, x, t, case, beta_override=None):
+def _spatial_operator(h_fn, x, t, case):
     """sum_j (-1)**j C(m,j) lam**(1-j/m) * (j-th x-derivative) at (x, t)."""
     m, lam, hx = case.m, case.lam, case.hx
     total = 0.0

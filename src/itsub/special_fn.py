@@ -16,10 +16,6 @@ import math
 from scipy import special as sp
 
 
-class GammaPoleError(ValueError):
-    """Gamma evaluated at a non-positive integer."""
-
-
 class GammaDomainError(ValueError):
     """Incomplete gamma arguments outside the supported domain."""
 
@@ -31,16 +27,6 @@ _MIN_U_NONPOS_ORDER = 1e-8
 
 _CF_MAX_ITER = 500
 _CF_TINY = 1e-300
-
-
-def gamma(a):
-    """Complete gamma function Gamma(a).
-
-    Raises GammaPoleError at the poles a = 0, -1, -2, ...
-    """
-    if a <= 0 and a == math.floor(a):
-        raise GammaPoleError(f"gamma pole at a = {a}")
-    return sp.gamma(a)
 
 
 def _upper_gamma_cf_scaled(a, u):
@@ -112,40 +98,3 @@ def upper_incomplete_gamma_scaled(a, u):
             "use the small-u asymptotic Gamma(a, u) ~ -u**a / a instead"
         )
     return _upper_gamma_scaled_nonpos(a, u)
-
-
-def upper_incomplete_gamma(a, u):
-    """Upper incomplete gamma Gamma(a, u) = int_u^inf y**(a-1) exp(-y) dy.
-
-    Defined for any real order a when u > 0. Target relative accuracy
-    1e-10 on a in [-10, 10], u in [1e-8, 50].
-    """
-    if u <= 0:
-        raise GammaDomainError(f"require u > 0, got u = {u}")
-    if a > 0:
-        return sp.gammaincc(a, u) * sp.gamma(a)
-    if u < _MIN_U_NONPOS_ORDER:
-        raise GammaDomainError(
-            f"refusing Gamma(a, u) for a <= 0 and u = {u} < {_MIN_U_NONPOS_ORDER}; "
-            "use the small-u asymptotic Gamma(a, u) ~ -u**a / a instead"
-        )
-    return _upper_gamma_scaled_nonpos(a, u) * u ** a
-
-
-def weighted_exp_integral(p, q, t):
-    """int_0^inf exp(-t*y) * y**p / (y + q) dy for p > -1, q > 0, t > 0.
-
-    Evaluated through the identity
-        Gamma(p+1) * q**p * exp(q*t) * Gamma(-p, q*t).
-    """
-    if p <= -1:
-        raise GammaDomainError(f"require p > -1, got p = {p}")
-    if q <= 0:
-        raise GammaDomainError(f"require q > 0, got q = {q}")
-    if t <= 0:
-        raise GammaDomainError(f"require t > 0, got t = {t}")
-    u = q * t
-    # Gamma(p+1) q^p e^(qt) Gamma(-p, qt) with the scaled form:
-    # q^p * Gamma(-p, u) = q^p * g * u^p = t^(-p) * g.
-    g = upper_incomplete_gamma_scaled(-p, u)
-    return sp.gamma(p + 1.0) * t ** (-p) * math.exp(u) * g

@@ -157,7 +157,7 @@ def test_out_file(tmp_path, capsys):
                         "--out", str(target))
     assert code == 0
     assert out == ""
-    rows = list(csv.DictReader(target.open()))
+    rows = list(csv.DictReader(target.read_text().splitlines()))
     assert len(rows) == 2
 
 

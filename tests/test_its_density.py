@@ -16,6 +16,7 @@ from itsub.its_density import (
     eval_series,
 )
 from itsub import its_density
+from itsub.special_fn import upper_incomplete_gamma_scaled
 from itsub.stable_family import (
     NonConvergenceError,
     ParameterError,
@@ -148,6 +149,39 @@ def test_derivative_at_zero_matches_finite_differences():
     assert derivative_at_zero(2, t, params) == pytest.approx(d2, rel=1e-3)
 
 
+def test_derivative_at_zero_tempered_closed_form():
+    # h^(k)(0+) = sum_j C(k,j) lam**(beta*(k-j)) (-1)**j
+    #             * (A_{j+1} - lam**beta A_j) / pi
+    # with A_j = Gamma(1+beta*j) t**(-beta*j) g(-beta*j, lam*t) sin(j*beta*pi),
+    # A_0 = 0: the k-th derivative of exp(lam**beta x) times the series
+    for beta in (0.3, 0.5, 0.7):
+        for lam in (0.5, 1.0, 3.0):
+            for t in (0.5, 1.0, 2.0):
+                lb = lam ** beta
+
+                def a(j):
+                    if j == 0:
+                        return 0.0
+                    return (G(1.0 + beta * j) * t ** (-beta * j)
+                            * upper_incomplete_gamma_scaled(-beta * j, lam * t)
+                            * math.sin(j * beta * math.pi))
+
+                params = TemperedStableParams(beta, lam)
+                for k in (1, 2, 3):
+                    ref = sum(math.comb(k, j) * lb ** (k - j) * (-1.0) ** j
+                              * (a(j + 1) - lb * a(j)) / math.pi
+                              for j in range(k + 1))
+                    assert derivative_at_zero(k, t, params) == pytest.approx(
+                        ref, rel=1e-9)
+
+
+def test_cdf_refuses_an_unconverged_integral():
+    # the direct integral cancels to -1.61 with an error estimate of 64
+    # here; clamping that to 0 would report garbage as a probability
+    with pytest.raises(NonConvergenceError):
+        cdf(4.0, 1.0, TemperedStableParams(0.8, 5.0))
+
+
 def test_cdf_reference_values():
     params = TemperedStableParams(0.5, 1.0)
     for x, ref in _CDF_REFERENCE:
@@ -181,13 +215,14 @@ def test_large_x_never_overflows():
     from itsub.stable_family import NonConvergenceError
 
     params = TemperedStableParams(0.5, 2.0)
-    for x in (8.0, 15.0, 40.0):
+    for x in (8.0, 15.0, 25.0, 40.0):
         try:
             res = eval_density(EvalPoint(x, 1.0), params)
         except NonConvergenceError:
             continue
         assert math.isfinite(res.value)
         assert res.value >= 0
+        assert res.error_estimate <= 1e-8 * max(1.0, abs(res.value))
 
 
 def test_series_computes_only_the_coefficients_it_uses(monkeypatch):

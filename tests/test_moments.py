@@ -6,12 +6,10 @@ from scipy.special import gamma as G
 from itsub.moments import (
     InversionError,
     MomentQuery,
-    MomentReport,
     gaver_stehfest_inversion,
     moment_asymptotic,
     moment_exact,
     moment_lt,
-    moment_report,
     talbot_inversion,
 )
 from itsub.stable_family import ParameterError, TemperedStableParams
@@ -123,14 +121,3 @@ def test_moments_monotone_in_time():
     vals = [moment_exact(MomentQuery(1.0, t, params))
             for t in (0.1, 0.5, 1.0, 5.0, 20.0)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
-
-
-def test_moment_report_structure():
-    query = MomentQuery(1.0, 1.0, TemperedStableParams(0.5, 1.0))
-    report = moment_report(query)
-    assert isinstance(report, MomentReport)
-    assert report.exact == pytest.approx(2.4716049381348697, rel=1e-6)
-    assert report.mc_estimate is None
-    report2 = moment_report(query, mc_samples=[2.0, 2.5, 3.0])
-    assert report2.mc_estimate == pytest.approx(2.5)
-    assert report2.mc_standard_error > 0

@@ -73,6 +73,17 @@ def test_samples_deterministic_under_seed():
     assert not np.array_equal(a, c)
 
 
+def test_samples_are_exact_lattice_midpoints():
+    # each sample is (k + 0.5) * dt for its crossing step k, computed
+    # from k rather than accumulated step by step
+    params = TemperedStableParams(0.5, 1.0)
+    dt = 1e-3
+    config = SimConfig(n_paths=200, time_step=dt, horizon=40.0, seed=1)
+    samples = first_passage_samples(config, params, 1.0)
+    k = np.round(samples / dt - 0.5)
+    assert np.all(samples == (k + 0.5) * dt)
+
+
 def test_samples_match_exact_mean():
     params = TemperedStableParams(0.5, 1.0)
     config = SimConfig(n_paths=4000, time_step=1e-3, horizon=40.0, seed=2)
