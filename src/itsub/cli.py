@@ -88,7 +88,7 @@ class _Writer:
 
 def _params(args):
     try:
-        return TemperedStableParams(args.beta, getattr(args, "lam", 0.0))
+        return TemperedStableParams(args.beta, args.lam)
     except ParameterError as e:
         raise _UsageError(str(e))
 
@@ -194,8 +194,7 @@ def cmd_pde_check(args, out):
     ts_pts = (0.6, 1.0, 1.5, 1.9)
     hx = 1e-3 if args.m == 2 else 1e-2
     case = pde_check.PdeCase(args.m, args.lam, xs, ts_pts, hx=hx, ht=hx)
-    beta = args.beta if args.beta is not None else None
-    res = pde_check.pde_residual(case, beta=beta)
+    res = pde_check.pde_residual(case, beta=args.beta)
     writer = _Writer(["x", "t", "rel_residual"], args.format, out)
     for i, x in enumerate(xs):
         for k, t in enumerate(ts_pts):
@@ -322,13 +321,11 @@ def build_parser():
         description="Inverse tempered stable subordinator toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_lam=True):
+    def common(p):
         p.add_argument("--beta", type=float, default=None)
-        if need_lam:
-            p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+        p.add_argument("--lambda", dest="lam", type=float, default=0.0)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default="stdout")
-        p.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("density", help="density values on an x grid")
     common(p)
@@ -351,6 +348,7 @@ def build_parser():
     p = sub.add_parser("pde-check", help="PDE residual report")
     common(p)
     p.add_argument("--m", type=int, default=2)
+    p.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("selfcheck", help="run library invariant checks")
     common(p)
@@ -366,7 +364,7 @@ def main(argv=None):
                                         or not 0.0 < args.beta < 1.0):
         print("error: --beta must be in (0, 1)", file=sys.stderr)
         return _EXIT_USAGE
-    if getattr(args, "lam", 0.0) < 0:
+    if args.lam < 0:
         print("error: --lambda must be >= 0", file=sys.stderr)
         return _EXIT_USAGE
     handler = {

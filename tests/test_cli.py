@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from itsub.cli import main, parse_grid
+from itsub.cli import build_parser, main, parse_grid
 
 
 def _run(capsys, *argv):
@@ -82,6 +82,17 @@ def test_invalid_beta_exits_2(capsys):
                         "--t", "1", "--x", "0:1:0.5")
     assert code == 2
     assert "beta" in err
+
+
+def test_tol_is_a_pde_check_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["density", "--beta", "0.5", "--lambda", "1", "--t", "1",
+              "--x", "1", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    args = build_parser().parse_args(
+        ["pde-check", "--beta", "0.5", "--tol", "1e-3"])
+    assert args.tol == 1e-3
 
 
 def test_bad_grid_exits_2(capsys):

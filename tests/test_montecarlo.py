@@ -55,11 +55,14 @@ def test_tempered_increment_rejects_low_acceptance():
 
 
 def test_large_step_auto_subdivision_in_path():
-    # lam**beta * dt > 1 per grid step is handled by internal splitting
+    # lam**beta * dt = 5 per grid step, so each step takes 5 sub-draws
     params = TemperedStableParams(0.5, 100.0)
-    config = SimConfig(n_paths=20, time_step=0.5, horizon=200.0, seed=3)
+    config = SimConfig(n_paths=4000, time_step=0.5, horizon=200.0, seed=3)
     samples = first_passage_samples(config, params, 1.0)
     assert np.all(samples > 0) and np.all(np.isfinite(samples))
+    est, se = empirical_moment(samples, 1.0)
+    exact = moment_exact(MomentQuery(1.0, 1.0, params))
+    assert abs(est - exact) < 4 * se
 
 
 def test_samples_deterministic_under_seed():
@@ -113,6 +116,23 @@ def test_untempered_samples_match_mittag_leffler_mean():
     samples = first_passage_samples(config, params, 1.0)
     est, se = empirical_moment(samples, 1.0)
     assert abs(est - 1.0 / G(1.6)) < 4 * se + 2e-3
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.6])
+def test_untempered_samples_match_exact_law(beta):
+    # lam = 0: E(t) has the law of (t / S)**beta, S ~ the stable
+    # increment over unit time, so one Kanter draw per path is exact
+    from scipy.special import gamma as G
+    from scipy.stats import ks_2samp
+
+    t = 1.0
+    config = SimConfig(n_paths=20_000, time_step=1e-2, horizon=40.0, seed=5)
+    stepped = first_passage_samples(config, TemperedStableParams(beta), t)
+    rng = np.random.default_rng(6)
+    exact = (t / sample_stable_increment(1.0, beta, rng, size=100_000)) ** beta
+    assert ks_2samp(stepped, exact).pvalue > 1e-3
+    est, se = empirical_moment(stepped, 1.0)
+    assert abs(est - t ** beta / G(1.0 + beta)) < 4 * se
 
 
 def test_empirical_moment_basics():
