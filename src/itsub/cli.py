@@ -1,7 +1,9 @@
 """Command-line front end: density grids, moment tables, simulation
 runs, PDE residuals, and self-checks, emitted as CSV (or JSON).
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure.
+Exit codes, set in main alone: 0 success; 2 a usage error or a
+ParameterError; 3 a NonConvergenceError, InversionError or HorizonError.
+A density or moment table writes a failed point as a nan row and exits 3.
 """
 
 import argparse
@@ -12,6 +14,7 @@ import sys
 import numpy as np
 
 from . import its_density, moments, pde_check
+from .moments import InversionError
 from .montecarlo import (
     HorizonError,
     SimConfig,
@@ -30,10 +33,6 @@ _EXIT_USAGE = 2
 _EXIT_NUMERIC = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _fmt(v):
     """Locale-independent float with 17 significant digits."""
     return format(float(v), ".17g")
@@ -44,21 +43,24 @@ def parse_grid(text, name="grid"):
 
     start == stop yields an empty grid.
     """
-    parts = text.split(":")
+    try:
+        parts = [float(p) for p in text.split(":")]
+    except ValueError:
+        parts = []
     if len(parts) == 1:
-        return [float(parts[0])]
+        return parts
     if len(parts) != 3:
-        raise _UsageError(f"{name}: expected start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+        raise ParameterError(f"{name}: expected start:stop:step, got {text!r}")
+    start, stop, step = parts
     if step <= 0:
-        raise _UsageError(f"{name}: step must be positive")
+        raise ParameterError(f"{name}: step must be positive")
     if start > stop:
-        raise _UsageError(f"{name}: start must be <= stop")
+        raise ParameterError(f"{name}: start must be <= stop")
     if start == stop:
         return []
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     if count > 1e7:
-        raise _UsageError(f"{name}: more than 1e7 points")
+        raise ParameterError(f"{name}: more than 1e7 points")
     return [start + i * step for i in range(count)]
 
 
@@ -86,22 +88,12 @@ class _Writer:
             self.out.write("\n")
 
 
-def _params(args):
-    try:
-        return TemperedStableParams(args.beta, args.lam)
-    except ParameterError as e:
-        raise _UsageError(str(e))
-
-
 def cmd_density(args, out):
-    params = _params(args)
+    params = TemperedStableParams(args.beta, args.lam)
     xs = parse_grid(args.x, "--x")
-    ts = parse_grid(args.t, "--t")
-    if len(ts) != 1:
-        raise _UsageError("density needs a single --t value")
-    t = ts[0]
+    t = args.t
     if t <= 0:
-        raise _UsageError("--t must be positive")
+        raise ParameterError(f"--t must be positive, got {t}")
     writer = _Writer(["x", "h", "err", "method"], args.format, out)
     failed = 0
     for x in xs:
@@ -123,52 +115,35 @@ def cmd_density(args, out):
 
 
 def cmd_moments(args, out):
-    params = _params(args)
-    if args.q is None or args.q <= 0:
-        raise _UsageError("--q must be a positive number")
-    if args.t is None:
-        ts = list(np.logspace(-3, 3, 61))
-    else:
-        ts = parse_grid(args.t, "--t")
+    params = TemperedStableParams(args.beta, args.lam)
+    ts = np.logspace(-3, 3, 61) if args.t is None else parse_grid(args.t, "--t")
+    queries = [moments.MomentQuery(args.q, t, params) for t in ts]
     writer = _Writer(
         ["t", "exact", "small_t_asym", "large_t_asym",
          "ratio_small", "ratio_large"], args.format, out)
     status = _EXIT_OK
-    for t in ts:
-        query = moments.MomentQuery(args.q, t, params)
+    for query in queries:
         try:
             exact = moments.moment_exact(query)
-        except moments.InversionError:
-            writer.row([t] + [math.nan] * 5)
+        except InversionError:
+            writer.row([query.t] + [math.nan] * 5)
             status = _EXIT_NUMERIC
             continue
         small = moments.moment_asymptotic(query, "small_t")
-        if params.lam > 0:
-            large = moments.moment_asymptotic(query, "large_t")
-            ratio_large = exact / large
-        else:
-            large = math.inf
-            ratio_large = 0.0
-        writer.row([t, exact, small, large, exact / small, ratio_large])
+        # At lam = 0 the large-t form does not exist.
+        large = (moments.moment_asymptotic(query, "large_t")
+                 if params.lam > 0 else math.nan)
+        writer.row([query.t, exact, small, large, exact / small, exact / large])
     writer.close()
     return status
 
 
 def cmd_simulate(args, out):
-    params = _params(args)
-    ts = parse_grid(args.t, "--t")
-    if len(ts) != 1:
-        raise _UsageError("simulate needs a single --t value")
-    t = ts[0]
-    try:
-        config = SimConfig(n_paths=args.paths, time_step=args.step,
-                           horizon=args.horizon, seed=args.seed)
-        samples = first_passage_samples(config, params, t)
-    except ParameterError as e:
-        raise _UsageError(str(e))
-    except HorizonError as e:
-        print(f"simulation failed: {e}", file=sys.stderr)
-        return _EXIT_NUMERIC
+    params = TemperedStableParams(args.beta, args.lam)
+    t = args.t
+    config = SimConfig(n_paths=args.paths, time_step=args.step,
+                       horizon=args.horizon, seed=args.seed)
+    samples = first_passage_samples(config, params, t)
     writer = _Writer(["path_id", "t", "E_lambda"], args.format, out)
     for i, v in enumerate(samples):
         writer.row([i, t, v])
@@ -176,31 +151,27 @@ def cmd_simulate(args, out):
     mean, se = empirical_moment(samples, 1.0)
     var = float(np.var(samples, ddof=1))
     xs = np.quantile(samples, np.linspace(0.01, 0.99, 99))
-    if params.lam > 0:
-        analytic = np.array([its_density.cdf(x, t, params) for x in xs])
-        emp = np.searchsorted(np.sort(samples), xs, side="right") / len(samples)
-        ks = float(np.max(np.abs(analytic - emp)))
-    else:
-        ks = math.nan
+    analytic = np.array([its_density.cdf(x, t, params) for x in xs])
+    emp = np.searchsorted(np.sort(samples), xs, side="right") / len(samples)
+    ks = float(np.max(np.abs(analytic - emp)))
     print(f"# n={len(samples)} mean={_fmt(mean)} se={_fmt(se)} "
           f"var={_fmt(var)} ks={_fmt(ks)}", file=sys.stderr)
     return _EXIT_OK
 
 
 def cmd_pde_check(args, out):
-    if args.m not in (2, 3):
-        raise _UsageError("--m must be 2 or 3")
+    params = TemperedStableParams(args.beta, args.lam)
     xs = (0.6, 1.0, 1.5, 1.9)
     ts_pts = (0.6, 1.0, 1.5, 1.9)
     hx = 1e-3 if args.m == 2 else 1e-2
-    case = pde_check.PdeCase(args.m, args.lam, xs, ts_pts, hx=hx, ht=hx)
-    res = pde_check.pde_residual(case, beta=args.beta)
+    case = pde_check.PdeCase(args.m, params.lam, xs, ts_pts, hx=hx, ht=hx)
+    res = pde_check.pde_residual(case, beta=params.beta)
     writer = _Writer(["x", "t", "rel_residual"], args.format, out)
     for i, x in enumerate(xs):
         for k, t in enumerate(ts_pts):
             writer.row([x, t, res[i, k]])
     writer.close()
-    tol = args.tol if args.tol else (1e-3 if args.m == 2 else 5e-3)
+    tol = args.tol if args.tol is not None else (1e-3 if args.m == 2 else 5e-3)
     return _EXIT_OK if float(np.max(res)) < tol else _EXIT_NUMERIC
 
 
@@ -292,19 +263,19 @@ def _selfchecks():
 
 
 def cmd_selfcheck(args, out):
-    only = args.only or args.check
-    if args.beta is not None and (only is None or "pde" in only):
+    if args.beta is not None and (args.only is None or "pde" in args.only):
         # Non-reciprocal beta: the m=2 PDE must NOT hold; report the
         # negative control as passing when the residual stays large.
-        case = pde_check.PdeCase(2, args.lam, (1.0, 1.5), (1.0, 1.5))
-        bad = float(np.max(pde_check.pde_residual(case, beta=args.beta)))
+        params = TemperedStableParams(args.beta, args.lam)
+        case = pde_check.PdeCase(2, params.lam, (1.0, 1.5), (1.0, 1.5))
+        bad = float(np.max(pde_check.pde_residual(case, beta=params.beta)))
         ref = float(np.max(pde_check.pde_residual(case)))
         ok = bad > 10.0 * ref
         out.write(f"pde.negative_control,{'PASS' if ok else 'FAIL'}\n")
         return _EXIT_OK if ok else 1
     all_ok = True
     for name, fn in _selfchecks():
-        if only and only not in name:
+        if args.only and args.only not in name:
             continue
         try:
             ok = fn()
@@ -322,51 +293,45 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--beta", type=float, default=None)
         p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default="stdout")
 
-    p = sub.add_parser("density", help="density values on an x grid")
-    common(p)
-    p.add_argument("--t", required=True)
+    def table(name, what):
+        p = sub.add_parser(name, help=what)
+        p.add_argument("--beta", type=float, required=True)
+        common(p)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        return p
+
+    p = table("density", "density values on an x grid")
+    p.add_argument("--t", type=float, required=True)
     p.add_argument("--x", required=True)
 
-    p = sub.add_parser("moments", help="moment table over a t grid")
-    common(p)
+    p = table("moments", "moment table over a t grid")
     p.add_argument("--t", default=None)
     p.add_argument("--q", type=float, required=True)
 
-    p = sub.add_parser("simulate", help="first-passage sampling")
-    common(p)
-    p.add_argument("--t", required=True)
+    p = table("simulate", "first-passage sampling")
+    p.add_argument("--t", type=float, required=True)
     p.add_argument("--paths", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--horizon", type=float, default=50.0)
 
-    p = sub.add_parser("pde-check", help="PDE residual report")
-    common(p)
-    p.add_argument("--m", type=int, default=2)
+    p = table("pde-check", "PDE residual report")
+    p.add_argument("--m", type=int, choices=(2, 3), default=2)
     p.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("selfcheck", help="run library invariant checks")
+    p.add_argument("--beta", type=float, default=None)
     common(p)
     p.add_argument("--only", default=None)
-    p.add_argument("--check", default=None)
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command != "selfcheck" and (args.beta is None
-                                        or not 0.0 < args.beta < 1.0):
-        print("error: --beta must be in (0, 1)", file=sys.stderr)
-        return _EXIT_USAGE
-    if args.lam < 0:
-        print("error: --lambda must be >= 0", file=sys.stderr)
-        return _EXIT_USAGE
     handler = {
         "density": cmd_density,
         "moments": cmd_moments,
@@ -377,10 +342,13 @@ def main(argv=None):
     out = sys.stdout if args.out == "stdout" else open(args.out, "w")
     try:
         return handler(args, out)
-    except _UsageError as e:
+    except ParameterError as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_USAGE
-    except (NonConvergenceError, moments.InversionError) as e:
+    except HorizonError as e:
+        print(f"simulation failed: {e}", file=sys.stderr)
+        return _EXIT_NUMERIC
+    except (NonConvergenceError, InversionError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return _EXIT_NUMERIC
     finally:

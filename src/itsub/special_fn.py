@@ -15,8 +15,10 @@ import math
 
 from scipy import special as sp
 
+from .stable_family import ParameterError
 
-class GammaDomainError(ValueError):
+
+class GammaDomainError(ParameterError):
     """Incomplete gamma arguments outside the supported domain."""
 
 

@@ -156,7 +156,7 @@ def test_selfcheck_filter(capsys):
 
 def test_selfcheck_negative_control(capsys):
     code, out, _ = _run(capsys, "selfcheck", "--beta", "0.45",
-                        "--check", "pde", "--lambda", "1")
+                        "--only", "pde", "--lambda", "1")
     assert code == 0
     assert out == "pde.negative_control,PASS\n"
 
@@ -198,3 +198,55 @@ def test_simulate_exit_codes(capsys):
     code, _, err = _run(capsys, *base, "--paths", "5", "--horizon", "0.01")
     assert code == 3
     assert "simulation failed" in err
+
+
+@pytest.mark.parametrize("bad", [["--q", "60"], ["--t", "-1"],
+                                 ["--t", "0:1:0.5"], ["--t", "one"]])
+def test_moments_bad_parameter_exits_2(capsys, bad):
+    code, out, err = _run(capsys, "moments", "--beta", "0.5", "--lambda",
+                          "1", "--q", "1", *bad)
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
+def test_selfcheck_negative_control_refuses_bad_beta(capsys):
+    code, out, err = _run(capsys, "selfcheck", "--beta", "1.5", "--only",
+                          "pde", "--lambda", "0")
+    assert code == 2
+    assert "beta" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("removed", [["--check", "pde"],
+                                     ["--format", "json"]])
+def test_selfcheck_has_no_duplicate_options(capsys, removed):
+    with pytest.raises(SystemExit) as exc:
+        main(["selfcheck", *removed])
+    assert exc.value.code == 2
+    assert removed[0] in capsys.readouterr().err
+
+
+def test_simulate_reports_ks_untempered(capsys):
+    code, _, err = _run(capsys, "simulate", "--beta", "0.6", "--lambda", "0",
+                        "--t", "1", "--paths", "200")
+    assert code == 0
+    ks = float(err.split("ks=")[1].split()[0])
+    assert 0.0 < ks < 0.2
+
+
+def test_pde_check_zero_tol_fails(capsys):
+    code, out, _ = _run(capsys, "pde-check", "--beta", "0.5", "--lambda", "1",
+                        "--tol", "0")
+    assert code == 3
+    assert len(_rows(out)) == 16
+
+
+def test_moments_untempered_has_no_large_t_form(capsys):
+    code, out, _ = _run(capsys, "moments", "--beta", "0.5", "--lambda", "0",
+                        "--q", "1", "--t", "1")
+    assert code == 0
+    row = _rows(out)[0]
+    assert math.isnan(float(row["large_t_asym"]))
+    assert math.isnan(float(row["ratio_large"]))
+    assert math.isfinite(float(row["exact"]))

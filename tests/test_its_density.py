@@ -61,6 +61,13 @@ def test_eval_point_validation():
         EvalPoint(1.0, -1.0)
 
 
+def test_series_below_the_gamma_floor_raises_a_parameter_error():
+    # lam * t = 1e-9 is below the incomplete gamma's floor for
+    # non-positive orders; the refusal is a typed ParameterError.
+    with pytest.raises(ParameterError, match="refusing Gamma"):
+        eval_series(EvalPoint(0.5, 1e-9), TemperedStableParams(0.5, 1.0))
+
+
 def test_reference_values_both_representations():
     for beta, lam, x, t, ref in _DENSITY_REFERENCE:
         params = TemperedStableParams(beta, lam)
