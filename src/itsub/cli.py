@@ -7,6 +7,7 @@ A density or moment table writes a failed point as a nan row and exits 3.
 """
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -25,7 +26,7 @@ from .stable_family import (
     NonConvergenceError,
     ParameterError,
     TemperedStableParams,
-    inverse_stable_density,
+    inverse_stable_density,  # not called; bench/spans.py wraps this name
 )
 
 _EXIT_OK = 0
@@ -98,12 +99,8 @@ def cmd_density(args, out):
     failed = 0
     for x in xs:
         try:
-            if params.lam == 0.0:
-                val = inverse_stable_density(x, t, params.beta)
-                err, method = 1e-9, "series"
-            else:
-                res = its_density.eval(its_density.EvalPoint(x, t), params)
-                val, err, method = res.value, res.error_estimate, res.method
+            res = its_density.eval(its_density.EvalPoint(x, t), params)
+            val, err, method = res.value, res.error_estimate, res.method
             if val < 0 and abs(val) <= err:
                 val = 0.0
             writer.row([x, val, err, method])
@@ -339,21 +336,25 @@ def main(argv=None):
         "pde-check": cmd_pde_check,
         "selfcheck": cmd_selfcheck,
     }[args.command]
-    out = sys.stdout if args.out == "stdout" else open(args.out, "w")
+    # The table is buffered so that a usage error leaves --out untouched.
+    out = io.StringIO()
     try:
-        return handler(args, out)
+        code = handler(args, out)
     except ParameterError as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_USAGE
     except HorizonError as e:
         print(f"simulation failed: {e}", file=sys.stderr)
-        return _EXIT_NUMERIC
+        code = _EXIT_NUMERIC
     except (NonConvergenceError, InversionError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
-        return _EXIT_NUMERIC
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        code = _EXIT_NUMERIC
+    if args.out == "stdout":
+        sys.stdout.write(out.getvalue())
+    else:
+        with open(args.out, "w") as f:
+            f.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

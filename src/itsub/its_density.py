@@ -1,16 +1,16 @@
 """Density of the inverse tempered stable subordinator.
 
 The density h(x, t) of the first-passage process E(t) = inf{u : D(u) > t}
-of a tempered stable subordinator D is evaluated by two independent
-representations: a power series in x whose coefficients involve upper
-incomplete gamma functions of negative order, and the inversion of
+of a tempered stable subordinator D, for every lam >= 0 (lam = 0 is the
+inverse stable case), is evaluated by two independent representations:
+a power series in x whose coefficients involve upper incomplete gamma
+functions of negative order, and the inversion of
 Psi(s)/s * exp(-x*Psi(s)) along the branch cut s = -lam - y. On that
 cut one half-line integral gives the density, its x-derivatives at
 0+ and the CDF. The boundary value at x = 0 has a closed form.
 """
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +23,7 @@ from .stable_family import (
     NonConvergenceError,
     ParameterError,
     converged_value,
+    stable_density,
     sum_series,
 )
 
@@ -52,18 +53,11 @@ class DensityResult:
 
 
 # The series runs first where x * lam**beta is at most this, and where
-# lam * t is at least the floor below which the incomplete gamma refuses.
+# lam * t is 0 or at least the floor below which the incomplete gamma
+# refuses.
 _SERIES_MAX_X_LAM_BETA = 2.0
 _SERIES_MIN_LAM_T = 1e-6
 _SERIES_MAX_TERMS = 400
-
-
-def _require_tempered(params):
-    if params.lam <= 0:
-        raise ParameterError(
-            "tempered density requires lam > 0; use the inverse stable "
-            "density for lam = 0"
-        )
 
 
 def _accurate(res):
@@ -100,7 +94,6 @@ def eval_integral(p, params):
     The exp(lam**beta * x - lam * t) factor stays inside the integrand's
     exponent, so large x cannot overflow the panel evaluations.
     """
-    _require_tempered(params)
     if p.x <= 0:
         raise ParameterError("integral form needs x > 0; use boundary_value")
     value, err, panels = _branch_cut(1, p.x, p.t, params, "density integral")
@@ -110,24 +103,23 @@ def eval_integral(p, params):
 def eval_series(p, params):
     """Density h(x, t) by the power series in x.
 
-    h = (exp(lam**beta * x) / pi) * sum_k (-1)**k x**k / k! * (A_{k+1} - A_k)
+    h = (exp(lam**beta * x) / pi)
+        * sum_{j>=1} A_j * (-x)**(j-1) / (j-1)! * (1 + lam**beta * x / j)
     with A_j = Gamma(1+beta*j) * lam**(beta*j) * Gamma(-beta*j, lam*t)
-    * sin(j*beta*pi). The error estimate is the last term summed plus the
-    cancellation error; NonConvergenceError when the sum did not converge.
+    * sin(j*beta*pi); at lam = 0 each term is the Wright series term of
+    the inverse stable density. The error estimate is the last term
+    summed plus the cancellation error; NonConvergenceError when the
+    sum did not converge.
     """
-    _require_tempered(params)
     beta, lam = params.beta, params.lam
     x, t = p.x, p.t
     u = lam * t
     lt = math.log(t)
-    # The k-th term carries lam**(beta*(k+1)) against both bracket halves;
-    # A_k only absorbs lam**(beta*k), so the trailing half gains lam**beta.
-    log_lb = beta * math.log(lam)
+    lb = lam ** beta
     lx = math.log(x) if x > 0 else -math.inf
 
-    @functools.cache
-    def log_coefficient(j):
-        """(log|A_j|, sign of A_j), computed when the sum first needs A_j.
+    def term(j):
+        """(log|term_j|, sign); one coefficient A_j per term.
 
         The incomplete gamma enters through its scaled form
         lam**(beta*j) * Gamma(-beta*j, u) = t**(-beta*j) * g(-beta*j, u),
@@ -141,26 +133,15 @@ def eval_series(p, params):
             # g underflows at large lam * t; A_j has no usable log then,
             # and +inf ends the sum unconverged.
             return math.inf, 0.0
-        return (sp.gammaln(1.0 + beta * j) - beta * j * lt
-                + math.log(g) + math.log(abs(sn))), math.copysign(1.0, sn)
+        lw = (j - 1) * lx - math.lgamma(j) if j > 1 else 0.0  # x**(j-1)/(j-1)!
+        return (math.lgamma(1.0 + beta * j) - beta * j * lt + math.log(g)
+                + math.log(abs(sn)) + lw + math.log1p(lb * x / j),
+                (-1.0) ** (j - 1) * math.copysign(1.0, sn))
 
-    def term(k):
-        if k > 0 and x == 0:
-            return -math.inf, 0.0
-        lw = k * lx - sp.gammaln(k + 1.0) if k > 0 else 0.0  # x**k / k!
-        la, sa = log_coefficient(k + 1)
-        lb, sb = log_coefficient(k)
-        la, lb = la + lw, lb + lw + log_lb
-        top = max(la, lb)
-        if math.isinf(top):
-            return top, 0.0
-        return top, (-1.0) ** k * (sa * math.exp(la - top)
-                                   - sb * math.exp(lb - top))
-
-    res = sum_series(term, 0, _SERIES_MAX_TERMS, 1e-13, 1e-8)
+    res = sum_series(term, 1, _SERIES_MAX_TERMS, 1e-13, 1e-8)
     value = converged_value(
         res, f"density series at x={x}, t={t}, beta={beta}, lam={lam}")
-    pref = math.exp(lam ** beta * x) / math.pi
+    pref = math.exp(lb * x) / math.pi
     return DensityResult(pref * value, pref * res.error_estimate, "series",
                          res.terms)
 
@@ -170,16 +151,18 @@ def eval(p, params):
 
     Exact x = 0 routes to boundary_value; the series handles small
     x * lam**beta, the integral the rest. Either form is accepted at an
-    error within 1e-8 * max(1, |value|). A series that converged but
-    misses that bar is returned only when the integral fails or misses
-    it too; NonConvergenceError when neither form meets it.
+    error within 1e-8 * max(1, |value|). When neither meets that bar,
+    lam = 0 falls back to the first-passage identity
+    h = t / (beta * x) * f(t; time x) with the error |value|; lam > 0
+    returns a series that converged but missed the bar, or raises
+    NonConvergenceError.
     """
-    _require_tempered(params)
     if p.x == 0:
-        return DensityResult(boundary_value(p.t, params), 1e-12, "series", 1)
+        return DensityResult(boundary_value(p.t, params), 1e-12, "boundary", 0)
+    beta, lam = params.beta, params.lam
     series = None
-    if (p.x * params.lam ** params.beta <= _SERIES_MAX_X_LAM_BETA
-            and params.lam * p.t >= _SERIES_MIN_LAM_T):
+    if (p.x * lam ** beta <= _SERIES_MAX_X_LAM_BETA
+            and not 0.0 < lam * p.t < _SERIES_MIN_LAM_T):
         try:
             series = eval_series(p, params)
         except NonConvergenceError:
@@ -189,18 +172,19 @@ def eval(p, params):
                 return series
     try:
         integral = eval_integral(p, params)
+        if _accurate(integral):
+            return integral
+        raise NonConvergenceError(
+            f"density integral at x={p.x}, t={p.t}, beta={beta}, lam={lam} "
+            f"gave {integral.value:.3g} with error "
+            f"{integral.error_estimate:.3g}, above 1e-8 * max(1, |value|)")
     except NonConvergenceError:
+        if lam == 0:
+            value = p.t / (beta * p.x) * stable_density(p.t, p.x, beta)
+            return DensityResult(value, abs(value), "first_passage", 0)
         if series is None:
             raise
         return series
-    if _accurate(integral):
-        return integral
-    if series is not None:
-        return series
-    raise NonConvergenceError(
-        f"density integral at x={p.x}, t={p.t}, beta={params.beta}, "
-        f"lam={params.lam} gave {integral.value:.3g} with error "
-        f"{integral.error_estimate:.3g}, above 1e-8 * max(1, |value|)")
 
 
 def boundary_value(t, params):
@@ -214,8 +198,6 @@ def boundary_value(t, params):
     if t <= 0:
         raise ParameterError(f"require t > 0, got {t}")
     beta, lam = params.beta, params.lam
-    if lam < 0:
-        raise ParameterError(f"require lam >= 0, got {lam}")
     u = lam * t
     if u < 1e-8:
         # g(-beta, u) = Gamma(-beta, u) * u**beta -> 1/beta as u -> 0.
@@ -230,9 +212,9 @@ def derivative_at_zero(k, t, params):
     """k-th x-derivative of h(x, t) at x = 0+.
 
     For lam > 0 and k >= 1 this is the branch-cut integral with m = k+1
-    at x = 0; k = 0 is boundary_value. For lam = 0 the closed form
-    (-1)**k * t**(-(k+1)*beta) / Gamma(1 - (k+1)*beta) applies while
-    (k+1)*beta <= 1.
+    at x = 0; k = 0 is boundary_value. For lam = 0 the density is an
+    entire function of x, and the closed form
+    (-1)**k * t**(-(k+1)*beta) / Gamma(1 - (k+1)*beta) holds for every k.
     """
     if k < 0 or k != int(k):
         raise ParameterError(f"require integer k >= 0, got {k}")
@@ -241,11 +223,6 @@ def derivative_at_zero(k, t, params):
     k = int(k)
     beta, lam = params.beta, params.lam
     if lam == 0:
-        if (k + 1) * beta > 1.0:
-            raise ParameterError(
-                f"derivative order k={k} needs (k+1)*beta <= 1 when lam=0, "
-                f"got beta={beta}"
-            )
         return (-1.0) ** k * t ** (-(k + 1) * beta) * sp.rgamma(1.0 - (k + 1) * beta)
     if k == 0:
         return boundary_value(t, params)

@@ -20,7 +20,7 @@ from .stable_family import (
     ParameterError,
     TemperedStableParams,
     converged_value,
-    inverse_stable_density,
+    inverse_stable_density,  # not called; bench/spans.py wraps this name
 )
 
 # Central stencils for the j-th derivative, order 2: offsets and weights
@@ -63,13 +63,6 @@ class PdeCase:
         return 1.0 / self.m
 
 
-def _density_fn(beta, lam):
-    if lam == 0.0:
-        return lambda x, t: inverse_stable_density(x, t, beta)
-    params = TemperedStableParams(beta, lam)
-    return lambda x, t: eval_density(EvalPoint(x, t), params).value
-
-
 def _spatial_operator(h_fn, x, t, case):
     """sum_j (-1)**j C(m,j) lam**(1-j/m) * (j-th x-derivative) at (x, t)."""
     m, lam, hx = case.m, case.lam, case.hx
@@ -96,8 +89,11 @@ def pde_residual(case, beta=None):
     """
     if case.m not in _STENCILS:
         raise ParameterError(f"stencils available for m <= 4, got {case.m}")
-    b = case.beta if beta is None else beta
-    h_fn = _density_fn(b, case.lam)
+    params = TemperedStableParams(case.beta if beta is None else beta, case.lam)
+
+    def h_fn(x, t):
+        return eval_density(EvalPoint(x, t), params).value
+
     residuals = np.empty((len(case.x_points), len(case.t_points)))
     dt_scale = 0.0
     for i, x in enumerate(case.x_points):

@@ -22,9 +22,9 @@ class GammaDomainError(ParameterError):
     """Incomplete gamma arguments outside the supported domain."""
 
 
-# Refuse extrapolation below this lower limit for non-positive orders;
-# callers needing the u -> 0 behaviour must use the asymptotic form
-# Gamma(a, u) ~ -u**a / a explicitly.
+# Refuse 0 < u below this limit for non-positive orders (u = 0 itself
+# returns the exact limit); callers needing small u must use the
+# asymptotic form Gamma(a, u) ~ -u**a / a explicitly.
 _MIN_U_NONPOS_ORDER = 1e-8
 
 _CF_MAX_ITER = 500
@@ -88,10 +88,14 @@ def upper_incomplete_gamma_scaled(a, u):
     """Scaled upper incomplete gamma Gamma(a, u) * u**(-a).
 
     This form stays representable for very negative a where the plain
-    value would overflow; as u -> 0 it tends to -1/a for a < 0.
+    value would overflow; as u -> 0 it tends to -1/a for a < 0, the value
+    returned at u = 0.
     """
+    if u == 0 and a < 0:
+        return -1.0 / a
     if u <= 0:
-        raise GammaDomainError(f"require u > 0, got u = {u}")
+        raise GammaDomainError(
+            f"require u > 0, or u = 0 with a < 0; got a = {a}, u = {u}")
     if a > 0:
         return sp.gammaincc(a, u) * sp.gamma(a) * u ** (-a)
     if u < _MIN_U_NONPOS_ORDER:

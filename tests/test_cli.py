@@ -49,6 +49,23 @@ def test_density_untempered_origin_value(capsys):
     rows = _rows(out)
     assert float(rows[0]["h"]) == pytest.approx(1.0 / math.sqrt(math.pi),
                                                 rel=1e-9)
+    assert rows[0]["method"] == "boundary"
+    assert all(r["method"] in ("series", "integral") for r in rows[1:])
+
+
+@pytest.mark.parametrize("beta, t, x, ref", [
+    ("0.7", "1", "4", 2.5269874360819177e-06),
+    ("0.3", "0.001", "1.4027482089114776", 5.545167621946654e-06)])
+def test_density_untempered_reference_values(capsys, beta, t, x, ref):
+    # the Wright series summed by mpmath at 60 digits; each row reports
+    # the error and method that computed it
+    code, out, _ = _run(capsys, "density", "--beta", beta, "--lambda", "0",
+                        "--t", t, "--x", x)
+    assert code == 0
+    row = _rows(out)[0]
+    assert float(row["h"]) == pytest.approx(ref, rel=1e-8)
+    assert abs(float(row["h"]) - ref) <= float(row["err"])
+    assert row["method"] == "integral"
 
 
 def test_density_empty_grid(capsys):
@@ -170,6 +187,23 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     rows = list(csv.DictReader(target.read_text().splitlines()))
     assert len(rows) == 2
+
+
+def test_out_file_is_written_only_for_valid_input(tmp_path, capsys):
+    target = tmp_path / "keep.csv"
+    target.write_bytes(b"x,h,err,method\n1,2,3,series\n")
+    before = target.read_bytes()
+    code, out, _ = _run(capsys, "density", "--beta", "1.5", "--t", "1",
+                        "--x", "1", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert target.read_bytes() == before
+    code, out, _ = _run(capsys, "density", "--beta", "0.5", "--lambda", "1",
+                        "--t", "1", "--x", "0.5:1.0:0.5", "--out", str(target))
+    assert code == 0
+    text = target.read_text()
+    assert text.startswith("x,h,err,method\n")
+    assert [float(r["x"]) for r in _rows(text)] == [0.5, 1.0]
 
 
 def test_density_unconverged_point_fails(capsys):

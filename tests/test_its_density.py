@@ -21,6 +21,7 @@ from itsub.stable_family import (
     NonConvergenceError,
     ParameterError,
     TemperedStableParams,
+    inverse_stable_density,
 )
 
 # (beta, lam, x, t) -> h from high-precision numerical Laplace inversion
@@ -122,6 +123,41 @@ def test_eval_at_zero_returns_boundary():
     params = TemperedStableParams(0.5, 1.0)
     res = eval_density(EvalPoint(0.0, 1.0), params)
     assert res.value == pytest.approx(boundary_value(1.0, params), rel=1e-12)
+    assert (res.method, res.terms_or_panels) == ("boundary", 0)
+
+
+def test_untempered_density_is_the_half_gaussian_at_beta_half():
+    # lam = 0, beta = 1/2: h(x, t) = exp(-x**2 / (4t)) / sqrt(pi*t)
+    params = TemperedStableParams(0.5, 0.0)
+    for t in (0.5, 1.0, 3.0):
+        for x in (0.3, 1.0, 2.5):
+            ref = math.exp(-x * x / (4.0 * t)) / math.sqrt(math.pi * t)
+            p = EvalPoint(x, t)
+            for form in (eval_density, eval_series, eval_integral):
+                assert form(p, params).value == pytest.approx(ref, rel=1e-9)
+
+
+# (beta, t, x) -> inverse stable density at lam = 0: the Wright series
+# summed by mpmath at 60 digits
+_UNTEMPERED_REFERENCE = [
+    (0.7, 1.0, 4.0, 2.5269874360819177e-06),
+    (0.3, 0.001, 1.4027482089114776, 5.545167621946654e-06),
+]
+
+
+def test_untempered_reference_values():
+    for beta, t, x, ref in _UNTEMPERED_REFERENCE:
+        res = eval_density(EvalPoint(x, t), TemperedStableParams(beta, 0.0))
+        assert res.value == pytest.approx(ref, rel=1e-8)
+        assert abs(res.value - ref) <= res.error_estimate
+
+
+def test_untempered_falls_back_to_the_first_passage_identity():
+    # neither form meets the bar this far in the tail at lam = 0
+    res = eval_density(EvalPoint(11.005, 1.0), TemperedStableParams(0.7, 0.0))
+    assert res.method == "first_passage"
+    assert res.value == inverse_stable_density(11.005, 1.0, 0.7)
+    assert res.error_estimate == abs(res.value)
 
 
 def test_derivative_at_zero_untempered_closed_form():
@@ -137,6 +173,17 @@ def test_derivative_at_zero_untempered_closed_form():
             else:
                 ref = (-1.0) ** k * t ** -kb / G(1.0 - kb)
                 assert val == pytest.approx(ref, rel=1e-10)
+
+
+def test_derivative_at_zero_untempered_matches_half_gaussian():
+    # beta = 1/2, lam = 0: x-derivatives at 0 of exp(-x**2/(4t))/sqrt(pi*t)
+    params = TemperedStableParams(0.5, 0.0)
+    for t in (0.5, 1.0, 2.0):
+        c = 1.0 / math.sqrt(math.pi * t)
+        refs = {1: 0.0, 2: -c / (2.0 * t), 3: 0.0, 4: 3.0 * c / (4.0 * t * t)}
+        for k, ref in refs.items():
+            assert derivative_at_zero(k, t, params) == pytest.approx(
+                ref, rel=1e-12, abs=1e-15)
 
 
 def test_derivative_at_zero_matches_finite_differences():

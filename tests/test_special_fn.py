@@ -65,3 +65,11 @@ def test_domain_errors():
         upper_incomplete_gamma_scaled(0.5, -1.0)
     with pytest.raises(GammaDomainError):
         upper_incomplete_gamma_scaled(-0.5, 1e-12)
+    for a in (0.5, 0.0):
+        with pytest.raises(GammaDomainError):
+            upper_incomplete_gamma_scaled(a, 0.0)
+
+
+def test_scaled_limit_at_zero():
+    # g(a, 0) = -1/a exactly for a < 0
+    assert upper_incomplete_gamma_scaled(-0.7, 0.0) == 1.0 / 0.7
