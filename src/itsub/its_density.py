@@ -22,8 +22,9 @@ from .special_fn import upper_incomplete_gamma_scaled
 from .stable_family import (
     NonConvergenceError,
     ParameterError,
+    _stable_log_density,
+    _stable_survival,
     converged_value,
-    stable_density,
     sum_series,
 )
 
@@ -153,9 +154,9 @@ def eval(p, params):
     x * lam**beta, the integral the rest. Either form is accepted at an
     error within 1e-8 * max(1, |value|). When neither meets that bar,
     lam = 0 falls back to the first-passage identity
-    h = t / (beta * x) * f(t; time x) with the error |value|; lam > 0
-    returns a series that converged but missed the bar, or raises
-    NonConvergenceError.
+    h = t / (beta * x) * f(t; time x), f from Kanter's integral with its
+    own error; lam > 0 returns a series that converged but missed the
+    bar, or raises NonConvergenceError.
     """
     if p.x == 0:
         return DensityResult(boundary_value(p.t, params), 1e-12, "boundary", 0)
@@ -180,8 +181,11 @@ def eval(p, params):
             f"{integral.error_estimate:.3g}, above 1e-8 * max(1, |value|)")
     except NonConvergenceError:
         if lam == 0:
-            value = p.t / (beta * p.x) * stable_density(p.t, p.x, beta)
-            return DensityResult(value, abs(value), "first_passage", 0)
+            log_f, err = _stable_log_density(p.t, p.x, beta)
+            value = p.t / (beta * p.x) * math.exp(log_f)
+            # below double range the value is 0, and so is its error
+            err = value * math.expm1(err) if value > 0.0 else 0.0
+            return DensityResult(value, err, "first_passage", 0)
         if series is None:
             raise
         return series
@@ -230,9 +234,11 @@ def derivative_at_zero(k, t, params):
 
 
 def cdf(x, t, params):
-    """P(E(t) <= x) by the branch-cut integral with m = 0.
+    """P(E(t) <= x).
 
-    NonConvergenceError when its error exceeds 1e-8; the clamp to [0, 1]
+    At lam = 0 this is P(D(x) > t), the stable survival function by
+    Kanter's integral; at lam > 0 the branch-cut integral with m = 0.
+    NonConvergenceError when the error exceeds 1e-8; the clamp to [0, 1]
     then trims only an overshoot within that error.
     """
     if t <= 0:
@@ -240,7 +246,9 @@ def cdf(x, t, params):
     if x <= 0:
         return 0.0
     beta, lam = params.beta, params.lam
-    if lam ** beta * x > 20.0:
+    if lam == 0:
+        value, err = _stable_survival(t, x, beta)
+    elif lam ** beta * x > 20.0:
         # The direct integral carries an exp(lam**beta * x) prefactor
         # against a cancelling oscillatory integral; far in the tail the
         # complementary form P(E(t) > x) = P(D(x) < t) is stable instead.
@@ -251,9 +259,10 @@ def cdf(x, t, params):
         tail, _ = _quad(lambda v: tempered_density(v, x, params), 0.0, t,
                         limit=200)
         return min(max(1.0 - tail, 0.0), 1.0)
-    value, err, _ = _branch_cut(0, x, t, params, "cdf integral")
+    else:
+        value, err, _ = _branch_cut(0, x, t, params, "cdf integral")
     if err > 1e-8:
         raise NonConvergenceError(
-            f"cdf integral at x={x}, t={t}, beta={beta}, lam={lam} gave "
+            f"cdf at x={x}, t={t}, beta={beta}, lam={lam} gave "
             f"{value:.3g} with error {err:.3g}, above 1e-8")
     return min(max(value, 0.0), 1.0)

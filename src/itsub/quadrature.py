@@ -1,9 +1,10 @@
 """Adaptive quadrature on (0, inf) for exponentially damped, possibly
-oscillatory integrands.
+oscillatory integrands, and on finite intervals.
 
 The half line is covered by geometrically growing panels until the
-integrand falls below a truncation threshold; panels are then refined by
-bisecting the worst error estimate. Each panel uses the nested
+integrand falls below a truncation threshold, a finite interval by one
+panel between each pair of given edges; both are then refined by the
+same loop, bisecting the worst error estimate. Each panel uses the nested
 Gauss7/Kronrod15 pair, with the error taken as the difference of the two
 orders. Refinement also stops once that error is within the rounding
 floor 50 * eps * int |f| (the roundoff test of QUADPACK's QAG/QAGI,
@@ -67,7 +68,8 @@ class QuadratureResult:
 
 
 def _gk15(f, a, b):
-    """Gauss7/Kronrod15 on [a, b]: (value, error, rounding floor, peak |f|).
+    """Gauss7/Kronrod15 panel of f on [a, b]:
+    (f, a, b, value, error, rounding floor, peak |f|).
 
     The floor, 50 * eps * int |f| over the panel, is the error below which
     the Gauss/Kronrod difference measures only rounding noise.
@@ -78,7 +80,7 @@ def _gk15(f, a, b):
     afy = np.abs(fy)
     vk, vg = (_RULES @ fy).tolist()
     floor = _ROUNDING * abs(half) * float(_WK @ afy)
-    return half * vk, abs(half * (vk - vg)), floor, float(afy.max())
+    return f, a, b, half * vk, abs(half * (vk - vg)), floor, float(afy.max())
 
 
 def _power_map(f, s):
@@ -91,6 +93,38 @@ def _power_map(f, s):
         return f(y) * inv * y / np.where(v > 0, v, 1.0)
 
     return g
+
+
+def _refine(panels):
+    """Bisect the panel with the largest error until the summed error is
+    within ABS_TOL, REL_TOL * |value| or the summed rounding floor, the
+    panel budget is spent, or a panel is non-finite."""
+    while True:
+        value = sum(p[3] for p in panels)
+        error = sum(p[4] for p in panels)
+        floor = sum(p[5] for p in panels)
+        if not math.isfinite(error):
+            return QuadratureResult(value, math.inf, len(panels), False)
+        converged = error <= max(ABS_TOL, REL_TOL * abs(value), floor)
+        if converged or len(panels) >= MAX_SUBDIVISIONS:
+            return QuadratureResult(value, max(error, floor),
+                                    len(panels), converged)
+        # Bisect the worst panel; tie-break on width.
+        worst = max(panels, key=lambda p: (p[4], p[2] - p[1]))
+        panels.remove(worst)
+        fn, pa, pb = worst[:3]
+        pm = 0.5 * (pa + pb)
+        panels += [_gk15(fn, pa, pm), _gk15(fn, pm, pb)]
+
+
+def integrate_interval(f, edges):
+    """Integrate f over [edges[0], edges[-1]], starting from one panel
+    between each pair of consecutive edges; edges at the integrand's
+    peaks keep them visible to the first pass. f must be vectorized and
+    finite inside the interval; the rest is as integrate_semi_infinite.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _refine([_gk15(f, a, b) for a, b in zip(edges, edges[1:])])
 
 
 def integrate_semi_infinite(f, scale=1.0, power_singularity=None):
@@ -111,26 +145,15 @@ def integrate_semi_infinite(f, scale=1.0, power_singularity=None):
     if not np.isfinite(scale) or scale <= 0:
         scale = 1.0
 
-    # Panels as (integrand, a, b, value, error, floor); the first panel
-    # is possibly transformed.
-    panels = []
-    peak = 0.0
-
-    def add_panel(fn, a, b):
-        nonlocal peak
-        v, e, floor, p = _gk15(fn, a, b)
-        panels.append((fn, a, b, v, e, floor))
-        peak = max(peak, p)
-        return p
-
-    # A non-finite panel ends the integration as unconverged, so numpy's
+    # Panels as _gk15 returns them; the first is possibly transformed. A
+    # non-finite panel ends the integration as unconverged, so numpy's
     # overflow and invalid-value warnings would only repeat that report.
     with np.errstate(over="ignore", invalid="ignore"):
         if power_singularity is not None and power_singularity != 1.0:
             s = float(power_singularity)
-            add_panel(_power_map(f, s), 0.0, scale ** s)
+            panels = [_gk15(_power_map(f, s), 0.0, scale ** s)]
         else:
-            add_panel(f, 0.0, scale)
+            panels = [_gk15(f, 0.0, scale)]
 
         # Geometric tail coverage: stop once the integrand has dropped
         # below TRUNCATION_THRESHOLD * peak on a panel (and at least a few
@@ -140,27 +163,11 @@ def integrate_semi_infinite(f, scale=1.0, power_singularity=None):
         width = scale
         n_tail = 0
         while math.isfinite(panels[-1][4]) and n_tail < MAX_SUBDIVISIONS:
-            p = add_panel(f, a, a + width)
+            panels.append(_gk15(f, a, a + width))
             a += width
             width *= 2.0
             n_tail += 1
-            if p <= TRUNCATION_THRESHOLD * peak and n_tail >= 4:
+            peak = max(p[6] for p in panels)
+            if panels[-1][6] <= TRUNCATION_THRESHOLD * peak and n_tail >= 4:
                 break
-
-        while True:
-            value = sum(p[3] for p in panels)
-            error = sum(p[4] for p in panels)
-            floor = sum(p[5] for p in panels)
-            if not math.isfinite(error):
-                return QuadratureResult(value, math.inf, len(panels), False)
-            converged = error <= max(ABS_TOL, REL_TOL * abs(value), floor)
-            if converged or len(panels) >= MAX_SUBDIVISIONS:
-                return QuadratureResult(value, max(error, floor),
-                                        len(panels), converged)
-            # Bisect the worst panel; tie-break on width.
-            worst = max(panels, key=lambda p: (p[4], p[2] - p[1]))
-            panels.remove(worst)
-            fn, pa, pb = worst[:3]
-            pm = 0.5 * (pa + pb)
-            add_panel(fn, pa, pm)
-            add_panel(fn, pm, pb)
+        return _refine(panels)

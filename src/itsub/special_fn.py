@@ -7,7 +7,7 @@ very negative orders, using the downward recurrence
 
     g(a - 1, u) = (u * g(a, u) - exp(-u)) / (a - 1)
 
-for small u and a Lentz-type continued fraction for large u, where the
+for u <= 1 and a Lentz-type continued fraction for u > 1, where the
 recurrence amplifies rounding error.
 """
 
@@ -62,11 +62,11 @@ def _upper_gamma_cf_scaled(a, u):
 
 def _upper_gamma_scaled_nonpos(a, u):
     """g(a, u) = Gamma(a, u) * u**(-a) for a <= 0, u > 0."""
-    # The continued fraction converges to machine accuracy for negative
-    # orders once u is not tiny, but degrades for small |a| with small u.
-    # The downward recurrence is stable there: u below the recurrence
-    # denominators keeps the endpoint term dominant.
-    if u >= 0.05 and not (a > -3.0 and u < 2.0):
+    # The downward recurrence is stable for u <= 1: u below the
+    # recurrence denominators keeps the endpoint term dominant. Above it
+    # the recurrence amplifies rounding, and the continued fraction
+    # converges to machine accuracy there.
+    if u > 1.0:
         return _upper_gamma_cf_scaled(a, u)
     emu = math.exp(-u)
     if a == math.floor(a):

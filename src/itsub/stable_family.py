@@ -1,12 +1,13 @@
 """Densities of the one-sided stable subordinator, its exponentially
 tempered version, and the inverse stable subordinator.
 
-The stable density f(x, t) (Laplace transform exp(-t s**beta)) is
-available as an alternating series in x * t**(-1/beta) and as a real
-integral; the inverse stable density has a power series in x with a
-fallback to the stable density through the first-passage identity. All
-densities vanish for x <= 0 by convention. Every series in the package
-is summed by sum_series.
+The stable density f(x, t) (Laplace transform exp(-t s**beta)) and its
+survival function come from Kanter's integral, whose integrand is
+positive on (0, pi) (Kanter 1975, Ann. Probab. 3; Nolan 1997, Stoch.
+Models 13); the inverse stable density has a power series in x with a
+fallback to f through the first-passage identity. All densities vanish
+for x <= 0 by convention. Every series in the package is summed by
+sum_series.
 """
 
 import math
@@ -16,7 +17,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special as sp
 
-from .quadrature import integrate_semi_infinite
+from .quadrature import integrate_interval
+from .quadrature import integrate_semi_infinite  # not called; bench/spans.py wraps this name
 
 
 class ParameterError(ValueError):
@@ -68,8 +70,6 @@ class SeriesEval(NamedTuple):
 
 
 _MAX_TERMS = 500
-# Below this x * t**(-1/beta) the alternating series cancels too badly.
-_SERIES_FLOOR = 0.1
 
 
 def sum_series(term, first, max_terms, floor, rel):
@@ -106,94 +106,124 @@ def sum_series(term, first, max_terms, floor, rel):
     return SeriesEval(total, abs(value), max_terms, False)
 
 
-def _saddle_exponent(z, beta):
-    """Exponential decay rate of the standardized stable density near 0."""
-    return (1.0 - beta) * beta ** (beta / (1.0 - beta)) * z ** (-beta / (1.0 - beta))
+# log(sin(v) / v) = -sum_n zeta(2n) (v/pi)**(2n) / n, as a polynomial in
+# v**2 with n = 10..1, highest first: full precision below v = 0.5.
+_LOG_SINC = [-sp.zeta(2 * n) / (n * math.pi ** (2 * n))
+             for n in range(10, 0, -1)]
 
 
-def _stable_saddle_std(z, beta):
-    """Leading small-z saddle-point form of f(z, 1)."""
-    expo = _saddle_exponent(z, beta)
-    pref = (beta ** (1.0 / (2.0 - 2.0 * beta))
-            / math.sqrt(2.0 * math.pi * (1.0 - beta)))
-    power = z ** (-(2.0 - beta) / (2.0 - 2.0 * beta))
-    if expo > 700.0:
-        return 0.0
-    return pref * power * math.exp(-expo)
+def _kanter(x, t, beta):
+    """Kanter's integral at s = x t**(-1/beta) and z = s**-kappa, with
+    kappa = beta/(1-beta) and a(u) = sin(beta u)**kappa sin((1-beta) u)
+    / sin(u)**(1/(1-beta)): f(x, t) = t**(-1/beta) (kappa/pi)
+    s**(-kappa-1) int_0^pi a e**(-a z) du, and for D stable
+    P(D(t) > x) = (1/pi) int_0^pi -expm1(-a z) du.
 
-
-def stable_density_series(x, t, beta):
-    """Stable density f(x, t) by the alternating series.
-
-    Uses self-similar scaling f(x, t) = t**(-1/beta) f(x t**(-1/beta), 1).
-    Reliable only for x * t**(-1/beta) above a small floor; the returned
-    flag reports convergence.
+    Returns log s, q = log(a(0) z), r(y) = log(a(u) / a(0)) at nodes y,
+    the first panel edges, and the log of the width of the peak of
+    a z e**(-a z).
+    For q >= 0 that peak is at u = 0 and y = u; else it is where a z = 1,
+    at v* = pi - u ~ sin(beta pi) z**(1-beta), and y = v = pi - u.
     """
-    if x <= 0:
-        return SeriesEval(0.0, 0.0, 0, True)
     if t <= 0:
         raise ParameterError(f"require t > 0, got {t}")
-    u = t ** (-1.0 / beta)
-    lz = math.log(x * u)
+    log_s = math.log(x) - math.log(t) / beta
+    kappa = beta / (1.0 - beta)
+    log_a0 = kappa * math.log(beta) + math.log1p(-beta)
+    q = log_a0 - kappa * log_s
+    if q >= 0.0:
+        # Gaussian in u, of width (beta (e**q - 1))**-1/2 when that is
+        # small; beyond q = 700 the density is below every double anyway
+        log_width = math.log(math.pi) - 0.5 * math.log1p(
+            beta * math.expm1(min(q, 700.0)) * math.pi ** 2)
+        edges = [k * math.exp(log_width) for k in (0.0, 1.0, 3.0, 9.0)]
+    else:
+        # e**(w - e**w) in w = log(a z) ~ log(v*/v) / (1-beta), and a
+        # power tail (v*/v)**(1/(1-beta)) beyond, whose mass past V is a
+        # share (v*/V)**kappa / beta: edges e**3 apart until that is tiny
+        log_v = math.log(math.sin(beta * math.pi)) + (1.0 - beta) * (q - log_a0)
+        log_width = math.log1p(-beta) + log_v
+        logs = [log_v + (1.0 - beta) * w for w in (-4.0, -1.0, 2.0, 5.0)]
+        while logs[-1] - log_v < 45.0 / kappa and logs[-1] < math.log(math.pi):
+            logs.append(logs[-1] + 3.0)
+        edges = [0.0] + [math.exp(e) for e in logs]
 
-    def term(k):
-        return (sp.gammaln(k * beta + 1.0) - sp.gammaln(k + 1.0)
-                - (beta * k + 1.0) * lz,
-                (-1.0) ** (k + 1) * math.sin(k * beta * math.pi))
+    def r(y):
+        # With sin(c u) = c u sinc(c u) the powers of u cancel. Each
+        # log-sinc term is its Taylor series below 0.5, so r keeps its
+        # relative accuracy as u -> 0; sin(u) = sin(v) keeps it as u -> pi.
+        u, v = (y, math.pi - y) if q >= 0.0 else (math.pi - y, y)
+        arg = np.multiply.outer((beta, 1.0 - beta, 1.0), u)
+        sines = np.sin(arg)
+        sines[2] = np.sin(v)
+        w = arg * arg
+        series = _LOG_SINC[0]
+        for c in _LOG_SINC[1:]:
+            series = series * w + c
+        log_sinc = np.where(arg < 0.5, series * w, np.log(sines / arg))
+        return np.array([kappa, 1.0, -1.0 / (1.0 - beta)]) @ log_sinc
 
-    return sum_series(term, 1, _MAX_TERMS, 2e-10, 1e-9).scaled(u / math.pi)
+    edges = [e for e in edges if e < math.pi] + [math.pi]
+    return log_s, q, r, edges, log_width
 
 
-def stable_density_integral(x, t, beta):
-    """Stable density f(x, t) by the damped oscillatory integral."""
-    if x <= 0:
-        return 0.0
-    if t <= 0:
-        raise ParameterError(f"require t > 0, got {t}")
-    c = math.cos(beta * math.pi)
-    s = math.sin(beta * math.pi)
+def _stable_log_density(x, t, beta):
+    """(log f(x, t), error of that log) for x > 0 by Kanter's integral,
+    summed in logs with e**(-a(0) z) factored out; (-inf, 0) below every
+    double. NonConvergenceError when the quadrature fails."""
+    log_s, q, r, edges, log_width = _kanter(x, t, beta)
+    if q > 700.0:
+        return -math.inf, 0.0
+    ez = math.exp(q)
+    # Dividing a z e**(-z (a - a(0))) by its peak, e**q at u = 0 or
+    # e**(e**q - 1) where a z = 1, times the peak's width keeps the
+    # integral near 1, where the absolute tolerance is harmless.
+    shift = (q if q >= 0.0 else math.expm1(q)) + log_width
 
-    def integrand(u):
-        return np.exp(-u * x - t * u ** beta * c) * np.sin(t * u ** beta * s)
+    def integrand(y):
+        # z (a - a(0)): expm1 keeps it accurate as u -> 0 at large e**q;
+        # at q < 0 the plain difference does too and survives e**q = 0
+        ry = r(y)
+        za = ez * np.expm1(ry) if q >= 0.0 else np.exp(q + ry) - ez
+        return np.exp(q + ry - za - shift)
 
-    res = integrate_semi_infinite(integrand, scale=max(1.0 / x, 1.0))
-    return converged_value(
-        res, f"stable density integral at x={x}, t={t}, beta={beta}") / math.pi
+    res = integrate_interval(integrand, edges)
+    if not (res.converged and res.value > 0.0):
+        raise NonConvergenceError(
+            f"stable density at x={x}, t={t}, beta={beta} did not converge")
+    # (kappa/pi) s**(-kappa-1) / z = kappa / (pi s). Rounding enters
+    # mostly through e**q, whose exponent is off by eps (|q| + |log s|).
+    log_f = (math.log(beta / (1.0 - beta) / math.pi) - log_s - ez + shift
+             + math.log(res.value) - math.log(t) / beta)
+    rounding = 2.2e-16 * (8.0 * (1.0 + ez) * (1.0 + abs(q) + abs(log_s))
+                          + abs(log_f))
+    return log_f, res.error_estimate / res.value + rounding
+
+
+def _stable_survival(x, t, beta):
+    """(P(D(t) > x), error) for x > 0, D the stable subordinator, by
+    Kanter's integral. NonConvergenceError when the quadrature fails."""
+    _, q, r, edges, _ = _kanter(x, t, beta)
+    res = integrate_interval(lambda y: -np.expm1(-np.exp(q + r(y))), edges)
+    value = converged_value(
+        res, f"stable survival at x={x}, t={t}, beta={beta}")
+    return value / math.pi, res.error_estimate / math.pi
 
 
 def stable_density(x, t, beta):
-    """Stable density f(x, t), choosing series, integral, or the small-x
-    saddle-point form automatically."""
+    """Stable density f(x, t), Laplace transform exp(-t s**beta), by
+    Kanter's integral; 0 below double range."""
     if x <= 0:
         return 0.0
-    u = t ** (-1.0 / beta)
-    z = x * u
-    if z >= _SERIES_FLOOR:
-        res = stable_density_series(x, t, beta)
-        if res.converged:
-            return res.value
-    # Left tail: the density is ~exp(-E) small; once E is large both
-    # exact representations cancel catastrophically in doubles and the
-    # saddle-point form is accurate to ~1/E relative.
-    expo = _saddle_exponent(z, beta)
-    if expo > 8.0:
-        return _stable_saddle_std(z, beta) * u
-    try:
-        return stable_density_integral(x, t, beta)
-    except NonConvergenceError:
-        if expo > 4.0:
-            return _stable_saddle_std(z, beta) * u
-        raise
+    return math.exp(_stable_log_density(x, t, beta)[0])
 
 
 def tempered_density(x, t, params):
     """Tempered stable density exp(-lam*x + lam**beta * t) * f(x, t)."""
     if x <= 0:
         return 0.0
-    if t <= 0:
-        raise ParameterError(f"require t > 0, got {t}")
-    tilt = math.exp(-params.lam * x + params.lam ** params.beta * t)
-    return tilt * stable_density(x, t, params.beta)
+    log_f, _ = _stable_log_density(x, t, params.beta)
+    return math.exp(log_f - params.lam * x + params.lam ** params.beta * t)
 
 
 def inverse_stable_density_series(x, t, beta):
@@ -219,8 +249,8 @@ def inverse_stable_density(x, t, beta):
 
     When the power series cancels too badly (large x * t**(-beta)) the
     density is recovered from the first-passage identity
-    l(x, t) = t / (beta * x) * f(t; time x), which delegates the hard
-    region to the stable density dispatcher.
+    l(x, t) = t / (beta * x) * f(t; time x), with f from Kanter's
+    integral.
     """
     if x < 0:
         return 0.0

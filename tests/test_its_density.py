@@ -153,11 +153,21 @@ def test_untempered_reference_values():
 
 
 def test_untempered_falls_back_to_the_first_passage_identity():
-    # neither form meets the bar this far in the tail at lam = 0
+    # neither form meets the bar this far in the tail at lam = 0; the
+    # reference is Kanter's integral in mpmath at 40 digits
+    ref = 2.5413860829403332e-168
     res = eval_density(EvalPoint(11.005, 1.0), TemperedStableParams(0.7, 0.0))
     assert res.method == "first_passage"
     assert res.value == inverse_stable_density(11.005, 1.0, 0.7)
-    assert res.error_estimate == abs(res.value)
+    assert abs(res.value - ref) <= res.error_estimate <= 1e-8 * res.value
+
+
+def test_untempered_fallback_below_double_range():
+    # h(3.03, 1) at beta = 0.98 is about exp(-1e10): 0 with error 0, not
+    # an overflow from the error of its log
+    res = eval_density(EvalPoint(3.025082749821511, 1.0),
+                       TemperedStableParams(0.98, 0.0))
+    assert res == DensityResult(0.0, 0.0, "first_passage", 0)
 
 
 def test_derivative_at_zero_untempered_closed_form():
@@ -240,6 +250,22 @@ def test_cdf_reference_values():
     params = TemperedStableParams(0.5, 1.0)
     for x, ref in _CDF_REFERENCE:
         assert cdf(x, 1.0, params) == pytest.approx(ref, abs=1e-7)
+
+
+def test_untempered_cdf_is_the_stable_survival_function():
+    # beta = 1/2, lam = 0: P(E(t) <= x) = erf(x / (2 sqrt(t)))
+    params = TemperedStableParams(0.5, 0.0)
+    for t in (1e-3, 0.5, 1.0, 3.0, 1e3):
+        for x in (1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 20.0, 100.0):
+            assert cdf(x, t, params) == pytest.approx(
+                math.erf(x / (2.0 * math.sqrt(t))), abs=1e-12)
+
+
+def test_untempered_cdf_far_tail():
+    # P(E(1) > 10) < 1e-40 at beta = 0.7; the branch-cut integral gave
+    # 2.8e4 +- 5.9e5 here
+    assert cdf(10.0, 1.0, TemperedStableParams(0.7, 0.0)) == pytest.approx(
+        1.0, abs=1e-12)
 
 
 def test_cdf_limits_and_monotonicity():

@@ -21,6 +21,17 @@ def test_upper_incomplete_gamma_reference_values():
             ref * u ** -a, rel=1e-11)
 
 
+def test_upper_incomplete_gamma_at_the_handover():
+    # g(a, u) = Gamma(a, u) * u**(-a) from mpmath.gammainc at 40 digits,
+    # on either side of the recurrence/continued-fraction handover at
+    # u = 1: the continued fraction does not converge at (-3, 0.05), and
+    # the recurrence amplifies rounding at (-1.04, 1.99)
+    for a, u, ref in [(-3.0, 0.05, 0.30949449400443005806),
+                      (-1.04, 1.99, 0.037663828061523581540)]:
+        assert upper_incomplete_gamma_scaled(a, u) == pytest.approx(
+            ref, rel=1e-13, abs=0.0)
+
+
 def test_upper_incomplete_gamma_recurrence():
     # u*g(a+1, u) = a*g(a, u) + exp(-u) for g(a, u) = Gamma(a, u) * u**(-a)
     for a in (-4.3, -2.0, -0.7, 0.4, 3.1):

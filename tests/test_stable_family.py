@@ -8,9 +8,10 @@ from scipy.special import gamma as G
 from itsub.stable_family import (
     ParameterError,
     TemperedStableParams,
+    _stable_log_density,
     inverse_stable_density,
+    inverse_stable_density_series,
     stable_density,
-    stable_density_series,
     sum_series,
     tempered_density,
 )
@@ -64,6 +65,84 @@ def test_stable_reference_values():
         assert stable_density(x, 1.0, beta) == pytest.approx(ref, rel=1e-9)
 
 
+# (x, t, beta) -> f(x, t): Kanter's integral in mpmath at 40 digits
+_STABLE_HARD = [
+    (5.0, 10.0, 0.8, 2.6304173777820001e-6),
+    (0.02, 1.0, 0.6, 8.9361004524164265e-27),
+]
+
+
+def test_stable_values_where_the_old_branches_were_wrong():
+    # the series (first point) and the saddle-point form (second) were
+    # off by -2.1e-3 and -2.9e-4 relative here
+    for x, t, beta, ref in _STABLE_HARD:
+        assert stable_density(x, t, beta) == pytest.approx(
+            ref, rel=1e-9, abs=0.0)
+
+
+# log f(s, 1) over beta x s: Kanter's integral in mpmath at 40 digits
+# plus the digits the left tail needs, checked against a second set of
+# breakpoints, the Wright series at 80 digits (s >= 1, or s >= 0.3 at
+# beta <= 0.5) and the closed form at beta = 1/2.
+_SWEEP_S = (1e-3, 0.05, 0.3, 1.0, 3.0, 30.0, 1e3, 1e6)
+_SWEEP_LOG_F = {
+    0.02: (1.9877374166240462064, -1.9171323511115378705,
+           -3.7077929179522346736, -4.9117609700523080938,
+           -6.0108695888510367729, -8.3159981171746389979,
+           -11.830163669578497831, -18.76502851346500978),
+    0.1: (3.3629773281646173698, -0.32865629798906442199,
+          -2.0915637427543819302, -3.2960526398528063295,
+          -4.4072452716998757618, -6.7682453880265112117,
+          -10.42988810686014563, -17.797185714463917355),
+    0.3: (-1.2908210344016644223, 0.47933195090993542551,
+          -0.92705802357472681844, -2.144240341457802712,
+          -3.3637946377815492757, -6.1102694099069936808,
+          -10.520205996329336467, -19.434304320840950702),
+    0.5: (-240.90387920501143465, -1.771913713153658712,
+          -0.29288625032907471622, -1.5155121234846453965,
+          -2.9967638898201432669, -6.3756415293112117929,
+          -11.627395041957850975, -21.988778210431056553),
+    0.7: (-1305204.8271688615228, -136.13680459782006648,
+          -0.45710291343916419922, -0.94831040845721110311,
+          -2.9957141933129921464, -7.1617330498373900335,
+          -13.189284865733887847, -24.938790187934836403),
+    0.9: (-3.8742048900000577915e+25, -19835929020.618038456,
+          -1961.9725774480233073, -0.097246775631047625472,
+          -3.7480283721774954456, -8.7415469091107342462,
+          -15.479498342345823299, -28.607536627603824258),
+    0.98: (-7.4320342874899041964e+144, -4.1838633559687550296e+61,
+           -3.1057480651479003172e+23, 1.0006207515278899114,
+           -5.3004228343369420242, -10.584960470801996782,
+           -17.596133575906318385, -31.275715570212083089),
+}
+
+
+@pytest.mark.parametrize("beta", sorted(_SWEEP_LOG_F))
+def test_stable_sweep_against_mpmath(beta):
+    # every point returns log f within its own error; where f is a
+    # double, that error is at most 1e-8, the relative error of f
+    for s, ref in zip(_SWEEP_S, _SWEEP_LOG_F[beta]):
+        log_f, err = _stable_log_density(s, 1.0, beta)
+        assert abs(log_f - ref) <= err
+        if ref > -700.0:
+            assert err <= 1e-8
+            assert stable_density(s, 1.0, beta) == pytest.approx(
+                math.exp(ref), rel=1e-8, abs=0.0)
+        else:
+            assert stable_density(s, 1.0, beta) == 0.0
+
+
+def test_stable_half_closed_form_over_the_range():
+    # beta = 1/2: log f(s, 1) = -log(2 sqrt(pi)) - 1.5 log s - 1/(4s),
+    # from deep in the left tail to far in the right, where the power
+    # tail of the integrand reaches far from its peak
+    for s in list(np.logspace(-3, 6, 37)) + [1e10, 1e50, 1e100, 1e300]:
+        ref = -math.log(2 * math.sqrt(math.pi)) - 1.5 * math.log(s) - 0.25 / s
+        log_f, err = _stable_log_density(s, 1.0, 0.5)
+        assert abs(log_f - ref) <= err + 4e-16 * abs(ref)
+        assert abs(log_f - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
 def test_stable_time_scaling():
     # f(x, t) = t**(-1/beta) f(x * t**(-1/beta), 1)
     for beta in (0.3, 0.6, 0.8):
@@ -84,7 +163,6 @@ def test_stable_laplace_transform():
 
 
 def test_stable_far_tail_positive_and_decaying():
-    # deep left tail handled by the saddle-point branch
     v1 = stable_density(0.02, 1.0, 0.6)
     v2 = stable_density(0.01, 1.0, 0.6)
     assert 0 <= v2 < v1
@@ -95,6 +173,14 @@ def test_tempered_density_tilting():
     x, t = 0.8, 1.0
     ref = math.exp(-1.5 * x + 1.5 ** 0.6 * t) * stable_density(x, t, 0.6)
     assert tempered_density(x, t, params) == pytest.approx(ref, rel=1e-12)
+
+
+def test_tempered_density_far_from_the_tilt():
+    # exp(-lam*x + lam**beta * t) = e**714 overflows on its own; the tilt
+    # goes into the exponent of f. Reference: f from Kanter's integral in
+    # mpmath at 40 digits, tilted there.
+    assert tempered_density(14.0, 200.0, TemperedStableParams(0.5, 50.0)) == \
+        pytest.approx(1.0020694744338194, rel=1e-9, abs=0.0)
 
 
 def test_tempered_density_normalizes():
@@ -108,6 +194,22 @@ def test_inverse_stable_reference_values():
     for beta, x, t, ref in _INVERSE_REFERENCE:
         assert inverse_stable_density(x, t, beta) == pytest.approx(
             ref, rel=1e-9)
+
+
+# (x, t, beta) -> inverse stable density past the series' reach, where
+# the first-passage fallback decides: the Wright series summed by
+# mpmath at 60 digits
+_INVERSE_FALLBACK = [
+    (4.0, 1.0, 0.7, 2.5269874360819177e-6),
+    (1.4027482089114776, 1e-3, 0.3, 5.545167621946654e-6),
+]
+
+
+def test_inverse_stable_first_passage_fallback():
+    for x, t, beta, ref in _INVERSE_FALLBACK:
+        assert not inverse_stable_density_series(x, t, beta).converged
+        assert inverse_stable_density(x, t, beta) == pytest.approx(
+            ref, rel=1e-8, abs=0.0)
 
 
 def test_inverse_stable_at_zero():
@@ -189,12 +291,12 @@ def test_sum_series_unconverged_endings():
     assert res.terms == 50
 
 
-def test_stable_series_passes_zero_terms():
-    # at beta = 1/2 every even term is exactly zero; the series must run
-    # on to the closed form f(x, 1) = x**(-3/2) exp(-1/(4x)) / (2 sqrt(pi))
+def test_inverse_series_passes_zero_terms():
+    # at beta = 1/2 every odd power of x has a zero coefficient; the
+    # series must run on to the half-Gaussian exp(-x**2 / 4) / sqrt(pi)
     for x in (0.5, 1.0, 3.0):
-        res = stable_density_series(x, 1.0, 0.5)
-        ref = x ** -1.5 * math.exp(-0.25 / x) / (2 * math.sqrt(math.pi))
+        res = inverse_stable_density_series(x, 1.0, 0.5)
+        ref = math.exp(-x * x / 4.0) / math.sqrt(math.pi)
         assert res.converged
         assert res.value == pytest.approx(ref, rel=1e-12)
         assert res.terms > 6
