@@ -3,11 +3,11 @@
 The density h(x, t) of the first-passage process E(t) = inf{u : D(u) > t}
 of a tempered stable subordinator D, for every lam >= 0 (lam = 0 is the
 inverse stable case), is evaluated by two independent representations:
-a power series in x whose coefficients involve upper incomplete gamma
-functions of negative order, and the inversion of
-Psi(s)/s * exp(-x*Psi(s)) along the branch cut s = -lam - y. On that
-cut one half-line integral gives the density, its x-derivatives at
-0+ and the CDF. The boundary value at x = 0 has a closed form.
+a power series in x, whose coefficients A_j also give the boundary
+value and every x-derivative at 0+, and the inversion of
+Psi(s)/s * exp(-x*Psi(s)) along the branch cut s = -lam - y, where one
+half-line integral gives the density and the CDF. Far in the CDF's tail
+the complement P(D(x) < t) comes from Kanter's positive integral.
 """
 
 import cmath
@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
-from .quadrature import integrate_semi_infinite
-from .special_fn import upper_incomplete_gamma_scaled
+from .quadrature import integrate_interval, integrate_semi_infinite
+from .special_fn import GAMMA_REL_ERROR, upper_incomplete_gamma_scaled
 from .stable_family import (
     NonConvergenceError,
     ParameterError,
@@ -26,6 +25,7 @@ from .stable_family import (
     _stable_survival,
     converged_value,
     sum_series,
+    tempered_density,
 )
 
 
@@ -53,11 +53,8 @@ class DensityResult:
     terms_or_panels: int
 
 
-# The series runs first where x * lam**beta is at most this, and where
-# lam * t is 0 or at least the floor below which the incomplete gamma
-# refuses.
+# The series runs first where x * lam**beta is at most this.
 _SERIES_MAX_X_LAM_BETA = 2.0
-_SERIES_MIN_LAM_T = 1e-6
 _SERIES_MAX_TERMS = 400
 
 
@@ -71,8 +68,8 @@ def _branch_cut(m, x, t, params, what):
     z = lam**beta - y**beta * exp(-i*beta*pi), the value of
     -Psi(s) just below the branch cut s = -lam - y.
 
-    m = 1 gives h(x, t), m = k+1 at x = 0 the k-th x-derivative at 0+,
-    m = 0 the CDF. Returns (value, error, panels); NonConvergenceError
+    m = 1 gives h(x, t), m = 0 the CDF, and m = k+1 at x = 0 the k-th
+    x-derivative at 0+. Returns (value, error, panels); NonConvergenceError
     naming `what` when the quadrature did not converge.
     """
     beta, lam = params.beta, params.lam
@@ -89,6 +86,31 @@ def _branch_cut(m, x, t, params, what):
     return value / math.pi, res.error_estimate / math.pi, res.subdivisions_used
 
 
+def _coefficients(t, params):
+    """j -> (log|A_j|, sign), j >= 1, for A_j = Gamma(1+beta*j)
+    * lam**(beta*j) * Gamma(-beta*j, lam*t) * sin(j*beta*pi), with
+    lam**(beta*j) * Gamma(-beta*j, u) = t**(-beta*j) * g(-beta*j, u) from
+    the scaled gamma g. The sine, taken at j*beta less its nearest
+    integer, is exactly 0 at integer j*beta, and then no g is computed; an
+    A_j that underflows at large lam * t is (-inf, its sign)."""
+    if t <= 0:
+        raise ParameterError(f"require t > 0, got {t}")
+    beta, u, lt = params.beta, params.lam * t, math.log(t)
+
+    def coefficient(j):
+        jb = j * beta
+        n = round(jb)
+        sn = (-1.0) ** n * math.sin(math.pi * (jb - n))
+        if sn == 0.0:
+            return -math.inf, 0.0
+        g = upper_incomplete_gamma_scaled(-jb, u)
+        la = math.lgamma(1.0 + jb) - jb * lt + math.log(abs(sn))
+        la = la + math.log(g) if g > 0.0 else -math.inf
+        return la, math.copysign(1.0, sn)
+
+    return coefficient
+
+
 def eval_integral(p, params):
     """Density h(x, t) by the branch-cut integral with m = 1.
 
@@ -102,44 +124,28 @@ def eval_integral(p, params):
 
 
 def eval_series(p, params):
-    """Density h(x, t) by the power series in x.
-
+    """Density h(x, t) by the power series in x,
     h = (exp(lam**beta * x) / pi)
-        * sum_{j>=1} A_j * (-x)**(j-1) / (j-1)! * (1 + lam**beta * x / j)
-    with A_j = Gamma(1+beta*j) * lam**(beta*j) * Gamma(-beta*j, lam*t)
-    * sin(j*beta*pi); at lam = 0 each term is the Wright series term of
-    the inverse stable density. The error estimate is the last term
-    summed plus the cancellation error; NonConvergenceError when the
-    sum did not converge.
+        * sum_{j>=1} A_j * (-x)**(j-1) / (j-1)! * (1 + lam**beta * x / j);
+    at lam = 0 each term is the Wright term of the inverse stable
+    density. NonConvergenceError when the sum did not converge.
     """
     beta, lam = params.beta, params.lam
     x, t = p.x, p.t
-    u = lam * t
-    lt = math.log(t)
     lb = lam ** beta
     lx = math.log(x) if x > 0 else -math.inf
+    coefficient = _coefficients(t, params)
 
     def term(j):
-        """(log|term_j|, sign); one coefficient A_j per term.
-
-        The incomplete gamma enters through its scaled form
-        lam**(beta*j) * Gamma(-beta*j, u) = t**(-beta*j) * g(-beta*j, u),
-        which keeps every factor in double range.
-        """
-        sn = math.sin(j * beta * math.pi)
-        if sn == 0.0:
-            return -math.inf, 0.0
-        g = upper_incomplete_gamma_scaled(-beta * j, u)
-        if g <= 0.0:
-            # g underflows at large lam * t; A_j has no usable log then,
-            # and +inf ends the sum unconverged.
-            return math.inf, 0.0
+        """(log|term_j|, sign); one coefficient A_j per term."""
+        la, sign = coefficient(j)
+        if la == -math.inf and sign:
+            return math.inf, 0.0  # A_j underflowed: end the sum unconverged
         lw = (j - 1) * lx - math.lgamma(j) if j > 1 else 0.0  # x**(j-1)/(j-1)!
-        return (math.lgamma(1.0 + beta * j) - beta * j * lt + math.log(g)
-                + math.log(abs(sn)) + lw + math.log1p(lb * x / j),
-                (-1.0) ** (j - 1) * math.copysign(1.0, sn))
+        return (la + lw + math.log1p(lb * x / j),
+                -sign if j % 2 == 0 else sign)
 
-    res = sum_series(term, 1, _SERIES_MAX_TERMS, 1e-13, 1e-8)
+    res = sum_series(term, _SERIES_MAX_TERMS, 1e-13, 1e-8)
     value = converged_value(
         res, f"density series at x={x}, t={t}, beta={beta}, lam={lam}")
     pref = math.exp(lb * x) / math.pi
@@ -150,8 +156,9 @@ def eval_series(p, params):
 def eval(p, params):
     """Density h(x, t), dispatching between series and integral.
 
-    Exact x = 0 routes to boundary_value; the series handles small
-    x * lam**beta, the integral the rest. Either form is accepted at an
+    Exact x = 0 gives A_1 / pi, its error the gamma's bound plus the
+    rounding of exp(log A_1); the series handles small x * lam**beta,
+    the integral the rest. Either form is accepted at an
     error within 1e-8 * max(1, |value|). When neither meets that bar,
     lam = 0 falls back to the first-passage identity
     h = t / (beta * x) * f(t; time x), f from Kanter's integral with its
@@ -159,11 +166,13 @@ def eval(p, params):
     bar, or raises NonConvergenceError.
     """
     if p.x == 0:
-        return DensityResult(boundary_value(p.t, params), 1e-12, "boundary", 0)
+        la, _ = _coefficients(p.t, params)(1)
+        value = math.exp(la) / math.pi
+        rel = GAMMA_REL_ERROR + 2.2e-16 * (abs(la) + 4.0) if value else 0.0
+        return DensityResult(value, value * rel, "boundary", 0)
     beta, lam = params.beta, params.lam
     series = None
-    if (p.x * lam ** beta <= _SERIES_MAX_X_LAM_BETA
-            and not 0.0 < lam * p.t < _SERIES_MIN_LAM_T):
+    if p.x * lam ** beta <= _SERIES_MAX_X_LAM_BETA:
         try:
             series = eval_series(p, params)
         except NonConvergenceError:
@@ -192,54 +201,36 @@ def eval(p, params):
 
 
 def boundary_value(t, params):
-    """lim_{x -> 0+} h(x, t) = (sin(beta*pi)/pi) * lam**beta * Gamma(1+beta)
-    * Gamma(-beta, lam*t).
-
-    For lam * t below the incomplete-gamma floor the small-argument
-    expansion of the scaled gamma is used; the lam -> 0 limit is
-    t**(-beta) / Gamma(1 - beta).
-    """
-    if t <= 0:
-        raise ParameterError(f"require t > 0, got {t}")
-    beta, lam = params.beta, params.lam
-    u = lam * t
-    if u < 1e-8:
-        # g(-beta, u) = Gamma(-beta, u) * u**beta -> 1/beta as u -> 0.
-        g = 1.0 / beta + sp.gamma(-beta) * u ** beta + u / (1.0 - beta)
-    else:
-        g = upper_incomplete_gamma_scaled(-beta, u)
-    return (math.sin(beta * math.pi) / math.pi
-            * sp.gamma(1.0 + beta) * t ** (-beta) * g)
+    """lim_{x -> 0+} h(x, t) = A_1 / pi = (sin(beta*pi)/pi) * lam**beta
+    * Gamma(1+beta) * Gamma(-beta, lam*t), t**(-beta) / Gamma(1-beta) at
+    lam = 0."""
+    return eval(EvalPoint(0.0, t), params).value
 
 
 def derivative_at_zero(k, t, params):
-    """k-th x-derivative of h(x, t) at x = 0+.
-
-    For lam > 0 and k >= 1 this is the branch-cut integral with m = k+1
-    at x = 0; k = 0 is boundary_value. For lam = 0 the density is an
-    entire function of x, and the closed form
-    (-1)**k * t**(-(k+1)*beta) / Gamma(1 - (k+1)*beta) holds for every k.
+    """k-th x-derivative of h(x, t) at x = 0+, for every lam >= 0: the
+    series' sum_j C(k,j) lam**(beta*(k-j)) (-1)**j (A_{j+1} - lam**beta A_j)
+    / pi, A_0 = 0, collected by coefficient. At lam = 0 it is
+    (-1)**k * t**(-(k+1)*beta) / Gamma(1 - (k+1)*beta).
     """
     if k < 0 or k != int(k):
         raise ParameterError(f"require integer k >= 0, got {k}")
-    if t <= 0:
-        raise ParameterError(f"require t > 0, got {t}")
     k = int(k)
-    beta, lam = params.beta, params.lam
-    if lam == 0:
-        return (-1.0) ** k * t ** (-(k + 1) * beta) * sp.rgamma(1.0 - (k + 1) * beta)
-    if k == 0:
-        return boundary_value(t, params)
-    return _branch_cut(k + 1, 0.0, t, params, f"derivative {k} integral")[0]
+    lb = params.lam ** params.beta
+    coefficient = _coefficients(t, params)
+    terms = ((m, *coefficient(m)) for m in range(1, k + 2))
+    return sum((-1.0) ** (m - 1) * math.comb(k + 1, m) * lb ** (k + 1 - m)
+               * sign * math.exp(la) for m, la, sign in terms) / math.pi
 
 
 def cdf(x, t, params):
     """P(E(t) <= x).
 
     At lam = 0 this is P(D(x) > t), the stable survival function by
-    Kanter's integral; at lam > 0 the branch-cut integral with m = 0.
-    NonConvergenceError when the error exceeds 1e-8; the clamp to [0, 1]
-    then trims only an overshoot within that error.
+    Kanter's integral; at lam > 0 the branch-cut integral with m = 0 or,
+    where lam**beta * x > 20 and its exp(lam**beta * x) prefactor meets a
+    cancelling integral, 1 - P(D(x) < t). NonConvergenceError when the
+    error exceeds 1e-8; the clamp to [0, 1] trims an overshoot within it.
     """
     if t <= 0:
         raise ParameterError(f"require t > 0, got {t}")
@@ -249,16 +240,21 @@ def cdf(x, t, params):
     if lam == 0:
         value, err = _stable_survival(t, x, beta)
     elif lam ** beta * x > 20.0:
-        # The direct integral carries an exp(lam**beta * x) prefactor
-        # against a cancelling oscillatory integral; far in the tail the
-        # complementary form P(E(t) > x) = P(D(x) < t) is stable instead.
-        from scipy.integrate import quad as _quad
-
-        from .stable_family import tempered_density
-
-        tail, _ = _quad(lambda v: tempered_density(v, x, params), 0.0, t,
-                        limit=200)
-        return min(max(1.0 - tail, 0.0), 1.0)
+        # 1 - P(D(x) < t), the density of D(x) integrated over (0, t).
+        # Panel edges at its mean + k sd, k = -4, -1, 0, 1, 4, 16, ...,
+        # keep any panel from stepping over the peak or the right tail.
+        mean = beta * lam ** (beta - 1.0) * x
+        sd = math.sqrt((1.0 - beta) / lam * mean)
+        ks = [-4.0, -1.0, 0.0]
+        while mean + ks[-1] * sd < t:
+            ks.append(max(1.0, 4.0 * ks[-1]))
+        edges = [mean + k * sd for k in ks if 0.0 < mean + k * sd < t]
+        res = integrate_interval(
+            lambda ys: np.array([tempered_density(y, x, params) for y in ys]),
+            [0.0] + edges + [t])
+        value = 1.0 - converged_value(
+            res, f"cdf tail at x={x}, t={t}, beta={beta}, lam={lam}")
+        err = res.error_estimate
     else:
         value, err, _ = _branch_cut(0, x, t, params, "cdf integral")
     if err > 1e-8:

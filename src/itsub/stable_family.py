@@ -72,8 +72,8 @@ class SeriesEval(NamedTuple):
 _MAX_TERMS = 500
 
 
-def sum_series(term, first, max_terms, floor, rel):
-    """Sum term(first) + term(first + 1) + ..., one term at a time.
+def sum_series(term, max_terms, floor, rel):
+    """Sum term(1) + term(2) + ..., one term at a time.
 
     term(k) returns (log_scale, mantissa) for the term
     mantissa * exp(log_scale), so coefficients that overflow doubles on
@@ -89,7 +89,7 @@ def sum_series(term, first, max_terms, floor, rel):
     total = peak = value = 0.0
     small_run = 0
     for n in range(1, max_terms + 1):
-        log_scale, mantissa = term(first + n - 1)
+        log_scale, mantissa = term(n)
         if log_scale > 700.0:
             return SeriesEval(total, abs(total), n, False)
         value = mantissa * math.exp(log_scale)
@@ -241,7 +241,7 @@ def inverse_stable_density_series(x, t, beta):
         return (sp.gammaln(k * beta) - sp.gammaln(float(k)) + k * lt_b + lxk,
                 (-1.0) ** (k - 1) * math.sin(k * beta * math.pi))
 
-    return sum_series(term, 1, _MAX_TERMS, 1e-11, 1e-9).scaled(1.0 / math.pi)
+    return sum_series(term, _MAX_TERMS, 1e-11, 1e-9).scaled(1.0 / math.pi)
 
 
 def inverse_stable_density(x, t, beta):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from scipy import special as sp
@@ -36,8 +37,6 @@ def test_upper_incomplete_gamma_recurrence():
     # u*g(a+1, u) = a*g(a, u) + exp(-u) for g(a, u) = Gamma(a, u) * u**(-a)
     for a in (-4.3, -2.0, -0.7, 0.4, 3.1):
         for u in (1e-6, 0.3, 1.0, 7.0, 40.0):
-            if a <= 0 and u < 1e-8:
-                continue
             lhs = u * upper_incomplete_gamma_scaled(a + 1.0, u)
             t1 = a * upper_incomplete_gamma_scaled(a, u)
             t2 = math.exp(-u)
@@ -66,6 +65,43 @@ def test_scaled_small_u_limit():
     assert g == pytest.approx(ref, rel=1e-9)
 
 
+# g(a, u) = Gamma(a, u) * u**(-a) from mpmath.gammainc, the working
+# precision doubled from 60 digits until two agree to 1e-25, at u far
+# below 1 (the recurrence carries u * g, so nothing overflows there)
+_SMALL_U_REFERENCE = [
+    (-0.02, 1e-300, 49.999949402632208334),
+    (-0.5, 1e-300, 2.0),
+    (-0.98, 1e-300, 1.0204081632653061409),
+    (-1.0, 1e-300, 1.0),
+    (-2.7, 1e-300, 0.370370370370370346),
+    (-7.0, 1e-300, 0.14285714285714285714),
+    (-45.5, 1e-300, 0.021978021978021978022),
+    (-196.0, 1e-300, 0.0051020408163265306122),
+    (-0.02, 1e-100, 49.494026322093743465),
+    (-0.5, 1e-100, 2.0),
+    (-0.98, 1e-100, 1.0204081632653061409),
+    (-1.0, 1e-100, 1.0),
+    (-2.7, 1e-100, 0.370370370370370346),
+    (-7.0, 1e-100, 0.14285714285714285714),
+    (-45.5, 1e-100, 0.021978021978021978022),
+    (-196.0, 1e-100, 0.0051020408163265306122),
+    (-0.02, 1e-12, 20.884253849138368376),
+    (-0.5, 1e-12, 1.999996455094298189),
+    (-0.98, 1e-12, 1.0204081632276319432),
+    (-1.0, 1e-12, 0.99999999997194619455),
+    (-2.7, 1e-12, 0.37037037036978211071),
+    (-7.0, 1e-12, 0.14285714285697619048),
+    (-45.5, 1e-12, 0.021978021977999506112),
+    (-196.0, 1e-12, 0.0051020408163214024071),
+]
+
+
+def test_upper_incomplete_gamma_at_small_u():
+    for a, u, ref in _SMALL_U_REFERENCE:
+        assert upper_incomplete_gamma_scaled(a, u) == pytest.approx(
+            ref, rel=1e-14, abs=0.0)
+
+
 def test_very_negative_order_stays_finite():
     val = upper_incomplete_gamma_scaled(-9.5, 0.01)
     assert math.isfinite(val) and val > 0
@@ -74,8 +110,12 @@ def test_very_negative_order_stays_finite():
 def test_domain_errors():
     with pytest.raises(GammaDomainError):
         upper_incomplete_gamma_scaled(0.5, -1.0)
+    # 0 < u below the smallest normal double, where 1/u overflows
     with pytest.raises(GammaDomainError):
-        upper_incomplete_gamma_scaled(-0.5, 1e-12)
+        upper_incomplete_gamma_scaled(-0.5, sys.float_info.min / 4.0)
+    # u = 1e-12 is served: mpmath.gammainc at 40 digits
+    assert upper_incomplete_gamma_scaled(-0.5, 1e-12) == pytest.approx(
+        1.999996455094298189, rel=1e-14)
     for a in (0.5, 0.0):
         with pytest.raises(GammaDomainError):
             upper_incomplete_gamma_scaled(a, 0.0)

@@ -260,15 +260,15 @@ def test_argument_validation():
 
 
 def test_sum_series_exponential():
-    # sum_k (-x)**k / k! = exp(-x); the sum stops after the first run of
-    # three terms below 1e-15 of the total
+    # sum_k (-x)**k / k! = exp(-x), term(n) holding k = n - 1; the sum
+    # stops after the first run of three terms below 1e-15 of the total
     x = 2.0
 
     def size(k):
         return x ** k / math.factorial(k)
 
-    res = sum_series(lambda k: (k * math.log(x) - math.lgamma(k + 1.0),
-                                (-1.0) ** k), 0, 100, 1e-13, 1e-8)
+    res = sum_series(lambda n: ((n - 1) * math.log(x) - math.lgamma(n),
+                                (-1.0) ** (n - 1)), 100, 1e-13, 1e-8)
     assert res.converged
     assert res.value == pytest.approx(math.exp(-x), rel=1e-14)
     n = res.terms
@@ -281,12 +281,12 @@ def test_sum_series_exponential():
 def test_sum_series_unconverged_endings():
     # a term whose log scale passes 700 ends the sum unconverged
     res = sum_series(lambda k: (701.0 if k == 3 else -k, 1.0),
-                     1, 100, 1e-13, 1e-8)
+                     100, 1e-13, 1e-8)
     assert not res.converged
     assert res.terms == 3
     assert math.isfinite(res.value)
     # so does running out of terms (the harmonic series)
-    res = sum_series(lambda k: (-math.log(k), 1.0), 1, 50, 1e-13, 1e-8)
+    res = sum_series(lambda k: (-math.log(k), 1.0), 50, 1e-13, 1e-8)
     assert not res.converged
     assert res.terms == 50
 
