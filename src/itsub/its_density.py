@@ -6,8 +6,9 @@ inverse stable case), is evaluated by two independent representations:
 a power series in x, whose coefficients A_j also give the boundary
 value and every x-derivative at 0+, and the inversion of
 Psi(s)/s * exp(-x*Psi(s)) along the branch cut s = -lam - y, where one
-half-line integral gives the density and the CDF. Far in the CDF's tail
-the complement P(D(x) < t) comes from Kanter's positive integral.
+half-line integral gives the density and the CDF. Where both fail, a
+positive integral over the last jump across t, with the density of D(x)
+from Kanter's integral, gives h and the far tail of the CDF.
 """
 
 import cmath
@@ -25,7 +26,6 @@ from .stable_family import (
     _stable_survival,
     converged_value,
     sum_series,
-    tempered_density,
 )
 
 
@@ -56,11 +56,6 @@ class DensityResult:
 # The series runs first where x * lam**beta is at most this.
 _SERIES_MAX_X_LAM_BETA = 2.0
 _SERIES_MAX_TERMS = 400
-
-
-def _accurate(res):
-    """Whether a density result meets the 1e-8 relative bar of eval."""
-    return res.error_estimate <= 1e-8 * max(1.0, abs(res.value))
 
 
 def _branch_cut(m, x, t, params, what):
@@ -153,51 +148,87 @@ def eval_series(p, params):
                          res.terms)
 
 
-def eval(p, params):
-    """Density h(x, t), dispatching between series and integral.
+def _last_jump(density, x, t, params):
+    """(log I, relative error, panels) for I = int_0^t w(t-y) g_x(y) dy,
+    g_x(y) = e**(lam**beta x - lam y) f(y; time x) the density of D(x) by
+    Kanter's integral: h(x, t) with w the Levy tail beta r**-beta
+    g(-beta, lam r) / Gamma(1-beta) (Meerschaert & Scheffler 2008, Stoch.
+    Proc. Appl. 118), or P(D(x) < t) with w = 1. (-inf, 0, panels) below
+    double range."""
+    beta, lam = params.beta, params.lam
+    # Edges at D(x)'s mean + k sd, k = -4, -1, 0, 1, 4, 16, ..., keep a
+    # panel from stepping over its peak, and t (1 - 4**-k) over one at t.
+    ys = [t * (1.0 - 4.0 ** -k) for k in range(1, 13)]
+    if lam > 0:
+        mean = beta * lam ** (beta - 1.0) * x
+        sd = math.sqrt((1.0 - beta) / lam * mean)
+        ks = [-4.0, -1.0, 0.0] + [4.0 ** j for j in range(25)]
+        ys += [mean + k * sd for k in ks]
+    # In s = (t - y)**(1 - beta) the Levy tail's r**-beta at y = t is gone:
+    # w dy = beta g / Gamma(2 - beta) ds.
+    p = 1.0 - beta if density else 1.0
+    edges = sorted({0.0, t ** p} | {(t - y) ** p for y in ys if 0.0 < y < t})
+    nodes = {}  # s -> (log of the integrand, Kanter's error of that log)
 
-    Exact x = 0 gives A_1 / pi, its error the gamma's bound plus the
-    rounding of exp(log A_1); the series handles small x * lam**beta,
-    the integral the rest. Either form is accepted at an
-    error within 1e-8 * max(1, |value|). When neither meets that bar,
-    lam = 0 falls back to the first-passage identity
-    h = t / (beta * x) * f(t; time x), f from Kanter's integral with its
-    own error; lam > 0 returns a series that converged but missed the
-    bar, or raises NonConvergenceError.
+    def log_integrand(s):
+        for si in set(s.tolist()) - nodes.keys():
+            r = si ** (1.0 / p)
+            lf, err = (_stable_log_density(t - r, x, beta) if r < t
+                       else (-math.inf, 0.0))
+            w = (upper_incomplete_gamma_scaled(-beta, lam * r) * beta
+                 / math.gamma(2.0 - beta) if density else 1.0)
+            lf += lam ** beta * x - lam * (t - r)
+            nodes[si] = lf + math.log(w) if w > 0.0 else -math.inf, err
+        return np.array([nodes[si][0] for si in s.tolist()])
+
+    # Divide by the largest integrand of the first pass: a pass over zeros
+    # visits just its nodes, which the real pass then takes from the cache.
+    integrate_interval(lambda s: np.zeros_like(log_integrand(s)), edges)
+    shift = max(lf for lf, _ in nodes.values())
+    if shift + math.log(edges[-1]) < -746.0:  # log of the least subnormal
+        return -math.inf, 0.0, len(edges) - 1
+    res = integrate_interval(lambda s: np.exp(log_integrand(s) - shift),
+                             edges)
+    log_i = shift + math.log(converged_value(
+        res, f"last-jump integral at x={x}, t={t}, beta={beta}, lam={lam}"))
+    # Kanter's error where the integrand counts, the gamma's bound and the
+    # rounding of exp(log I)
+    rel = (res.error_estimate / res.value + GAMMA_REL_ERROR
+           + math.expm1(max(e for lf, e in nodes.values() if lf > shift - 40))
+           + 2.2e-16 * (abs(log_i) + 4.0))
+    return log_i, rel, res.subdivisions_used
+
+
+def eval(p, params):
+    """Density h(x, t): A_1 / pi at x = 0, with the gamma's bound plus the
+    rounding of exp(log A_1) as its error; else the series (small
+    x * lam**beta) or the integral, whichever first has an error within
+    1e-8 * max(1, |value|). Where neither has, the last-jump integral
+    (method positive), 0 with error 0 below double range, or
+    NonConvergenceError when it misses the bar too.
     """
     if p.x == 0:
         la, _ = _coefficients(p.t, params)(1)
         value = math.exp(la) / math.pi
         rel = GAMMA_REL_ERROR + 2.2e-16 * (abs(la) + 4.0) if value else 0.0
         return DensityResult(value, value * rel, "boundary", 0)
-    beta, lam = params.beta, params.lam
-    series = None
-    if p.x * lam ** beta <= _SERIES_MAX_X_LAM_BETA:
+    forms = [eval_integral]
+    if p.x * params.lam ** params.beta <= _SERIES_MAX_X_LAM_BETA:
+        forms.insert(0, eval_series)
+    for form in forms:
         try:
-            series = eval_series(p, params)
+            res = form(p, params)
         except NonConvergenceError:
-            pass
-        else:
-            if _accurate(series):
-                return series
-    try:
-        integral = eval_integral(p, params)
-        if _accurate(integral):
-            return integral
+            continue
+        if res.error_estimate <= 1e-8 * max(1.0, abs(res.value)):
+            return res
+    log_h, rel, panels = _last_jump(True, p.x, p.t, params)
+    value = math.exp(log_h)
+    if value * rel > 1e-8 * max(1.0, value):
         raise NonConvergenceError(
-            f"density integral at x={p.x}, t={p.t}, beta={beta}, lam={lam} "
-            f"gave {integral.value:.3g} with error "
-            f"{integral.error_estimate:.3g}, above 1e-8 * max(1, |value|)")
-    except NonConvergenceError:
-        if lam == 0:
-            log_f, err = _stable_log_density(p.t, p.x, beta)
-            value = p.t / (beta * p.x) * math.exp(log_f)
-            # below double range the value is 0, and so is its error
-            err = value * math.expm1(err) if value > 0.0 else 0.0
-            return DensityResult(value, err, "first_passage", 0)
-        if series is None:
-            raise
-        return series
+            f"density at x={p.x}, t={p.t}, beta={params.beta}, lam="
+            f"{params.lam}: last-jump error {value * rel:.3g} above the bar")
+    return DensityResult(value, value * rel, "positive", panels)
 
 
 def boundary_value(t, params):
@@ -224,13 +255,12 @@ def derivative_at_zero(k, t, params):
 
 
 def cdf(x, t, params):
-    """P(E(t) <= x).
-
-    At lam = 0 this is P(D(x) > t), the stable survival function by
-    Kanter's integral; at lam > 0 the branch-cut integral with m = 0 or,
-    where lam**beta * x > 20 and its exp(lam**beta * x) prefactor meets a
-    cancelling integral, 1 - P(D(x) < t). NonConvergenceError when the
-    error exceeds 1e-8; the clamp to [0, 1] trims an overshoot within it.
+    """P(E(t) <= x): at lam = 0 P(D(x) > t), the stable survival function
+    by Kanter's integral; at lam > 0 the branch-cut integral with m = 0,
+    or 1 - P(D(x) < t) by the last-jump integral where lam**beta * x > 20
+    and its exp(lam**beta * x) meets a cancelling integral.
+    NonConvergenceError at an error above 1e-8 or a value outside
+    [-err, 1 + err]; the clamp to [0, 1] trims only an overshoot within it.
     """
     if t <= 0:
         raise ParameterError(f"require t > 0, got {t}")
@@ -240,25 +270,13 @@ def cdf(x, t, params):
     if lam == 0:
         value, err = _stable_survival(t, x, beta)
     elif lam ** beta * x > 20.0:
-        # 1 - P(D(x) < t), the density of D(x) integrated over (0, t).
-        # Panel edges at its mean + k sd, k = -4, -1, 0, 1, 4, 16, ...,
-        # keep any panel from stepping over the peak or the right tail.
-        mean = beta * lam ** (beta - 1.0) * x
-        sd = math.sqrt((1.0 - beta) / lam * mean)
-        ks = [-4.0, -1.0, 0.0]
-        while mean + ks[-1] * sd < t:
-            ks.append(max(1.0, 4.0 * ks[-1]))
-        edges = [mean + k * sd for k in ks if 0.0 < mean + k * sd < t]
-        res = integrate_interval(
-            lambda ys: np.array([tempered_density(y, x, params) for y in ys]),
-            [0.0] + edges + [t])
-        value = 1.0 - converged_value(
-            res, f"cdf tail at x={x}, t={t}, beta={beta}, lam={lam}")
-        err = res.error_estimate
+        log_i, rel, _ = _last_jump(False, x, t, params)
+        tail = math.exp(log_i)
+        value, err = 1.0 - tail, tail * rel
     else:
         value, err, _ = _branch_cut(0, x, t, params, "cdf integral")
-    if err > 1e-8:
+    if err > 1e-8 or not -err <= value <= 1.0 + err:
         raise NonConvergenceError(
-            f"cdf at x={x}, t={t}, beta={beta}, lam={lam} gave "
-            f"{value:.3g} with error {err:.3g}, above 1e-8")
+            f"cdf at x={x}, t={t}, beta={beta}, lam={lam} gave {value:.3g} "
+            f"with error {err:.3g}: above 1e-8 or outside [-err, 1 + err]")
     return min(max(value, 0.0), 1.0)

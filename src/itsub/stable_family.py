@@ -4,10 +4,10 @@ tempered version, and the inverse stable subordinator.
 The stable density f(x, t) (Laplace transform exp(-t s**beta)) and its
 survival function come from Kanter's integral, whose integrand is
 positive on (0, pi) (Kanter 1975, Ann. Probab. 3; Nolan 1997, Stoch.
-Models 13); the inverse stable density has a power series in x with a
-fallback to f through the first-passage identity. All densities vanish
-for x <= 0 by convention. Every series in the package is summed by
-sum_series.
+Models 13); the inverse stable density, the tests' lam = 0 reference,
+has a power series in x with a fallback to f through the first-passage
+identity. All densities vanish for x <= 0 by convention. Every series
+in the package is summed by sum_series.
 """
 
 import math
@@ -191,12 +191,14 @@ def _stable_log_density(x, t, beta):
     if not (res.converged and res.value > 0.0):
         raise NonConvergenceError(
             f"stable density at x={x}, t={t}, beta={beta} did not converge")
-    # (kappa/pi) s**(-kappa-1) / z = kappa / (pi s). Rounding enters
-    # mostly through e**q, whose exponent is off by eps (|q| + |log s|).
+    # (kappa/pi) s**(-kappa-1) / z = kappa / (pi s). Rounding enters via
+    # log s, off by eps (|log x| + |log t| / beta) and scaled by kappa e**q
+    # in e**q, and via e**q, off by eps |q|.
     log_f = (math.log(beta / (1.0 - beta) / math.pi) - log_s - ez + shift
              + math.log(res.value) - math.log(t) / beta)
-    rounding = 2.2e-16 * (8.0 * (1.0 + ez) * (1.0 + abs(q) + abs(log_s))
-                          + abs(log_f))
+    lx = abs(math.log(x)) + abs(math.log(t)) / beta
+    rounding = 2.2e-16 * ((1.0 + ez * beta / (1.0 - beta)) * lx
+                          + ez * (1.0 + abs(q)) + abs(log_f))
     return log_f, res.error_estimate / res.value + rounding
 
 

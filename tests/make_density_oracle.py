@@ -1,0 +1,147 @@
+"""Write density_oracle.json, the frozen mpmath values of h(x, t) that
+tests/test_its_density.py checks eval_density against. Tier-1 runs no
+mpmath; regenerate only when the point list changes:
+
+    PYTHONPATH=src python3 tests/make_density_oracle.py
+
+Each value is mpmath's quadrature of the branch-cut integral
+
+    h = e**(lam**beta x - lam t) / pi * int_0^inf e**(-t y - x y**beta c)
+        * (lam**beta sin(x y**beta s) + y**beta sin(beta pi - x y**beta s))
+        / (y + lam) dy,   c, s = cos(beta pi), sin(beta pi),
+
+a different representation from the one eval uses there. The prefactor
+and the peak of the integrand meet an integral that cancels down to h,
+so the working precision starts at 30 digits plus those two exponents and
+grows by half until two successive values agree to 1e-15.
+
+Where h lies far below double range that cancellation eats thousands of
+digits. There the value is 0, and the table records the upper bound it
+rests on: with e**(-lam y) <= 1, nu(r) <= r**-beta / Gamma(1-beta) and a
+stable density f(y; x) that rises up to its mode,
+    h(x, t) <= e**(lam**beta x) f(t; x) t**(1-beta) / Gamma(2-beta)
+for t left of the mode, f(t; x) from Kanter's integral in mpmath.
+"""
+
+import json
+import math
+import os
+import sys
+
+import mpmath as mp
+
+from itsub.moments import MomentQuery, moment_exact
+from itsub.stable_family import TemperedStableParams
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+TABLE = os.path.join(HERE, "density_oracle.json")
+
+# (beta, lam, t, x); bulk points take x as a multiple of E[E(t)].
+_BULK = [(0.5, 1.0, 50.0), (0.3, 50.0, 1.0),
+         (0.5, 1.0, 1000.0), (0.9, 50.0, 20.0)]
+POINTS = [(b, lam, t, k * moment_exact(
+              MomentQuery(1.0, t, TemperedStableParams(b, lam))))
+          for b, lam, t in _BULK for k in (0.3, 1.0, 3.0)] + [
+    (0.5, 2.0, 1.0, 15.0),
+    (0.5, 2.0, 1.0, 25.0),
+    (0.5, 2.0, 1.0, 40.0),
+    (0.7, 1e-6, 0.1, 1.5),
+    (0.7, 0.0, 1.0, 11.005),
+    (0.3, 1.0, 1.0, 0.8),
+    (0.95, 1.0, 1e-3, 0.5),
+    (0.98, 0.0, 1.0, 3.025082749821511),
+    # bench param_sweep, seed 1 (point 1) and --tiny --seed 4 (point 2)
+    (0.7702782177955614, 5.073009515875978, 0.3098164936381682,
+     1.9617695407947262),
+    (0.7857462234246226, 4.016080542231531, 6.374265657715361,
+     43.01673227956874),
+]
+
+
+def branch_cut(beta, lam, t, x, dps):
+    with mp.workdps(dps):
+        beta, lam, t, x = (mp.mpf(v) for v in (beta, lam, t, x))
+        c, s = mp.cos(beta * mp.pi), mp.sin(beta * mp.pi)
+        lb = lam ** beta
+
+        def f(y):
+            yb = y ** beta
+            ph = x * yb * s
+            return (mp.exp(-t * y - x * yb * c) / (y + lam)
+                    * (lb * mp.sin(ph) + yb * mp.sin(beta * mp.pi - ph)))
+
+        nodes = [0, 1 / t, 10 / t, 40 / t, 200 / t]
+        if c < 0:  # the integrand grows up to y* before e**(-t y) wins
+            ystar = (beta * x * -c / t) ** (1 / (1 - beta))
+            nodes += [ystar * k for k in (0.25, 0.5, 1, 2, 4)]
+        nodes = sorted(set(nodes)) + [mp.inf]
+        return mp.exp(lb * x - lam * t) / mp.pi * mp.quad(f, nodes)
+
+
+def log_peak(beta, lam, t, x):
+    """Log of the largest |integrand| times the prefactor, roughly."""
+    c = math.cos(beta * math.pi)
+    peak = 0.0
+    if c < 0:
+        ystar = (beta * x * -c / t) ** (1 / (1 - beta))
+        peak = x * -c * ystar ** beta - t * ystar
+    return max(lam ** beta * x - lam * t, 0.0) + max(peak, 0.0)
+
+
+def log_stable(y, x, beta, dps=40):
+    """log f(y; x), Laplace transform exp(-x s**beta), by Kanter's
+    integral with exp(-a(0) z) factored out."""
+    with mp.workdps(dps):
+        y, x, beta = mp.mpf(y), mp.mpf(x), mp.mpf(beta)
+        kap = beta / (1 - beta)
+        s = y * x ** (-1 / beta)
+        z = s ** -kap
+
+        def a(u):
+            return (mp.sin(beta * u) ** kap * mp.sin((1 - beta) * u)
+                    / mp.sin(u) ** (1 / (1 - beta)))
+
+        a0 = beta ** kap * (1 - beta)
+        integral = mp.quad(lambda u: a(u) * mp.exp(-(a(u) - a0) * z),
+                           mp.linspace(0, mp.pi, 40))
+        return (mp.log(kap / mp.pi) - (kap + 1) * mp.log(s) - a0 * z
+                + mp.log(integral) - mp.log(x) / beta)
+
+
+def log_bound(beta, lam, t, x):
+    """log of the upper bound on h, or None when t is not left of the
+    mode of f(.; x)."""
+    if log_stable(t * 1.001, x, beta) <= log_stable(t, x, beta):
+        return None
+    return float(lam ** beta * x + log_stable(t, x, beta)
+                 + (1 - beta) * math.log(t) - math.lgamma(2 - beta))
+
+
+def oracle(beta, lam, t, x):
+    bound = log_bound(beta, lam, t, x)
+    if bound is not None and bound < -800.0:
+        return 0.0, f"0: h <= exp({bound:.6g})"
+    dps = 30 + int(log_peak(beta, lam, t, x) / math.log(10.0))
+    prev = branch_cut(beta, lam, t, x, dps)
+    while True:
+        dps = int(dps * 1.5)
+        value = branch_cut(beta, lam, t, x, dps)
+        if abs(value - prev) <= 1e-15 * abs(value):
+            return float(value), f"branch cut, {dps} digits"
+        prev = value
+
+
+def main():
+    rows = []
+    for beta, lam, t, x in POINTS:
+        h, how = oracle(beta, lam, t, x)
+        print(beta, lam, t, x, h, how, file=sys.stderr)
+        rows.append({"beta": beta, "lam": lam, "t": t, "x": x, "h": h,
+                     "how": how})
+    with open(TABLE, "w") as out:
+        json.dump(rows, out, indent=1)
+        out.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from itsub import its_density
 from itsub.cli import build_parser, main, parse_grid
+from itsub.stable_family import NonConvergenceError
 
 
 def _run(capsys, *argv):
@@ -206,7 +208,12 @@ def test_out_file_is_written_only_for_valid_input(tmp_path, capsys):
     assert [float(r["x"]) for r in _rows(text)] == [0.5, 1.0]
 
 
-def test_density_unconverged_point_fails(capsys):
+def test_density_unconverged_point_fails(capsys, monkeypatch):
+    # every form fails: the fallback raises as well
+    def refuse(*args):
+        raise NonConvergenceError("last-jump integral did not converge")
+
+    monkeypatch.setattr(its_density, "_last_jump", refuse)
     code, out, _ = _run(capsys, "density", "--beta", "0.95", "--lambda", "1",
                         "--t", "0.001", "--x", "0.5")
     assert code == 3

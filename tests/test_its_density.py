@@ -1,4 +1,6 @@
+import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -16,11 +18,11 @@ from itsub.its_density import (
     eval_series,
 )
 from itsub import its_density
+from itsub.moments import MomentQuery, moment_exact
 from itsub.stable_family import (
     NonConvergenceError,
     ParameterError,
     TemperedStableParams,
-    inverse_stable_density,
 )
 
 # (beta, lam, x, t) -> h from high-precision numerical Laplace inversion
@@ -158,22 +160,22 @@ def test_untempered_reference_values():
         assert abs(res.value - ref) <= res.error_estimate
 
 
-def test_untempered_falls_back_to_the_first_passage_identity():
+def test_untempered_far_tail_falls_back_to_the_last_jump_integral():
     # neither form meets the bar this far in the tail at lam = 0; the
     # reference is Kanter's integral in mpmath at 40 digits
     ref = 2.5413860829403332e-168
     res = eval_density(EvalPoint(11.005, 1.0), TemperedStableParams(0.7, 0.0))
-    assert res.method == "first_passage"
-    assert res.value == inverse_stable_density(11.005, 1.0, 0.7)
+    assert res.method == "positive"
     assert abs(res.value - ref) <= res.error_estimate <= 1e-8 * res.value
 
 
 def test_untempered_fallback_below_double_range():
-    # h(3.03, 1) at beta = 0.98 is about exp(-1e10): 0 with error 0, not
+    # h(3.03, 1) at beta = 0.98 is below exp(-8e21): 0 with error 0, not
     # an overflow from the error of its log
     res = eval_density(EvalPoint(3.025082749821511, 1.0),
                        TemperedStableParams(0.98, 0.0))
-    assert res == DensityResult(0.0, 0.0, "first_passage", 0)
+    assert (res.value, res.error_estimate, res.method) == (0.0, 0.0,
+                                                           "positive")
 
 
 def test_derivative_at_zero_untempered_closed_form():
@@ -446,6 +448,14 @@ def test_cdf_refuses_an_unconverged_integral():
         cdf(4.0, 1.0, TemperedStableParams(0.8, 5.0))
 
 
+def test_cdf_refuses_a_value_outside_its_error(monkeypatch):
+    # a probability of -0.5 with an error of 1e-9 is garbage, not 0
+    monkeypatch.setattr(its_density, "_branch_cut",
+                        lambda *args: (-0.5, 1e-9, 1))
+    with pytest.raises(NonConvergenceError):
+        cdf(1.0, 1.0, TemperedStableParams(0.5, 1.0))
+
+
 def test_cdf_reference_values():
     params = TemperedStableParams(0.5, 1.0)
     for x, ref in _CDF_REFERENCE:
@@ -512,16 +522,11 @@ def test_series_integral_agree_across_parameters():
 
 
 def test_large_x_never_overflows():
-    # deep in the tail the evaluator must either produce a finite
-    # non-negative value or refuse honestly -- never overflow or return nan
-    from itsub.stable_family import NonConvergenceError
-
+    # deep in the tail the evaluator produces a finite non-negative value
+    # within the bar -- never an overflow, a nan or a refusal
     params = TemperedStableParams(0.5, 2.0)
     for x in (8.0, 15.0, 25.0, 40.0):
-        try:
-            res = eval_density(EvalPoint(x, 1.0), params)
-        except NonConvergenceError:
-            continue
+        res = eval_density(EvalPoint(x, 1.0), params)
         assert math.isfinite(res.value)
         assert res.value >= 0
         assert res.error_estimate <= 1e-8 * max(1.0, abs(res.value))
@@ -543,11 +548,12 @@ def test_series_computes_only_the_coefficients_it_uses(monkeypatch):
     assert len(calls) == res.terms_or_panels - 4
 
 
-def test_unconverged_forms_raise(monkeypatch):
-    # neither form converges at beta = 0.95, t = 1e-3: a typed error, not
-    # the series' 1e303. The integrand overflows there: the quadrature
-    # stops at its first non-finite panel, and the error is the only
-    # report, with no numpy warning.
+def test_unconverged_forms_fall_back_below_double_range(monkeypatch):
+    # neither form converges at beta = 0.95, t = 1e-3, where log h is
+    # about -1.8e49: the last-jump integral gives 0 with error 0, not the
+    # series' 1e303. The branch-cut integrand overflows there: the
+    # quadrature stops at its first non-finite panel, with no numpy
+    # warning.
     panels = []
     integrate = its_density.integrate_semi_infinite
 
@@ -559,8 +565,10 @@ def test_unconverged_forms_raise(monkeypatch):
     monkeypatch.setattr(its_density, "integrate_semi_infinite", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonConvergenceError):
-            eval_density(EvalPoint(0.5, 1e-3), TemperedStableParams(0.95, 1.0))
+        res = eval_density(EvalPoint(0.5, 1e-3),
+                           TemperedStableParams(0.95, 1.0))
+    assert (res.value, res.error_estimate, res.method) == (0.0, 0.0,
+                                                           "positive")
     assert panels and max(panels) < 100
 
 
@@ -574,3 +582,46 @@ def test_large_lam_t_series_hands_over_to_integral():
     res = eval_density(p, params)
     assert res.method == "integral"
     assert res.value == eval_integral(p, params).value == 0.0
+
+
+# (beta, lam, t, x) -> h from mpmath, written by make_density_oracle.py
+with open(os.path.join(os.path.dirname(__file__),
+                       "density_oracle.json")) as _f:
+    _ORACLE = json.load(_f)
+
+
+@pytest.mark.parametrize("row", _ORACLE,
+                         ids=lambda r: "{beta}-{lam}-{t}-{x:.6g}".format(**r))
+def test_density_matches_the_frozen_oracle(row):
+    # eval's bar is 1e-8 * max(1, |h|); the last-jump integral meets it
+    # relative to h, with an error that bounds the distance to h. The
+    # series' estimate leaves out the rounding of its terms, so only the
+    # bar holds for it.
+    ref = row["h"]
+    res = eval_density(EvalPoint(row["x"], row["t"]),
+                       TemperedStableParams(row["beta"], row["lam"]))
+    assert abs(res.value - ref) <= 1e-8 * max(1.0, abs(ref))
+    if res.method != "series":
+        assert abs(res.value - ref) <= res.error_estimate
+    if res.method == "positive":
+        assert res.error_estimate <= 1e-8 * abs(ref)
+
+
+def test_sweep_returns_a_value_or_a_typed_error():
+    # a fast corner of beta x lam x t x (x / E[E(t)]): each point is a
+    # finite value within the bar, 0 with error 0, or a typed error, with
+    # no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in (0.1, 0.7, 0.98):
+            for lam in (0.0, 1e-3, 50.0):
+                for t in (1e-3, 1e3):
+                    params = TemperedStableParams(beta, lam)
+                    mean = moment_exact(MomentQuery(1.0, t, params))
+                    for k in (0.3, 1.0, 3.0):
+                        try:
+                            res = eval_density(EvalPoint(k * mean, t), params)
+                        except NonConvergenceError:
+                            continue
+                        assert math.isfinite(res.value) and res.value >= 0.0
+                        assert res.error_estimate <= 1e-8 * max(1.0, res.value)
