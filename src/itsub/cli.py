@@ -65,28 +65,17 @@ def parse_grid(text, name="grid"):
     return [start + i * step for i in range(count)]
 
 
-class _Writer:
-    """Ordered CSV/JSON row writer with a mandatory header."""
-
-    def __init__(self, fields, fmt, out):
-        self.fields = fields
-        self.fmt = fmt
-        self.out = out
-        self.rows = []
-        if fmt == "csv":
-            out.write(",".join(fields) + "\n")
-
-    def row(self, values):
-        if self.fmt == "csv":
-            cells = [v if isinstance(v, str) else _fmt(v) for v in values]
-            self.out.write(",".join(cells) + "\n")
-        else:
-            self.rows.append(dict(zip(self.fields, values)))
-
-    def close(self):
-        if self.fmt == "json":
-            json.dump(self.rows, self.out, indent=1)
-            self.out.write("\n")
+def _write(out, fmt, fields, rows):
+    """Write rows under the header fields: CSV lines through _fmt, one
+    row at a time, or one JSON list of objects."""
+    if fmt == "json":
+        json.dump([dict(zip(fields, r)) for r in rows], out, indent=1)
+        out.write("\n")
+        return
+    out.write(",".join(fields) + "\n")
+    for r in rows:
+        out.write(",".join(v if isinstance(v, str) else _fmt(v) for v in r)
+                  + "\n")
 
 
 def cmd_density(args, out):
@@ -95,43 +84,39 @@ def cmd_density(args, out):
     t = args.t
     if t <= 0:
         raise ParameterError(f"--t must be positive, got {t}")
-    writer = _Writer(["x", "h", "err", "method"], args.format, out)
-    failed = 0
+    rows = []
     for x in xs:
         try:
             res = its_density.eval(its_density.EvalPoint(x, t), params)
             val, err, method = res.value, res.error_estimate, res.method
             if val < 0 and abs(val) <= err:
                 val = 0.0
-            writer.row([x, val, err, method])
+            rows.append([x, val, err, method])
         except (NonConvergenceError, ParameterError):
-            failed += 1
-            writer.row([x, math.nan, math.inf, "failed"])
-    writer.close()
-    return _EXIT_NUMERIC if failed else _EXIT_OK
+            rows.append([x, math.nan, math.inf, "failed"])
+    _write(out, args.format, ["x", "h", "err", "method"], rows)
+    return _EXIT_NUMERIC if any(r[3] == "failed" for r in rows) else _EXIT_OK
 
 
 def cmd_moments(args, out):
     params = TemperedStableParams(args.beta, args.lam)
     ts = np.logspace(-3, 3, 61) if args.t is None else parse_grid(args.t, "--t")
     queries = [moments.MomentQuery(args.q, t, params) for t in ts]
-    writer = _Writer(
-        ["t", "exact", "small_t_asym", "large_t_asym",
-         "ratio_small", "ratio_large"], args.format, out)
-    status = _EXIT_OK
+    rows, status = [], _EXIT_OK
     for query in queries:
         try:
             exact = moments.moment_exact(query)
         except InversionError:
-            writer.row([query.t] + [math.nan] * 5)
+            rows.append([query.t] + [math.nan] * 5)
             status = _EXIT_NUMERIC
             continue
         small = moments.moment_asymptotic(query, "small_t")
         # At lam = 0 the large-t form does not exist.
         large = (moments.moment_asymptotic(query, "large_t")
                  if params.lam > 0 else math.nan)
-        writer.row([query.t, exact, small, large, exact / small, exact / large])
-    writer.close()
+        rows.append([query.t, exact, small, large, exact / small, exact / large])
+    _write(out, args.format, ["t", "exact", "small_t_asym", "large_t_asym",
+                              "ratio_small", "ratio_large"], rows)
     return status
 
 
@@ -141,10 +126,8 @@ def cmd_simulate(args, out):
     config = SimConfig(n_paths=args.paths, time_step=args.step,
                        horizon=args.horizon, seed=args.seed)
     samples = first_passage_samples(config, params, t)
-    writer = _Writer(["path_id", "t", "E_lambda"], args.format, out)
-    for i, v in enumerate(samples):
-        writer.row([i, t, v])
-    writer.close()
+    _write(out, args.format, ["path_id", "t", "E_lambda"],
+           ([i, t, v] for i, v in enumerate(samples)))
     mean, se = empirical_moment(samples, 1.0)
     var = float(np.var(samples, ddof=1))
     xs = np.quantile(samples, np.linspace(0.01, 0.99, 99))
@@ -163,11 +146,9 @@ def cmd_pde_check(args, out):
     hx = 1e-3 if args.m == 2 else 1e-2
     case = pde_check.PdeCase(args.m, params.lam, xs, ts_pts, hx=hx, ht=hx)
     res = pde_check.pde_residual(case, beta=params.beta)
-    writer = _Writer(["x", "t", "rel_residual"], args.format, out)
-    for i, x in enumerate(xs):
-        for k, t in enumerate(ts_pts):
-            writer.row([x, t, res[i, k]])
-    writer.close()
+    _write(out, args.format, ["x", "t", "rel_residual"],
+           ([x, t, res[i, k]] for i, x in enumerate(xs)
+            for k, t in enumerate(ts_pts)))
     tol = args.tol if args.tol is not None else (1e-3 if args.m == 2 else 5e-3)
     return _EXIT_OK if float(np.max(res)) < tol else _EXIT_NUMERIC
 

@@ -6,9 +6,9 @@ inverse stable case), is evaluated by two independent representations:
 a power series in x, whose coefficients A_j also give the boundary
 value and every x-derivative at 0+, and the inversion of
 Psi(s)/s * exp(-x*Psi(s)) along the branch cut s = -lam - y, where one
-half-line integral gives the density and the CDF. Where both fail, a
+half-line integral gives the density and the CDF. Where they fail, a
 positive integral over the last jump across t, with the density of D(x)
-from Kanter's integral, gives h and the far tail of the CDF.
+from Kanter's integral, gives h and the CDF.
 """
 
 import cmath
@@ -81,29 +81,22 @@ def _branch_cut(m, x, t, params, what):
     return value / math.pi, res.error_estimate / math.pi, res.subdivisions_used
 
 
-def _coefficients(t, params):
-    """j -> (log|A_j|, sign), j >= 1, for A_j = Gamma(1+beta*j)
+def _coefficient(j, t, params):
+    """(log|A_j|, sign), j >= 1, for A_j = Gamma(1+beta*j)
     * lam**(beta*j) * Gamma(-beta*j, lam*t) * sin(j*beta*pi), with
     lam**(beta*j) * Gamma(-beta*j, u) = t**(-beta*j) * g(-beta*j, u) from
     the scaled gamma g. The sine, taken at j*beta less its nearest
     integer, is exactly 0 at integer j*beta, and then no g is computed; an
     A_j that underflows at large lam * t is (-inf, its sign)."""
-    if t <= 0:
-        raise ParameterError(f"require t > 0, got {t}")
-    beta, u, lt = params.beta, params.lam * t, math.log(t)
-
-    def coefficient(j):
-        jb = j * beta
-        n = round(jb)
-        sn = (-1.0) ** n * math.sin(math.pi * (jb - n))
-        if sn == 0.0:
-            return -math.inf, 0.0
-        g = upper_incomplete_gamma_scaled(-jb, u)
-        la = math.lgamma(1.0 + jb) - jb * lt + math.log(abs(sn))
-        la = la + math.log(g) if g > 0.0 else -math.inf
-        return la, math.copysign(1.0, sn)
-
-    return coefficient
+    jb = j * params.beta
+    n = round(jb)
+    sn = (-1.0) ** n * math.sin(math.pi * (jb - n))
+    if sn == 0.0:
+        return -math.inf, 0.0
+    g = upper_incomplete_gamma_scaled(-jb, params.lam * t)
+    la = math.lgamma(1.0 + jb) - jb * math.log(t) + math.log(abs(sn))
+    la = la + math.log(g) if g > 0.0 else -math.inf
+    return la, math.copysign(1.0, sn)
 
 
 def eval_integral(p, params):
@@ -129,11 +122,10 @@ def eval_series(p, params):
     x, t = p.x, p.t
     lb = lam ** beta
     lx = math.log(x) if x > 0 else -math.inf
-    coefficient = _coefficients(t, params)
 
     def term(j):
         """(log|term_j|, sign); one coefficient A_j per term."""
-        la, sign = coefficient(j)
+        la, sign = _coefficient(j, t, params)
         if la == -math.inf and sign:
             return math.inf, 0.0  # A_j underflowed: end the sum unconverged
         lw = (j - 1) * lx - math.lgamma(j) if j > 1 else 0.0  # x**(j-1)/(j-1)!
@@ -156,13 +148,13 @@ def _last_jump(density, x, t, params):
     Proc. Appl. 118), or P(D(x) < t) with w = 1. (-inf, 0, panels) below
     double range."""
     beta, lam = params.beta, params.lam
-    # Edges at D(x)'s mean + k sd, k = -4, -1, 0, 1, 4, 16, ..., keep a
+    # Edges at D(x)'s mean + k sd, k = 0, +-1, +-4, +-16, ..., keep a
     # panel from stepping over its peak, and t (1 - 4**-k) over one at t.
     ys = [t * (1.0 - 4.0 ** -k) for k in range(1, 13)]
     if lam > 0:
         mean = beta * lam ** (beta - 1.0) * x
         sd = math.sqrt((1.0 - beta) / lam * mean)
-        ks = [-4.0, -1.0, 0.0] + [4.0 ** j for j in range(25)]
+        ks = [0.0] + [s * 4.0 ** j for j in range(25) for s in (-1.0, 1.0)]
         ys += [mean + k * sd for k in ks]
     # In s = (t - y)**(1 - beta) the Levy tail's r**-beta at y = t is gone:
     # w dy = beta g / Gamma(2 - beta) ds.
@@ -208,7 +200,7 @@ def eval(p, params):
     NonConvergenceError when it misses the bar too.
     """
     if p.x == 0:
-        la, _ = _coefficients(p.t, params)(1)
+        la, _ = _coefficient(1, p.t, params)
         value = math.exp(la) / math.pi
         rel = GAMMA_REL_ERROR + 2.2e-16 * (abs(la) + 4.0) if value else 0.0
         return DensityResult(value, value * rel, "boundary", 0)
@@ -246,35 +238,41 @@ def derivative_at_zero(k, t, params):
     """
     if k < 0 or k != int(k):
         raise ParameterError(f"require integer k >= 0, got {k}")
+    if t <= 0:
+        raise ParameterError(f"require t > 0, got {t}")
     k = int(k)
     lb = params.lam ** params.beta
-    coefficient = _coefficients(t, params)
-    terms = ((m, *coefficient(m)) for m in range(1, k + 2))
+    terms = ((m, *_coefficient(m, t, params)) for m in range(1, k + 2))
     return sum((-1.0) ** (m - 1) * math.comb(k + 1, m) * lb ** (k + 1 - m)
                * sign * math.exp(la) for m, la, sign in terms) / math.pi
 
 
 def cdf(x, t, params):
     """P(E(t) <= x): at lam = 0 P(D(x) > t), the stable survival function
-    by Kanter's integral; at lam > 0 the branch-cut integral with m = 0,
-    or 1 - P(D(x) < t) by the last-jump integral where lam**beta * x > 20
-    and its exp(lam**beta * x) meets a cancelling integral.
-    NonConvergenceError at an error above 1e-8 or a value outside
-    [-err, 1 + err]; the clamp to [0, 1] trims only an overshoot within it.
+    by Kanter's integral; at lam > 0 the branch-cut integral with m = 0
+    where its exponent lam**beta * x - lam * t is at most 20, and
+    1 - P(D(x) < t) by the last-jump integral where it is larger or the
+    branch cut raises or misses 1e-8. NonConvergenceError at an error
+    above 1e-8 or a value outside [-err, 1 + err]; the clamp to [0, 1]
+    trims only an overshoot within it.
     """
     if t <= 0:
         raise ParameterError(f"require t > 0, got {t}")
     if x <= 0:
         return 0.0
     beta, lam = params.beta, params.lam
+    value, err = math.nan, math.inf
     if lam == 0:
         value, err = _stable_survival(t, x, beta)
-    elif lam ** beta * x > 20.0:
+    elif lam ** beta * x - lam * t <= 20.0:
+        try:
+            value, err, _ = _branch_cut(0, x, t, params, "cdf integral")
+        except NonConvergenceError:
+            pass
+    if lam > 0 and err > 1e-8:
         log_i, rel, _ = _last_jump(False, x, t, params)
         tail = math.exp(log_i)
         value, err = 1.0 - tail, tail * rel
-    else:
-        value, err, _ = _branch_cut(0, x, t, params, "cdf integral")
     if err > 1e-8 or not -err <= value <= 1.0 + err:
         raise NonConvergenceError(
             f"cdf at x={x}, t={t}, beta={beta}, lam={lam} gave {value:.3g} "

@@ -9,7 +9,7 @@ vanishing t -> 0 limit of the lam = 0 density at fixed x > 0.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,8 +113,7 @@ def residual_decay_ratio(case, beta=None):
     near 1 (or below) when the grid is too coarse to resolve anything or
     the PDE does not hold."""
     coarse = float(np.max(pde_residual(case, beta)))
-    fine_case = PdeCase(case.m, case.lam, case.x_points, case.t_points,
-                        case.hx / 2, case.ht / 2)
+    fine_case = replace(case, hx=case.hx / 2, ht=case.ht / 2)
     fine = float(np.max(pde_residual(fine_case, beta)))
     return coarse / max(fine, 1e-300)
 

@@ -64,10 +64,6 @@ class SeriesEval(NamedTuple):
     terms: int
     converged: bool
 
-    def scaled(self, c):
-        return self._replace(value=self.value * c,
-                             error_estimate=self.error_estimate * c)
-
 
 _MAX_TERMS = 500
 
@@ -243,7 +239,8 @@ def inverse_stable_density_series(x, t, beta):
         return (sp.gammaln(k * beta) - sp.gammaln(float(k)) + k * lt_b + lxk,
                 (-1.0) ** (k - 1) * math.sin(k * beta * math.pi))
 
-    return sum_series(term, _MAX_TERMS, 1e-11, 1e-9).scaled(1.0 / math.pi)
+    r, c = sum_series(term, _MAX_TERMS, 1e-11, 1e-9), 1.0 / math.pi
+    return r._replace(value=r.value * c, error_estimate=r.error_estimate * c)
 
 
 def inverse_stable_density(x, t, beta):

@@ -441,11 +441,28 @@ def test_boundary_error_holds_against_the_reference():
         assert res.error_estimate <= 1e-12 * abs(res.value)
 
 
-def test_cdf_refuses_an_unconverged_integral():
+def test_cdf_falls_back_where_the_branch_cut_misses():
     # the direct integral cancels to -1.61 with an error estimate of 64
-    # here; clamping that to 0 would report garbage as a probability
-    with pytest.raises(NonConvergenceError):
-        cdf(4.0, 1.0, TemperedStableParams(0.8, 5.0))
+    # here; clamping that to 0 would report garbage as a probability.
+    # The last-jump tail gives P(D(4) < 1) = 2.5e-34 with error 2.5e-43.
+    params = TemperedStableParams(0.8, 5.0)
+    _, err, _ = its_density._branch_cut(0, 4.0, 1.0, params, "cdf")
+    assert err > 1e-8
+    assert cdf(4.0, 1.0, params) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_last_jump_keeps_the_mass_on_both_sides_of_the_mean():
+    # P(D(x) < t) = 1 where all of D(x)'s mass lies far below t: with no
+    # edge below mean - 4 sd one panel over (0, mean - 4 sd) lost 1.6e-5
+    # at beta 0.98, and one wide panel over (0, t) would step over all of
+    # it at beta 1/2
+    for beta, lam, t, x in ((0.98, 50.0, 1e3, 331.036),
+                            (0.5, 50.0, 1e3, 3.0)):
+        log_i, rel, _ = its_density._last_jump(
+            False, x, t, TemperedStableParams(beta, lam))
+        assert math.exp(log_i) == pytest.approx(1.0, abs=1e-8)
+        assert rel <= 1e-8
+    assert cdf(331.036, 1e3, TemperedStableParams(0.98, 50.0)) <= 1e-8
 
 
 def test_cdf_refuses_a_value_outside_its_error(monkeypatch):
@@ -462,12 +479,11 @@ def test_cdf_reference_values():
         assert cdf(x, 1.0, params) == pytest.approx(ref, abs=1e-7)
 
 
-# (x, t, lam) -> P(E(t) <= x) at beta = 1/2, all with lam**beta * x > 20,
-# the tail branch. D(x) is inverse Gaussian there, so
+# (x, t, lam) -> P(E(t) <= x) at beta = 1/2. The first four have
+# lam**beta * x - lam * t > 20 and take the last-jump tail, the last two
+# the branch cut. D(x) is inverse Gaussian, so
 # P(D(x) <= t) = Phi(r (s - 1)) + exp(2 x sqrt(lam)) Phi(-r (s + 1)) with
 # r = x / sqrt(2 t), s = 2 sqrt(lam) t / x, summed by mpmath at 50 digits.
-# At (3, 1000, 50) all of D(3)'s mass lies below 1 while the interval
-# runs to 1000: one wide panel would step over it and give 1.
 _CDF_TAIL_REFERENCE = [
     (90.0, 50.0, 1.0, 0.14595494129988002),
     (100.0, 50.0, 1.0, 0.48010238435167297),
@@ -608,9 +624,9 @@ def test_density_matches_the_frozen_oracle(row):
 
 
 def test_sweep_returns_a_value_or_a_typed_error():
-    # a fast corner of beta x lam x t x (x / E[E(t)]): each point is a
-    # finite value within the bar, 0 with error 0, or a typed error, with
-    # no warning
+    # a fast corner of beta x lam x t x (x / E[E(t)]): each density is a
+    # finite value within the bar, 0 with error 0, or a typed error, and
+    # each cdf a probability, with no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for beta in (0.1, 0.7, 0.98):
@@ -619,6 +635,7 @@ def test_sweep_returns_a_value_or_a_typed_error():
                     params = TemperedStableParams(beta, lam)
                     mean = moment_exact(MomentQuery(1.0, t, params))
                     for k in (0.3, 1.0, 3.0):
+                        assert 0.0 <= cdf(k * mean, t, params) <= 1.0
                         try:
                             res = eval_density(EvalPoint(k * mean, t), params)
                         except NonConvergenceError:
