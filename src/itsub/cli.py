@@ -27,6 +27,7 @@ from .stable_family import (
     ParameterError,
     TemperedStableParams,
     inverse_stable_density,  # not called; bench/spans.py wraps this name
+    require_positive,
 )
 
 _EXIT_OK = 0
@@ -48,6 +49,8 @@ def parse_grid(text, name="grid"):
         parts = [float(p) for p in text.split(":")]
     except ValueError:
         parts = []
+    if not all(map(math.isfinite, parts)):
+        raise ParameterError(f"{name}: non-finite number in {text!r}")
     if len(parts) == 1:
         return parts
     if len(parts) != 3:
@@ -82,8 +85,7 @@ def cmd_density(args, out):
     params = TemperedStableParams(args.beta, args.lam)
     xs = parse_grid(args.x, "--x")
     t = args.t
-    if t <= 0:
-        raise ParameterError(f"--t must be positive, got {t}")
+    require_positive("--t", t)
     rows = []
     for x in xs:
         try:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import integrate_interval, integrate_semi_infinite
+from .quadrature import BAR, integrate_interval, integrate_semi_infinite
 from .special_fn import GAMMA_REL_ERROR, upper_incomplete_gamma_scaled
 from .stable_family import (
     NonConvergenceError,
@@ -25,6 +25,7 @@ from .stable_family import (
     _stable_log_density,
     _stable_survival,
     converged_value,
+    require_positive,
     sum_series,
 )
 
@@ -37,10 +38,9 @@ class EvalPoint:
     t: float
 
     def __post_init__(self):
-        if self.x < 0:
-            raise ParameterError(f"require x >= 0, got {self.x}")
-        if self.t <= 0:
-            raise ParameterError(f"require t > 0, got {self.t}")
+        if not 0 <= self.x < math.inf:
+            raise ParameterError(f"require 0 <= x < inf, got {self.x}")
+        require_positive("t", self.t)
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def eval_series(p, params):
         return (la + lw + math.log1p(lb * x / j),
                 -sign if j % 2 == 0 else sign)
 
-    res = sum_series(term, _SERIES_MAX_TERMS, 1e-13, 1e-8)
+    res = sum_series(term, _SERIES_MAX_TERMS, 1e-13, BAR)
     value = converged_value(
         res, f"density series at x={x}, t={t}, beta={beta}, lam={lam}")
     pref = math.exp(lb * x) / math.pi
@@ -195,7 +195,7 @@ def eval(p, params):
     """Density h(x, t): A_1 / pi at x = 0, with the gamma's bound plus the
     rounding of exp(log A_1) as its error; else the series (small
     x * lam**beta) or the integral, whichever first has an error within
-    1e-8 * max(1, |value|). Where neither has, the last-jump integral
+    BAR * max(1, |value|). Where neither has, the last-jump integral
     (method positive), 0 with error 0 below double range, or
     NonConvergenceError when it misses the bar too.
     """
@@ -212,11 +212,11 @@ def eval(p, params):
             res = form(p, params)
         except NonConvergenceError:
             continue
-        if res.error_estimate <= 1e-8 * max(1.0, abs(res.value)):
+        if res.error_estimate <= BAR * max(1.0, abs(res.value)):
             return res
     log_h, rel, panels = _last_jump(True, p.x, p.t, params)
     value = math.exp(log_h)
-    if value * rel > 1e-8 * max(1.0, value):
+    if value * rel > BAR * max(1.0, value):
         raise NonConvergenceError(
             f"density at x={p.x}, t={p.t}, beta={params.beta}, lam="
             f"{params.lam}: last-jump error {value * rel:.3g} above the bar")
@@ -238,8 +238,7 @@ def derivative_at_zero(k, t, params):
     """
     if k < 0 or k != int(k):
         raise ParameterError(f"require integer k >= 0, got {k}")
-    if t <= 0:
-        raise ParameterError(f"require t > 0, got {t}")
+    require_positive("t", t)
     k = int(k)
     lb = params.lam ** params.beta
     terms = ((m, *_coefficient(m, t, params)) for m in range(1, k + 2))
@@ -249,32 +248,26 @@ def derivative_at_zero(k, t, params):
 
 def cdf(x, t, params):
     """P(E(t) <= x): at lam = 0 P(D(x) > t), the stable survival function
-    by Kanter's integral; at lam > 0 the branch-cut integral with m = 0
-    where its exponent lam**beta * x - lam * t is at most 20, and
-    1 - P(D(x) < t) by the last-jump integral where it is larger or the
-    branch cut raises or misses 1e-8. NonConvergenceError at an error
-    above 1e-8 or a value outside [-err, 1 + err]; the clamp to [0, 1]
-    trims only an overshoot within it.
+    by Kanter's integral; at lam > 0 the branch-cut integral with m = 0,
+    or 1 - P(D(x) < t) by the last-jump integral where that raises.
+    NonConvergenceError at an error above BAR or a value outside
+    [-err, 1 + err]; the clamp to [0, 1] trims only an overshoot within it.
     """
-    if t <= 0:
-        raise ParameterError(f"require t > 0, got {t}")
+    require_positive("t", t)
     if x <= 0:
         return 0.0
     beta, lam = params.beta, params.lam
-    value, err = math.nan, math.inf
     if lam == 0:
         value, err = _stable_survival(t, x, beta)
-    elif lam ** beta * x - lam * t <= 20.0:
+    else:
         try:
             value, err, _ = _branch_cut(0, x, t, params, "cdf integral")
         except NonConvergenceError:
-            pass
-    if lam > 0 and err > 1e-8:
-        log_i, rel, _ = _last_jump(False, x, t, params)
-        tail = math.exp(log_i)
-        value, err = 1.0 - tail, tail * rel
-    if err > 1e-8 or not -err <= value <= 1.0 + err:
+            log_i, rel, _ = _last_jump(False, x, t, params)
+            tail = math.exp(log_i)
+            value, err = 1.0 - tail, tail * rel
+    if err > BAR or not -err <= value <= 1.0 + err:
         raise NonConvergenceError(
             f"cdf at x={x}, t={t}, beta={beta}, lam={lam} gave {value:.3g} "
-            f"with error {err:.3g}: above 1e-8 or outside [-err, 1 + err]")
+            f"with error {err:.3g}: above the bar or outside [-err, 1 + err]")
     return min(max(value, 0.0), 1.0)

@@ -14,7 +14,11 @@ from dataclasses import dataclass
 
 from scipy import special as sp
 
-from .stable_family import ParameterError, TemperedStableParams
+from .stable_family import (
+    ParameterError,
+    TemperedStableParams,
+    require_positive,
+)
 
 _MAX_Q = 50.0
 
@@ -34,8 +38,7 @@ class MomentQuery:
     def __post_init__(self):
         if not 0.0 < self.q <= _MAX_Q:
             raise ParameterError(f"require 0 < q <= {_MAX_Q}, got {self.q}")
-        if self.t <= 0:
-            raise ParameterError(f"require t > 0, got {self.t}")
+        require_positive("t", self.t)
 
 
 def moment_lt(q, s, params):
@@ -57,8 +60,7 @@ def talbot_inversion(F, t, n_nodes=32):
     leftmost excursion (singularities on the negative real axis are
     fine, which covers the branch point at -lam and the pole at 0).
     """
-    if t <= 0:
-        raise ParameterError(f"require t > 0, got {t}")
+    require_positive("t", t)
     r = 2.0 * n_nodes / (5.0 * t)
     total = 0.5 * (F(complex(r, 0.0)) * cmath.exp(r * t)).real
     for k in range(1, n_nodes):
@@ -76,8 +78,7 @@ def gaver_stehfest_inversion(F, t, n_terms=14):
     n_terms must be even; usable precision in doubles tops out around
     n_terms = 14-16.
     """
-    if t <= 0:
-        raise ParameterError(f"require t > 0, got {t}")
+    require_positive("t", t)
     if n_terms % 2 != 0:
         raise ParameterError("n_terms must be even")
     ln2_t = math.log(2.0) / t

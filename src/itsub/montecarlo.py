@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stable_family import ParameterError
+from .stable_family import ParameterError, require_positive
 
 
 class HorizonError(RuntimeError):
@@ -36,10 +36,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ParameterError("n_paths must be >= 1")
-        if self.time_step <= 0:
-            raise ParameterError("time_step must be > 0")
-        if self.horizon <= 0:
-            raise ParameterError("horizon must be > 0")
+        require_positive("time_step", self.time_step)
+        require_positive("horizon", self.horizon)
 
 
 def sample_stable_increment(dt, beta, rng, size=None):
@@ -51,8 +49,7 @@ def sample_stable_increment(dt, beta, rng, size=None):
            / sin(u)**(1/(1-beta)).
     Scaling by dt**(1/beta) gives the transform exp(-dt * s**beta).
     """
-    if dt <= 0:
-        raise ParameterError(f"require dt > 0, got {dt}")
+    require_positive("dt", dt)
     u = rng.uniform(0.0, math.pi, size=size)
     w = rng.standard_exponential(size=size)
     a = (np.sin(beta * u) ** (beta / (1.0 - beta))
@@ -113,8 +110,7 @@ def first_passage_samples(config, params, t):
     lattice, so a two-sample KS test against 1e5 exact draws gives
     p >= 0.09 at dt = 1e-2 and p < 1e-40 at dt = 0.1.
     """
-    if t <= 0:
-        raise ParameterError(f"require t > 0, got {t}")
+    require_positive("t", t)
     rng = np.random.default_rng(config.seed)
     dt = config.time_step
     n_sub = max(1, math.ceil(params.lam ** params.beta * dt - 1e-12))

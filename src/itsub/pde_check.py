@@ -21,6 +21,7 @@ from .stable_family import (
     TemperedStableParams,
     converged_value,
     inverse_stable_density,  # not called; bench/spans.py wraps this name
+    require_positive,
 )
 
 # Central stencils for the j-th derivative, order 2: offsets and weights
@@ -48,10 +49,9 @@ class PdeCase:
     def __post_init__(self):
         if self.m < 2:
             raise ParameterError(f"require m >= 2, got {self.m}")
-        if self.lam < 0:
-            raise ParameterError(f"require lam >= 0, got {self.lam}")
-        if self.hx <= 0 or self.ht <= 0:
-            raise ParameterError("spacings must be positive")
+        TemperedStableParams(self.beta, self.lam)  # checks 0 <= lam < inf
+        require_positive("hx", self.hx)
+        require_positive("ht", self.ht)
         widest = max(abs(o) for o in _STENCILS[min(self.m, 4)][0])
         if min(self.x_points) - widest * self.hx <= 0:
             raise ParameterError("x stencils must stay inside x > 0")
@@ -138,8 +138,7 @@ def initial_condition_check(beta, x):
     """
     if not 0.0 < beta <= 0.5:
         raise ParameterError(f"require 0 < beta <= 1/2, got {beta}")
-    if x <= 0:
-        raise ParameterError(f"require x > 0, got {x}")
+    require_positive("x", x)
     c = math.cos(beta * math.pi)
     s = math.sin(beta * math.pi)
     t_reg = 0.0 if beta < 0.5 else x * x / 120.0

@@ -6,11 +6,11 @@ integrand falls below a truncation threshold, a finite interval by one
 panel between each pair of given edges; both are then refined by the
 same loop, bisecting the worst error estimate. Each panel uses the nested
 Gauss7/Kronrod15 pair, with the error taken as the difference of the two
-orders. Refinement also stops once that error is within the rounding
-floor 50 * eps * int |f| (the roundoff test of QUADPACK's QAG/QAGI,
-Piessens et al. 1983), so an integrand whose cancelling oscillations
-leave rounding noise above the absolute tolerance still finishes in one
-pass. Integrands must accept and return numpy arrays.
+orders. An error within the rounding floor 50 * eps * int |f| has
+converged, and a floor above the bar BAR * max(1, |value|) gives up at
+once, since no bisection brings cancelling noise under it (the roundoff
+tests of QUADPACK's QAG/QAGI, Piessens et al. 1983, section 3.4).
+Integrands must accept and return numpy arrays.
 """
 
 import math
@@ -50,7 +50,9 @@ _RULES[1, 1::2] = _WG
 
 
 # Every caller integrates to the same standard: an absolute or relative
-# target, a panel budget, and a tail cut relative to the peak |f|.
+# target, a panel budget, a tail cut relative to the peak |f|, and the
+# package's bar: every accepted result has error <= BAR * max(1, |value|).
+BAR = 1e-8
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
 MAX_SUBDIVISIONS = 2000
@@ -96,9 +98,9 @@ def _power_map(f, s):
 
 
 def _refine(panels):
-    """Bisect the panel with the largest error until the summed error is
-    within ABS_TOL, REL_TOL * |value| or the summed rounding floor, the
-    panel budget is spent, or a panel is non-finite."""
+    """Bisect the worst panel until the summed error is within ABS_TOL,
+    REL_TOL * |value| or the summed rounding floor; stop unconverged at a
+    non-finite panel, a floor above BAR * max(1, |value|) or the budget."""
     while True:
         value = sum(p[3] for p in panels)
         error = sum(p[4] for p in panels)
@@ -106,9 +108,10 @@ def _refine(panels):
         if not math.isfinite(error):
             return QuadratureResult(value, math.inf, len(panels), False)
         converged = error <= max(ABS_TOL, REL_TOL * abs(value), floor)
-        if converged or len(panels) >= MAX_SUBDIVISIONS:
-            return QuadratureResult(value, max(error, floor),
-                                    len(panels), converged)
+        doomed = floor > BAR * max(1.0, abs(value))  # no bisection helps
+        if converged or doomed or len(panels) >= MAX_SUBDIVISIONS:
+            return QuadratureResult(value, max(error, floor), len(panels),
+                                    converged and not doomed)
         # Bisect the worst panel; tie-break on width.
         worst = max(panels, key=lambda p: (p[4], p[2] - p[1]))
         panels.remove(worst)
@@ -136,10 +139,10 @@ def integrate_semi_infinite(f, scale=1.0, power_singularity=None):
     behaviour at 0, handled by a power substitution on the first panel.
 
     The integral has converged once the summed error is within ABS_TOL,
-    REL_TOL * |value| or the summed rounding floor, and the reported
-    error is never below that floor. Non-convergence (the panel budget
-    spent, or a non-finite panel) is reported through the `converged`
-    flag, never silently.
+    REL_TOL * |value| or the summed rounding floor, and that floor within
+    BAR * max(1, |value|); the reported error is never below the floor.
+    Non-convergence (a floor above that bar, the panel budget spent, or a
+    non-finite panel) is reported through the `converged` flag.
     """
     scale = float(scale)
     if not np.isfinite(scale) or scale <= 0:

@@ -25,6 +25,12 @@ class ParameterError(ValueError):
     """Process parameters outside the admissible range."""
 
 
+def require_positive(name, v):
+    """ParameterError unless 0 < v < inf; nan fails too."""
+    if not 0.0 < v < math.inf:
+        raise ParameterError(f"require 0 < {name} < inf, got {v}")
+
+
 class NonConvergenceError(RuntimeError):
     """Neither representation of a density converged."""
 
@@ -51,8 +57,8 @@ class TemperedStableParams:
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ParameterError(f"require 0 < beta < 1, got {self.beta}")
-        if self.lam < 0.0:
-            raise ParameterError(f"require lam >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ParameterError(f"require 0 <= lam < inf, got {self.lam}")
 
     def laplace_symbol(self, s):
         return (s + self.lam) ** self.beta - self.lam ** self.beta
@@ -121,8 +127,9 @@ def _kanter(x, t, beta):
     For q >= 0 that peak is at u = 0 and y = u; else it is where a z = 1,
     at v* = pi - u ~ sin(beta pi) z**(1-beta), and y = v = pi - u.
     """
-    if t <= 0:
-        raise ParameterError(f"require t > 0, got {t}")
+    require_positive("t", t)
+    if not 0.0 < beta < 1.0:
+        raise ParameterError(f"require 0 < beta < 1, got {beta}")
     log_s = math.log(x) - math.log(t) / beta
     kappa = beta / (1.0 - beta)
     log_a0 = kappa * math.log(beta) + math.log1p(-beta)
@@ -226,8 +233,7 @@ def tempered_density(x, t, params):
 
 def inverse_stable_density_series(x, t, beta):
     """Inverse stable density by its power series in x."""
-    if t <= 0:
-        raise ParameterError(f"require t > 0, got {t}")
+    require_positive("t", t)
     if x < 0:
         return SeriesEval(0.0, 0.0, 0, True)
     lt_b = -beta * math.log(t)

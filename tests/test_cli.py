@@ -251,6 +251,31 @@ def test_moments_bad_parameter_exits_2(capsys, bad):
     assert out == ""
 
 
+_DENSITY = ["density", "--beta", "0.5", "--lambda", "1", "--t", "1"]
+_SIMULATE = ["simulate", "--beta", "0.5", "--lambda", "1", "--t", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--beta", "0.5", "--lambda", "nan", "--t", "1", "--x", "1"],
+    ["density", "--beta", "0.5", "--lambda", "inf", "--t", "1", "--x", "1"],
+    ["density", "--beta", "0.5", "--lambda", "1", "--t", "nan", "--x", "1"],
+    _DENSITY + ["--x", "0:inf:1"],
+    _DENSITY + ["--x", "0:1:nan"],
+    ["simulate", "--beta", "0.5", "--lambda", "nan", "--t", "1"],
+    _SIMULATE + ["--step", "nan"],
+    _SIMULATE + ["--horizon", "inf"],
+    ["moments", "--beta", "0.5", "--q", "1", "--t", "nan"],
+], ids=lambda argv: " ".join(argv))
+def test_non_finite_input_exits_2(capsys, argv):
+    # nan used to pass the `v <= 0` checks: a density of 0 labelled
+    # positive with exit 0, a nan moment row, or a raw traceback
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_selfcheck_negative_control_refuses_bad_beta(capsys):
     code, out, err = _run(capsys, "selfcheck", "--beta", "1.5", "--only",
                           "pde", "--lambda", "0")

@@ -19,10 +19,12 @@ from itsub.its_density import (
 )
 from itsub import its_density
 from itsub.moments import MomentQuery, moment_exact
+from itsub.montecarlo import SimConfig
 from itsub.stable_family import (
     NonConvergenceError,
     ParameterError,
     TemperedStableParams,
+    stable_density,
 )
 
 # (beta, lam, x, t) -> h from high-precision numerical Laplace inversion
@@ -61,6 +63,29 @@ def test_eval_point_validation():
         EvalPoint(1.0, 0.0)
     with pytest.raises(ParameterError):
         EvalPoint(1.0, -1.0)
+
+
+_P = TemperedStableParams(0.5, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: boundary_value(math.nan, _P),
+    lambda: derivative_at_zero(1, math.nan, _P),
+    lambda: moment_exact(MomentQuery(1.0, math.nan, _P)),
+    lambda: stable_density(1.0, 1.0, 1.5),
+    lambda: cdf(1.0, math.inf, _P),
+    lambda: EvalPoint(math.nan, 1.0),
+    lambda: TemperedStableParams(0.5, math.nan),
+    lambda: TemperedStableParams(0.5, math.inf),
+    lambda: SimConfig(10, time_step=math.nan),
+], ids=["boundary_value", "derivative_at_zero", "moment_exact",
+        "stable_density", "cdf", "EvalPoint", "lam_nan", "lam_inf",
+        "SimConfig"])
+def test_non_finite_or_out_of_range_input_is_a_parameter_error(call):
+    # nan passes every `v <= 0` test, so each check asks for 0 < v < inf
+    # (or 0 <= v < inf) instead of returning 0, nan or a raw ValueError
+    with pytest.raises(ParameterError):
+        call()
 
 
 def test_series_at_small_lam_t():
@@ -442,12 +467,13 @@ def test_boundary_error_holds_against_the_reference():
 
 
 def test_cdf_falls_back_where_the_branch_cut_misses():
-    # the direct integral cancels to -1.61 with an error estimate of 64
-    # here; clamping that to 0 would report garbage as a probability.
-    # The last-jump tail gives P(D(4) < 1) = 2.5e-34 with error 2.5e-43.
+    # the direct integral's rounding floor is above the bar here, so the
+    # quadrature gives up before bisecting far (it used to cancel to -1.61
+    # with an error estimate of 64, garbage as a probability). The
+    # last-jump tail gives P(D(4) < 1) = 2.5e-34 with error 2.5e-43.
     params = TemperedStableParams(0.8, 5.0)
-    _, err, _ = its_density._branch_cut(0, 4.0, 1.0, params, "cdf")
-    assert err > 1e-8
+    with pytest.raises(NonConvergenceError):
+        its_density._branch_cut(0, 4.0, 1.0, params, "cdf")
     assert cdf(4.0, 1.0, params) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -479,9 +505,9 @@ def test_cdf_reference_values():
         assert cdf(x, 1.0, params) == pytest.approx(ref, abs=1e-7)
 
 
-# (x, t, lam) -> P(E(t) <= x) at beta = 1/2. The first four have
-# lam**beta * x - lam * t > 20 and take the last-jump tail, the last two
-# the branch cut. D(x) is inverse Gaussian, so
+# (x, t, lam) -> P(E(t) <= x) at beta = 1/2. At the first four the
+# branch cut's rounding floor is above the bar, so its quadrature stops
+# and cdf takes the last-jump tail; the last two take the branch cut. D(x) is inverse Gaussian, so
 # P(D(x) <= t) = Phi(r (s - 1)) + exp(2 x sqrt(lam)) Phi(-r (s + 1)) with
 # r = x / sqrt(2 t), s = 2 sqrt(lam) t / x, summed by mpmath at 50 digits.
 _CDF_TAIL_REFERENCE = [
@@ -586,6 +612,26 @@ def test_unconverged_forms_fall_back_below_double_range(monkeypatch):
     assert (res.value, res.error_estimate, res.method) == (0.0, 0.0,
                                                            "positive")
     assert panels and max(panels) < 100
+
+
+def test_bulk_density_skips_the_doomed_branch_cut(monkeypatch):
+    # at the mean of E(1e3), beta 0.7, lam 1, the branch-cut integrand
+    # carries e**(lam**beta x - lam t) against a cancelling sum: its
+    # rounding floor is above the bar from the first pass, so the
+    # quadrature stops there instead of bisecting to its 2000-panel budget
+    panels = []
+    integrate = its_density.integrate_semi_infinite
+
+    def counted(*args, **kwargs):
+        res = integrate(*args, **kwargs)
+        panels.append(res.subdivisions_used)
+        return res
+
+    monkeypatch.setattr(its_density, "integrate_semi_infinite", counted)
+    res = eval_density(EvalPoint(1428.79, 1e3), TemperedStableParams(0.7, 1.0))
+    assert res.method == "positive"
+    assert res.value == 0.01612821616738496
+    assert panels and max(panels) <= 64
 
 
 def test_large_lam_t_series_hands_over_to_integral():

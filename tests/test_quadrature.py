@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from itsub.quadrature import REL_TOL, integrate_semi_infinite
+from itsub.quadrature import BAR, REL_TOL, integrate_semi_infinite
 
 
 def _check(result, expected, tol=1e-10):
@@ -69,6 +69,18 @@ def test_cancelling_integrand_stops_at_rounding_floor():
     assert r.converged
     assert r.subdivisions_used < 50
     assert abs(r.value) <= r.error_estimate
+
+
+def test_rounding_floor_above_the_bar_stops_unconverged():
+    # int 1e8 * (e^-y - 2 e^-2y) = 0, but its rounding floor, about
+    # 50 eps * 1e8, is above the 1e-8 bar: no bisection can meet the bar,
+    # so the quadrature gives up after its first pass, with an error that
+    # says so, instead of reporting 0 +- 5.5e-7 as converged
+    r = integrate_semi_infinite(
+        lambda y: 1e8 * (np.exp(-y) - 2.0 * np.exp(-2.0 * y)))
+    assert not r.converged
+    assert r.subdivisions_used <= 8
+    assert r.error_estimate > BAR
 
 
 def test_subdivision_budget_reported():

@@ -1,0 +1,103 @@
+"""North-star sweep of the density and the CDF over the parameter box.
+
+Evaluates `eval_density` and `cdf` at 7 beta x 4 lam x 3 t x 5 x = 420
+points, with x = {1e-3, 0.3, 1, 3, 10} times the mean E[E(t)] from
+`moment_exact`, and every warning raised as an error. Prints the density
+methods, the raises, the seconds spent in each function, the slowest
+point of each, the number of quadrature calls and the largest panel count
+of any one integral. Exits 1 if any density or cdf raised or warned.
+
+    PYTHONPATH=src python tools/sweep.py
+"""
+
+import collections
+import sys
+import time
+import warnings
+
+from itsub import quadrature
+from itsub.its_density import EvalPoint, cdf, eval as eval_density
+from itsub.moments import MomentQuery, moment_exact
+from itsub.stable_family import TemperedStableParams
+
+BETAS = (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98)
+LAMS = (0.0, 1e-3, 1.0, 50.0)
+TS = (1e-3, 1.0, 1e3)
+MEAN_MULTIPLES = (1e-3, 0.3, 1.0, 3.0, 10.0)
+
+
+def points():
+    """(params, t, x) over the box."""
+    for beta in BETAS:
+        for lam in LAMS:
+            params = TemperedStableParams(beta, lam)
+            for t in TS:
+                mean = moment_exact(MomentQuery(1.0, t, params))
+                for k in MEAN_MULTIPLES:
+                    yield params, t, k * mean
+
+
+def _timed(fn):
+    """(fn() or the exception it raised, seconds)."""
+    start = time.perf_counter()
+    try:
+        out = fn()
+    except Exception as e:  # every raise, warnings included, is counted
+        out = e
+    return out, time.perf_counter() - start
+
+
+def sweep():
+    """One row per point, (params, t, x, density result, cdf value,
+    density seconds, cdf seconds), where a raise stands in for its
+    result, and the panel count of every quadrature call."""
+    panels = []
+    refine = quadrature._refine
+
+    def counted(p):
+        res = refine(p)
+        panels.append(res.subdivisions_used)
+        return res
+
+    quadrature._refine = counted
+    rows = []
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for params, t, x in points():
+                h, h_s = _timed(lambda: eval_density(EvalPoint(x, t), params))
+                c, c_s = _timed(lambda: cdf(x, t, params))
+                rows.append((params, t, x, h, c, h_s, c_s))
+    finally:
+        quadrature._refine = refine
+    return rows, panels
+
+
+def _where(row):
+    params, t, x = row[:3]
+    return f"beta={params.beta} lam={params.lam} t={t} x={x:.6g}"
+
+
+def main():
+    rows, panels = sweep()
+    methods = collections.Counter(
+        "raised" if isinstance(r[3], Exception) else r[3].method for r in rows)
+    raised = [(r, "density", r[3]) for r in rows if isinstance(r[3], Exception)]
+    raised += [(r, "cdf", r[4]) for r in rows if isinstance(r[4], Exception)]
+    print(f"points {len(rows)}")
+    print("density methods: " + ", ".join(
+        f"{m} {n}" for m, n in sorted(methods.items())))
+    for col, name in ((5, "density"), (6, "cdf")):
+        slowest = max(rows, key=lambda r: r[col])
+        print(f"{name} {sum(r[col] for r in rows):.1f} s, slowest "
+              f"{slowest[col]:.3f} s at {_where(slowest)}")
+    print(f"quadrature calls {len(panels)}, largest panel count "
+          f"{max(panels, default=0)}")
+    print(f"raised {len(raised)}")
+    for row, name, e in raised:
+        print(f"  {name} at {_where(row)}: {type(e).__name__}: {e}")
+    return 1 if raised else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
