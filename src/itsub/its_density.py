@@ -25,6 +25,7 @@ from .stable_family import (
     _stable_log_density,
     _stable_survival,
     converged_value,
+    require_finite,
     require_positive,
     sum_series,
 )
@@ -115,38 +116,42 @@ def eval_series(p, params):
     """Density h(x, t) by the power series in x,
     h = (exp(lam**beta * x) / pi)
         * sum_{j>=1} A_j * (-x)**(j-1) / (j-1)! * (1 + lam**beta * x / j);
-    at lam = 0 each term is the Wright term of the inverse stable
-    density. NonConvergenceError when the sum did not converge.
+    at lam = 0 the Wright series. With the prefactor in each term the sum's
+    error is h's; NonConvergenceError when it is above max(1e-13/pi, BAR*|h|).
     """
     beta, lam = params.beta, params.lam
     x, t = p.x, p.t
     lb = lam ** beta
     lx = math.log(x) if x > 0 else -math.inf
+    lpref = lb * x - math.log(math.pi)
+    # rel: the gamma's bound (0 where A_j is exact) plus eps times the parts
+    # of the log scale, which cancel: |lw| + 2 lgamma(j) for lw, |la|
+    # + 2 (lgamma(j) + log j + j beta |log t|) for la, log j <= lgamma(j) + 1
+    rel, lt = GAMMA_REL_ERROR if lam > 0 else 0.0, 2 * beta * abs(math.log(t))
 
     def term(j):
-        """(log|term_j|, sign); one coefficient A_j per term."""
+        """(log|term_j|, sign, rel); one coefficient A_j per term."""
         la, sign = _coefficient(j, t, params)
         if la == -math.inf and sign:
-            return math.inf, 0.0  # A_j underflowed: end the sum unconverged
+            return math.inf, 0.0, 0.0  # A_j underflowed: end unconverged
         lw = (j - 1) * lx - math.lgamma(j) if j > 1 else 0.0  # x**(j-1)/(j-1)!
-        return (la + lw + math.log1p(lb * x / j),
-                -sign if j % 2 == 0 else sign)
+        parts = abs(lpref) + abs(la) + abs(lw) + 6.0 * math.lgamma(j) + j * lt
+        return (lpref + la + lw + math.log1p(lb * x / j),
+                -sign if j % 2 == 0 else sign, rel + 2.2e-16 * parts)
 
-    res = sum_series(term, _SERIES_MAX_TERMS, 1e-13, BAR)
+    res = sum_series(term, _SERIES_MAX_TERMS, 1e-13 / math.pi, BAR)
     value = converged_value(
         res, f"density series at x={x}, t={t}, beta={beta}, lam={lam}")
-    pref = math.exp(lb * x) / math.pi
-    return DensityResult(pref * value, pref * res.error_estimate, "series",
-                         res.terms)
+    return DensityResult(value, res.error_estimate, "series", res.terms)
 
 
 def _last_jump(density, x, t, params):
-    """(log I, relative error, panels) for I = int_0^t w(t-y) g_x(y) dy,
+    """(log I, error of I, panels) for I = int_0^t w(t-y) g_x(y) dy,
     g_x(y) = e**(lam**beta x - lam y) f(y; time x) the density of D(x) by
     Kanter's integral: h(x, t) with w the Levy tail beta r**-beta
     g(-beta, lam r) / Gamma(1-beta) (Meerschaert & Scheffler 2008, Stoch.
     Proc. Appl. 118), or P(D(x) < t) with w = 1. (-inf, 0, panels) below
-    double range."""
+    double range; NonConvergenceError at an error above BAR * max(1, I)."""
     beta, lam = params.beta, params.lam
     # Edges at D(x)'s mean + k sd, k = 0, +-1, +-4, +-16, ..., keep a
     # panel from stepping over its peak, and t (1 - 4**-k) over one at t.
@@ -181,23 +186,26 @@ def _last_jump(density, x, t, params):
         return -math.inf, 0.0, len(edges) - 1
     res = integrate_interval(lambda s: np.exp(log_integrand(s) - shift),
                              edges)
-    log_i = shift + math.log(converged_value(
-        res, f"last-jump integral at x={x}, t={t}, beta={beta}, lam={lam}"))
+    what = f"last-jump integral at x={x}, t={t}, beta={beta}, lam={lam}"
+    log_i = shift + math.log(converged_value(res, what))
+    value = math.exp(log_i)
     # Kanter's error where the integrand counts, the gamma's bound and the
     # rounding of exp(log I)
-    rel = (res.error_estimate / res.value + GAMMA_REL_ERROR
-           + math.expm1(max(e for lf, e in nodes.values() if lf > shift - 40))
-           + 2.2e-16 * (abs(log_i) + 4.0))
-    return log_i, rel, res.subdivisions_used
+    err = value * (
+        res.error_estimate / res.value + GAMMA_REL_ERROR
+        + math.expm1(max(e for lf, e in nodes.values() if lf > shift - 40))
+        + 2.2e-16 * (abs(log_i) + 4.0))
+    if err > BAR * max(1.0, value):
+        raise NonConvergenceError(f"{what}: error {err:.3g} above the bar")
+    return log_i, err, res.subdivisions_used
 
 
 def eval(p, params):
     """Density h(x, t): A_1 / pi at x = 0, with the gamma's bound plus the
-    rounding of exp(log A_1) as its error; else the series (small
-    x * lam**beta) or the integral, whichever first has an error within
-    BAR * max(1, |value|). Where neither has, the last-jump integral
-    (method positive), 0 with error 0 below double range, or
-    NonConvergenceError when it misses the bar too.
+    rounding of exp(log A_1) as its error; else the first to converge of
+    the series (small x * lam**beta), the integral and the last-jump
+    integral (method positive; 0 with error 0 below double range). Each
+    meets the bar BAR * max(1, |value|) itself or raises NonConvergenceError.
     """
     if p.x == 0:
         la, _ = _coefficient(1, p.t, params)
@@ -209,18 +217,11 @@ def eval(p, params):
         forms.insert(0, eval_series)
     for form in forms:
         try:
-            res = form(p, params)
+            return form(p, params)
         except NonConvergenceError:
-            continue
-        if res.error_estimate <= BAR * max(1.0, abs(res.value)):
-            return res
-    log_h, rel, panels = _last_jump(True, p.x, p.t, params)
-    value = math.exp(log_h)
-    if value * rel > BAR * max(1.0, value):
-        raise NonConvergenceError(
-            f"density at x={p.x}, t={p.t}, beta={params.beta}, lam="
-            f"{params.lam}: last-jump error {value * rel:.3g} above the bar")
-    return DensityResult(value, value * rel, "positive", panels)
+            pass
+    log_h, err, panels = _last_jump(True, p.x, p.t, params)
+    return DensityResult(math.exp(log_h), err, "positive", panels)
 
 
 def boundary_value(t, params):
@@ -249,10 +250,11 @@ def derivative_at_zero(k, t, params):
 def cdf(x, t, params):
     """P(E(t) <= x): at lam = 0 P(D(x) > t), the stable survival function
     by Kanter's integral; at lam > 0 the branch-cut integral with m = 0,
-    or 1 - P(D(x) < t) by the last-jump integral where that raises.
-    NonConvergenceError at an error above BAR or a value outside
-    [-err, 1 + err]; the clamp to [0, 1] trims only an overshoot within it.
+    or 1 - P(D(x) < t) by the last-jump integral where that raises, each
+    within the bar. NonConvergenceError at a value outside [-err, 1 + err];
+    the clamp to [0, 1] trims only an overshoot within it.
     """
+    require_finite("x", x)
     require_positive("t", t)
     if x <= 0:
         return 0.0
@@ -263,11 +265,10 @@ def cdf(x, t, params):
         try:
             value, err, _ = _branch_cut(0, x, t, params, "cdf integral")
         except NonConvergenceError:
-            log_i, rel, _ = _last_jump(False, x, t, params)
-            tail = math.exp(log_i)
-            value, err = 1.0 - tail, tail * rel
-    if err > BAR or not -err <= value <= 1.0 + err:
+            log_i, err, _ = _last_jump(False, x, t, params)
+            value = 1.0 - math.exp(log_i)
+    if not -err <= value <= 1.0 + err:
         raise NonConvergenceError(
             f"cdf at x={x}, t={t}, beta={beta}, lam={lam} gave {value:.3g} "
-            f"with error {err:.3g}: above the bar or outside [-err, 1 + err]")
+            f"with error {err:.3g}, outside [-err, 1 + err]")
     return min(max(value, 0.0), 1.0)

@@ -97,7 +97,7 @@ def gaver_stehfest_inversion(F, t, n_terms=14):
 
 
 def moment_exact(query):
-    """M_q(t) by numerical Laplace inversion.
+    """M_q(t), a Python float, by numerical Laplace inversion.
 
     The lam = 0 transform inverts in closed form; otherwise the fixed
     Talbot rule runs at 32 nodes and at 24 and the two must agree to
@@ -109,7 +109,8 @@ def moment_exact(query):
     q, t, params = query.q, query.t, query.params
     beta, lam = params.beta, params.lam
     if lam == 0.0:
-        return sp.gamma(1.0 + q) / sp.gamma(1.0 + q * beta) * t ** (q * beta)
+        return float(sp.gamma(1.0 + q) / sp.gamma(1.0 + q * beta)
+                     * t ** (q * beta))
 
     def F(s):
         return moment_lt(q, s, params)
@@ -121,7 +122,7 @@ def moment_exact(query):
             f"Talbot node-doubling check failed at q={q}, t={t}, "
             f"beta={beta}, lam={lam}: {v1} vs {v2}"
         )
-    return v2
+    return float(v2)
 
 
 def moment_asymptotic(query, regime):

@@ -48,14 +48,18 @@ def sample_stable_increment(dt, beta, rng, size=None):
     a(u) = sin(beta*u)**(beta/(1-beta)) * sin((1-beta)*u)
            / sin(u)**(1/(1-beta)).
     Scaling by dt**(1/beta) gives the transform exp(-dt * s**beta).
+    The power beta/(1-beta) is taken out of the outer power, leaving
+    (sin(beta*U) / sin(U)) * (sin((1-beta)*U) / (W sin(U)))**((1-beta)/beta):
+    near beta = 1 the powers of the sines underflow to 0/0 as U -> 0 and
+    overflow as U -> pi, where the ratios stay finite.
     """
     require_positive("dt", dt)
     u = rng.uniform(0.0, math.pi, size=size)
     w = rng.standard_exponential(size=size)
-    a = (np.sin(beta * u) ** (beta / (1.0 - beta))
-         * np.sin((1.0 - beta) * u)
-         / np.sin(u) ** (1.0 / (1.0 - beta)))
-    return dt ** (1.0 / beta) * (a / w) ** ((1.0 - beta) / beta)
+    sin_u = np.sin(u)
+    tail = np.sin((1.0 - beta) * u) / (w * sin_u)
+    return dt ** (1.0 / beta) * np.sin(beta * u) / sin_u * tail ** (
+        (1.0 - beta) / beta)
 
 
 def _propose(dt, params, rng, n):

@@ -95,7 +95,7 @@ def upper_incomplete_gamma_scaled(a, u):
     This form stays representable for very negative a where the plain
     value would overflow; as u -> 0 it tends to -1/a for a < 0, the value
     returned at u = 0. A u > 0 below the smallest normal double, where
-    1/u is no longer finite, is refused.
+    1/u is no longer finite, is refused. Every branch returns a float.
     """
     if u == 0 and a < 0:
         return -1.0 / a
@@ -104,5 +104,5 @@ def upper_incomplete_gamma_scaled(a, u):
             f"require u >= {sys.float_info.min:.3g}, or u = 0 with a < 0; "
             f"got a = {a}, u = {u}")
     if a > 0:
-        return sp.gammaincc(a, u) * sp.gamma(a) * u ** (-a)
-    return _upper_gamma_scaled_nonpos(a, u)
+        return float(sp.gammaincc(a, u) * sp.gamma(a) * u ** (-a))
+    return float(_upper_gamma_scaled_nonpos(a, u))

@@ -31,6 +31,12 @@ def require_positive(name, v):
         raise ParameterError(f"require 0 < {name} < inf, got {v}")
 
 
+def require_finite(name, v):
+    """ParameterError unless v is finite; nan and +-inf fail."""
+    if not abs(v) < math.inf:
+        raise ParameterError(f"require finite {name}, got {v}")
+
+
 class NonConvergenceError(RuntimeError):
     """Neither representation of a density converged."""
 
@@ -77,34 +83,35 @@ _MAX_TERMS = 500
 def sum_series(term, max_terms, floor, rel):
     """Sum term(1) + term(2) + ..., one term at a time.
 
-    term(k) returns (log_scale, mantissa) for the term
-    mantissa * exp(log_scale), so coefficients that overflow doubles on
-    their own still give representable terms. The sum stops after three
-    consecutive terms below 1e-15 of the running total: zero terms occur
-    periodically for rational beta, so one small term proves nothing.
-    The error estimate is the last term plus the cancellation error,
-    1e-16 times the largest term, and the sum has converged when that
-    cancellation error is within max(floor, rel * |sum|). A log_scale
-    above 700 (+inf marks a term that cannot be represented) or
-    max_terms terms end the sum unconverged.
+    term(k) returns (log_scale, mantissa, rel_k) for the term
+    mantissa * exp(log_scale), rel_k its error before the exp, so
+    coefficients that overflow doubles still give representable terms.
+    The sum stops after three consecutive terms below 1e-15 of the
+    running total: zero terms occur periodically for rational beta, so
+    one small term proves nothing. Its error is the last term plus the
+    sum of (rel_k + eps (|log_scale| + 4)) |term|, each term's error and
+    the rounding of its exp and its addition (Higham 2002, ch. 4); it has
+    converged when that is within max(floor, rel * |sum|). A log_scale
+    above 700 (+inf: unrepresentable) or max_terms terms end it unconverged.
     """
-    total = peak = value = 0.0
+    total = value = rounding = 0.0
     small_run = 0
     for n in range(1, max_terms + 1):
-        log_scale, mantissa = term(n)
+        log_scale, mantissa, rel_n = term(n)
         if log_scale > 700.0:
             return SeriesEval(total, abs(total), n, False)
         value = mantissa * math.exp(log_scale)
         total += value
-        peak = max(peak, abs(value))
+        if value:  # a zero term's log_scale may be -inf
+            rounding += (rel_n + 2.2e-16 * (abs(log_scale) + 4.0)) * abs(value)
         if abs(value) < 1e-15 * max(abs(total), 1e-300):
             small_run += 1
         else:
             small_run = 0
         if small_run == 3:
-            cancel = peak * 1e-16
-            return SeriesEval(total, abs(value) + cancel, n,
-                              cancel <= max(floor, rel * abs(total)))
+            err = abs(value) + rounding
+            return SeriesEval(total, err, n,
+                              err <= max(floor, rel * abs(total)))
     return SeriesEval(total, abs(value), max_terms, False)
 
 
@@ -218,6 +225,7 @@ def _stable_survival(x, t, beta):
 def stable_density(x, t, beta):
     """Stable density f(x, t), Laplace transform exp(-t s**beta), by
     Kanter's integral; 0 below double range."""
+    require_finite("x", x)
     if x <= 0:
         return 0.0
     return math.exp(_stable_log_density(x, t, beta)[0])
@@ -225,6 +233,7 @@ def stable_density(x, t, beta):
 
 def tempered_density(x, t, params):
     """Tempered stable density exp(-lam*x + lam**beta * t) * f(x, t)."""
+    require_finite("x", x)
     if x <= 0:
         return 0.0
     log_f, _ = _stable_log_density(x, t, params.beta)
@@ -233,6 +242,7 @@ def tempered_density(x, t, params):
 
 def inverse_stable_density_series(x, t, beta):
     """Inverse stable density by its power series in x."""
+    require_finite("x", x)
     require_positive("t", t)
     if x < 0:
         return SeriesEval(0.0, 0.0, 0, True)
@@ -243,7 +253,7 @@ def inverse_stable_density_series(x, t, beta):
         # x**(k-1), with x**0 = 1 also at x = 0
         lxk = (k - 1) * lx if k > 1 else 0.0
         return (sp.gammaln(k * beta) - sp.gammaln(float(k)) + k * lt_b + lxk,
-                (-1.0) ** (k - 1) * math.sin(k * beta * math.pi))
+                (-1.0) ** (k - 1) * math.sin(k * beta * math.pi), 0.0)
 
     r, c = sum_series(term, _MAX_TERMS, 1e-11, 1e-9), 1.0 / math.pi
     return r._replace(value=r.value * c, error_estimate=r.error_estimate * c)
@@ -257,9 +267,7 @@ def inverse_stable_density(x, t, beta):
     l(x, t) = t / (beta * x) * f(t; time x), with f from Kanter's
     integral.
     """
-    if x < 0:
-        return 0.0
-    res = inverse_stable_density_series(x, t, beta)
+    res = inverse_stable_density_series(x, t, beta)  # 0 at x < 0
     if res.converged:
         return res.value
     return t / (beta * x) * stable_density(t, x, beta)

@@ -21,6 +21,13 @@ rests on: with e**(-lam y) <= 1, nu(r) <= r**-beta / Gamma(1-beta) and a
 stable density f(y; x) that rises up to its mode,
     h(x, t) <= e**(lam**beta x) f(t; x) t**(1-beta) / Gamma(2-beta)
 for t left of the mode, f(t; x) from Kanter's integral in mpmath.
+
+The lam = 0 rows of WRIGHT_POINTS, where the series' error estimate
+once fell short, come instead from the Wright series that eval sums there,
+
+    h = t**-beta * sum_k (-x t**-beta)**k / (k! Gamma(1 - beta (k+1))),
+
+summed in mpmath at 80 and at 120 digits; the two agree to 1e-15.
 """
 
 import json
@@ -55,6 +62,15 @@ POINTS = [(b, lam, t, k * moment_exact(
      1.9617695407947262),
     (0.7857462234246226, 4.016080542231531, 6.374265657715361,
      43.01673227956874),
+    # north-star sweep, 3 x mean: the series' gamma bound is above the bar
+    (0.7, 50.0, 1e-3, 0.02815071826673611),
+]
+# (beta, lam = 0, t, x): north-star sweep points at 10 x mean, where the
+# series cancels, and a README density grid point
+WRIGHT_POINTS = [
+    (0.02, 0.0, 1.0, 10.112816525588809),
+    (0.1, 0.0, 1e-3, 5.268164482564149),
+    (0.6, 0.0, 1.0, 4.0),
 ]
 
 
@@ -76,6 +92,24 @@ def branch_cut(beta, lam, t, x, dps):
             nodes += [ystar * k for k in (0.25, 0.5, 1, 2, 4)]
         nodes = sorted(set(nodes)) + [mp.inf]
         return mp.exp(lb * x - lam * t) / mp.pi * mp.quad(f, nodes)
+
+
+def wright(beta, t, x, dps):
+    """h(x, t) at lam = 0 by the Wright series, summed until k is past
+    the peak term and two terms in a row are below 10**-(dps + 5) of the
+    sum (at rational beta every q-th term is 0)."""
+    with mp.workdps(dps):
+        beta, t, x = (mp.mpf(v) for v in (beta, t, x))
+        z = -x * t ** -beta
+        total, k, small = mp.mpf(0), 0, 0
+        while True:
+            term = z ** k / mp.factorial(k) * mp.rgamma(1 - beta * (k + 1))
+            total += term
+            small = small + 1 if abs(term) < 10 ** -(dps + 5) * abs(
+                total) else 0
+            if k > 2 * abs(z) + 10 and small == 2:
+                return t ** -beta * total
+            k += 1
 
 
 def log_peak(beta, lam, t, x):
@@ -138,6 +172,11 @@ def main():
         print(beta, lam, t, x, h, how, file=sys.stderr)
         rows.append({"beta": beta, "lam": lam, "t": t, "x": x, "h": h,
                      "how": how})
+    for beta, lam, t, x in WRIGHT_POINTS:
+        h80, h120 = wright(beta, t, x, 80), wright(beta, t, x, 120)
+        assert abs(h80 - h120) <= 1e-15 * abs(h120)
+        rows.append({"beta": beta, "lam": lam, "t": t, "x": x,
+                     "h": float(h120), "how": "Wright sum, 80 and 120 digits"})
     with open(TABLE, "w") as out:
         json.dump(rows, out, indent=1)
         out.write("\n")

@@ -24,7 +24,10 @@ from itsub.stable_family import (
     NonConvergenceError,
     ParameterError,
     TemperedStableParams,
+    inverse_stable_density,
+    inverse_stable_density_series,
     stable_density,
+    tempered_density,
 )
 
 # (beta, lam, x, t) -> h from high-precision numerical Laplace inversion
@@ -68,23 +71,37 @@ def test_eval_point_validation():
 _P = TemperedStableParams(0.5, 1.0)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: boundary_value(math.nan, _P),
-    lambda: derivative_at_zero(1, math.nan, _P),
-    lambda: moment_exact(MomentQuery(1.0, math.nan, _P)),
-    lambda: stable_density(1.0, 1.0, 1.5),
-    lambda: cdf(1.0, math.inf, _P),
-    lambda: EvalPoint(math.nan, 1.0),
-    lambda: TemperedStableParams(0.5, math.nan),
-    lambda: TemperedStableParams(0.5, math.inf),
-    lambda: SimConfig(10, time_step=math.nan),
-], ids=["boundary_value", "derivative_at_zero", "moment_exact",
-        "stable_density", "cdf", "EvalPoint", "lam_nan", "lam_inf",
-        "SimConfig"])
-def test_non_finite_or_out_of_range_input_is_a_parameter_error(call):
+_X_CALLS = {
+    "stable_density": lambda x: stable_density(x, 1.0, 0.5),
+    "tempered_density": lambda x: tempered_density(x, 1.0, _P),
+    "inverse_stable_density": lambda x: inverse_stable_density(x, 1.0, 0.5),
+    "inverse_stable_density_series":
+        lambda x: inverse_stable_density_series(x, 1.0, 0.5),
+    "cdf_x": lambda x: cdf(x, 1.0, _P),
+}
+
+
+@pytest.mark.parametrize("name,call", [
+    ("t", lambda: boundary_value(math.nan, _P)),
+    ("t", lambda: derivative_at_zero(1, math.nan, _P)),
+    ("t", lambda: moment_exact(MomentQuery(1.0, math.nan, _P))),
+    ("beta", lambda: stable_density(1.0, 1.0, 1.5)),
+    ("t", lambda: cdf(1.0, math.inf, _P)),
+    ("x", lambda: EvalPoint(math.nan, 1.0)),
+    ("lam", lambda: TemperedStableParams(0.5, math.nan)),
+    ("lam", lambda: TemperedStableParams(0.5, math.inf)),
+    ("time_step", lambda: SimConfig(10, time_step=math.nan)),
+] + [("x", lambda f=f, v=v: f(v))
+     for f in _X_CALLS.values() for v in (math.nan, math.inf)],
+    ids=["boundary_value", "derivative_at_zero", "moment_exact",
+         "stable_density", "cdf", "EvalPoint", "lam_nan", "lam_inf",
+         "SimConfig"] + [f"{n}_{v}" for n in _X_CALLS for v in ("nan", "inf")])
+def test_non_finite_or_out_of_range_input_is_a_parameter_error(name, call):
     # nan passes every `v <= 0` test, so each check asks for 0 < v < inf
-    # (or 0 <= v < inf) instead of returning 0, nan or a raw ValueError
-    with pytest.raises(ParameterError):
+    # (or 0 <= v < inf, or a finite v) instead of returning 0, nan, a
+    # NonConvergenceError or a raw ValueError, and names the argument:
+    # inverse_stable_density(nan, 1, 0.5) returned h(0, 1)
+    with pytest.raises(ParameterError, match=rf"\b{name}\b"):
         call()
 
 
@@ -484,10 +501,10 @@ def test_last_jump_keeps_the_mass_on_both_sides_of_the_mean():
     # it at beta 1/2
     for beta, lam, t, x in ((0.98, 50.0, 1e3, 331.036),
                             (0.5, 50.0, 1e3, 3.0)):
-        log_i, rel, _ = its_density._last_jump(
+        log_i, err, _ = its_density._last_jump(
             False, x, t, TemperedStableParams(beta, lam))
         assert math.exp(log_i) == pytest.approx(1.0, abs=1e-8)
-        assert rel <= 1e-8
+        assert err <= 1e-8
     assert cdf(331.036, 1e3, TemperedStableParams(0.98, 50.0)) <= 1e-8
 
 
@@ -634,6 +651,55 @@ def test_bulk_density_skips_the_doomed_branch_cut(monkeypatch):
     assert panels and max(panels) <= 64
 
 
+def test_series_raises_where_its_own_error_misses_the_bar():
+    # the prefactor e**(lam**beta x) / pi sits in each term, so the terms'
+    # rounding and the gamma's bound count at their real size: the sum
+    # fails its own test where it cancels, instead of returning 1.05e-6
+    # +- 2.9e-9 where the integral gives 4.46e-11, or 0.1048758 +- 2.9e-8
+    # where it gives 0.1048790
+    for lam, x in ((50.0, 15.570712058735715), (5.0, 10.0)):
+        with pytest.raises(NonConvergenceError):
+            eval_series(EvalPoint(x, 1.0), TemperedStableParams(0.3, lam))
+    # the gamma's 5e-14 over 175 terms is above the bar at this point, so
+    # eval takes the integral, not the series' -1.9e-7 relative miss; the
+    # reference is the branch cut in mpmath at 40, 60 and 90 digits
+    res = eval_density(EvalPoint(0.02815071826673611, 1e-3),
+                       TemperedStableParams(0.7, 50.0))
+    assert res.method == "integral"
+    assert res.value == pytest.approx(0.03485037928418269, rel=1e-9)
+
+
+def test_last_jump_meets_the_bar_itself(monkeypatch):
+    # with a gamma bound of 1e-6 neither the positive density nor the cdf
+    # tail (P(D(90) < 50) = 0.854 at beta 1/2, lam 1) can meet the bar,
+    # and both raise instead of returning
+    monkeypatch.setattr(its_density, "GAMMA_REL_ERROR", 1e-6)
+    with pytest.raises(NonConvergenceError):
+        eval_density(EvalPoint(1428.79, 1e3), TemperedStableParams(0.7, 1.0))
+    with pytest.raises(NonConvergenceError):
+        cdf(90.0, 50.0, TemperedStableParams(0.5, 1.0))
+
+
+def test_results_are_python_floats():
+    # one point per method, and cdf by each of its three forms; x = 10 x
+    # mean came as numpy.float64 from moment_exact and carried it into
+    # the positive method's error
+    params = TemperedStableParams(0.7, 1e-3)
+    mean = moment_exact(MomentQuery(1.0, 1.0, params))
+    assert type(mean) is float
+    for x, t, prm, method in ((0.0, 1.0, params, "boundary"),
+                              (0.5, 1.0, params, "series"),
+                              (8.0, 1.0, TemperedStableParams(0.5, 2.0),
+                               "integral"),
+                              (10.0 * mean, 1.0, params, "positive")):
+        res = eval_density(EvalPoint(x, t), prm)
+        assert res.method == method
+        assert type(res.value) is float
+        assert type(res.error_estimate) is float
+    for x, t, lam in ((1.0, 1.0, 0.0), (2.0, 1.0, 1.0), (90.0, 50.0, 1.0)):
+        assert type(cdf(x, t, TemperedStableParams(0.5, lam))) is float
+
+
 def test_large_lam_t_series_hands_over_to_integral():
     # at lam * t = 1000 the scaled incomplete gamma underflows: the series
     # ends unconverged and the dispatcher returns the integral's value
@@ -655,16 +721,14 @@ with open(os.path.join(os.path.dirname(__file__),
 @pytest.mark.parametrize("row", _ORACLE,
                          ids=lambda r: "{beta}-{lam}-{t}-{x:.6g}".format(**r))
 def test_density_matches_the_frozen_oracle(row):
-    # eval's bar is 1e-8 * max(1, |h|); the last-jump integral meets it
-    # relative to h, with an error that bounds the distance to h. The
-    # series' estimate leaves out the rounding of its terms, so only the
-    # bar holds for it.
+    # eval's bar is 1e-8 * max(1, |h|), and every method's error bounds
+    # the distance to h: the series' error counts each term's rounding and
+    # its gamma's bound. The last-jump integral meets the bar relative to h.
     ref = row["h"]
     res = eval_density(EvalPoint(row["x"], row["t"]),
                        TemperedStableParams(row["beta"], row["lam"]))
     assert abs(res.value - ref) <= 1e-8 * max(1.0, abs(ref))
-    if res.method != "series":
-        assert abs(res.value - ref) <= res.error_estimate
+    assert abs(res.value - ref) <= res.error_estimate
     if res.method == "positive":
         assert res.error_estimate <= 1e-8 * abs(ref)
 

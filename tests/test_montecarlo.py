@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,40 @@ def test_untempered_samples_match_exact_law(beta):
     assert ks_2samp(stepped, exact).pvalue > 1e-3
     est, se = empirical_moment(stepped, 1.0)
     assert abs(est - t ** beta / G(1.0 + beta)) < 4 * se
+
+
+def test_stable_increment_is_kanters_form():
+    # the ratio form rearranges a(u) = sin(beta u)**(beta/(1-beta))
+    # * sin((1-beta) u) / sin(u)**(1/(1-beta)); where that is finite the
+    # draws agree with it to rounding, from the same uniforms
+    dt, n = 1e-3, 10000
+    for beta in (0.3, 0.5, 0.9):
+        draws = sample_stable_increment(dt, beta, np.random.default_rng(3),
+                                        size=n)
+        rng = np.random.default_rng(3)
+        u = rng.uniform(0.0, math.pi, size=n)
+        w = rng.standard_exponential(size=n)
+        a = (np.sin(beta * u) ** (beta / (1.0 - beta))
+             * np.sin((1.0 - beta) * u)
+             / np.sin(u) ** (1.0 / (1.0 - beta)))
+        ref = dt ** (1.0 / beta) * (a / w) ** ((1.0 - beta) / beta)
+        assert np.all(np.isfinite(ref))
+        np.testing.assert_allclose(draws, ref, rtol=1e-12, atol=0.0)
+
+
+def test_near_one_beta_draws_stay_finite():
+    # at beta 0.98 the powers sin(u)**(1/(1-beta)) and sin(beta u)**49
+    # underflowed to 0/0 as u -> 0 (2 nan in 2e7 draws), and a nan path
+    # never crosses: these seeds raised HorizonError. E(1) has mean
+    # 1 / Gamma(1.98) = 1.0084
+    params = TemperedStableParams(0.98, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (0, 1, 2):
+            samples = first_passage_samples(
+                SimConfig(10000, seed=seed, horizon=5.0), params, 1.0)
+            assert np.all(np.isfinite(samples))
+            assert samples.mean() == pytest.approx(1.0084, abs=0.01)
 
 
 def test_empirical_moment_basics():

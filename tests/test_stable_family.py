@@ -268,27 +268,42 @@ def test_sum_series_exponential():
         return x ** k / math.factorial(k)
 
     res = sum_series(lambda n: ((n - 1) * math.log(x) - math.lgamma(n),
-                                (-1.0) ** (n - 1)), 100, 1e-13, 1e-8)
+                                (-1.0) ** (n - 1), 0.0), 100, 1e-13, 1e-8)
     assert res.converged
     assert res.value == pytest.approx(math.exp(-x), rel=1e-14)
     n = res.terms
     small = 1e-15 * math.exp(-x)
     assert all(size(k) < small for k in (n - 3, n - 2, n - 1))
     assert size(n - 4) > small
-    assert res.error_estimate < 1e-15
+    # the terms' rounding, eps (|log term| + 4) |term|, counts in the error
+    # and covers the actual one
+    rounding = sum(2.2e-16 * (abs(math.log(size(k))) + 4.0) * size(k)
+                   for k in range(n))
+    assert res.error_estimate >= rounding
+    assert abs(res.value - math.exp(-x)) <= res.error_estimate < 1e-14
+    # each term's own relative error adds in
+    rel = sum_series(lambda n: ((n - 1) * math.log(x) - math.lgamma(n),
+                                (-1.0) ** (n - 1), 1e-10), 100, 1e-13, 1e-8)
+    assert rel.error_estimate == pytest.approx(
+        res.error_estimate + 1e-10 * sum(size(k) for k in range(n)))
 
 
 def test_sum_series_unconverged_endings():
     # a term whose log scale passes 700 ends the sum unconverged
-    res = sum_series(lambda k: (701.0 if k == 3 else -k, 1.0),
+    res = sum_series(lambda k: (701.0 if k == 3 else -k, 1.0, 0.0),
                      100, 1e-13, 1e-8)
     assert not res.converged
     assert res.terms == 3
     assert math.isfinite(res.value)
     # so does running out of terms (the harmonic series)
-    res = sum_series(lambda k: (-math.log(k), 1.0), 50, 1e-13, 1e-8)
+    res = sum_series(lambda k: (-math.log(k), 1.0, 0.0), 50, 1e-13, 1e-8)
     assert not res.converged
     assert res.terms == 50
+    # and so does an error above the bar: 1e-6 of each term in e**-2
+    res = sum_series(lambda n: ((n - 1) * math.log(2.0) - math.lgamma(n),
+                                (-1.0) ** (n - 1), 1e-6), 100, 1e-13, 1e-8)
+    assert not res.converged
+    assert res.error_estimate > 1e-8 * res.value
 
 
 def test_inverse_series_passes_zero_terms():

@@ -5,7 +5,10 @@ points, with x = {1e-3, 0.3, 1, 3, 10} times the mean E[E(t)] from
 `moment_exact`, and every warning raised as an error. Prints the density
 methods, the raises, the seconds spent in each function, the slowest
 point of each, the number of quadrature calls and the largest panel count
-of any one integral. Exits 1 if any density or cdf raised or warned.
+of any one integral. Wherever both `eval_series` and `eval_integral`
+converge, their values must agree within the sum of their error
+estimates. Exits 1 if any density or cdf raised or warned, or if a
+series/integral pair lies outside its summed errors.
 
     PYTHONPATH=src python tools/sweep.py
 """
@@ -16,9 +19,15 @@ import time
 import warnings
 
 from itsub import quadrature
-from itsub.its_density import EvalPoint, cdf, eval as eval_density
+from itsub.its_density import (
+    EvalPoint,
+    cdf,
+    eval as eval_density,
+    eval_integral,
+    eval_series,
+)
 from itsub.moments import MomentQuery, moment_exact
-from itsub.stable_family import TemperedStableParams
+from itsub.stable_family import NonConvergenceError, TemperedStableParams
 
 BETAS = (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98)
 LAMS = (0.0, 1e-3, 1.0, 50.0)
@@ -49,8 +58,9 @@ def _timed(fn):
 
 def sweep():
     """One row per point, (params, t, x, density result, cdf value,
-    density seconds, cdf seconds), where a raise stands in for its
-    result, and the panel count of every quadrature call."""
+    density seconds, cdf seconds, series result, integral result), where
+    a raise stands in for its result, and the panel count of every
+    quadrature call."""
     panels = []
     refine = quadrature._refine
 
@@ -65,9 +75,12 @@ def sweep():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for params, t, x in points():
-                h, h_s = _timed(lambda: eval_density(EvalPoint(x, t), params))
+                p = EvalPoint(x, t)
+                h, h_s = _timed(lambda: eval_density(p, params))
                 c, c_s = _timed(lambda: cdf(x, t, params))
-                rows.append((params, t, x, h, c, h_s, c_s))
+                forms = [_timed(lambda: f(p, params))[0]
+                         for f in (eval_series, eval_integral)]
+                rows.append((params, t, x, h, c, h_s, c_s, *forms))
     finally:
         quadrature._refine = refine
     return rows, panels
@@ -84,6 +97,14 @@ def main():
         "raised" if isinstance(r[3], Exception) else r[3].method for r in rows)
     raised = [(r, "density", r[3]) for r in rows if isinstance(r[3], Exception)]
     raised += [(r, "cdf", r[4]) for r in rows if isinstance(r[4], Exception)]
+    # a form may raise NonConvergenceError; any other raise is a fault
+    raised += [(r, "form", e) for r in rows for e in r[7:]
+               if isinstance(e, Exception)
+               and not isinstance(e, NonConvergenceError)]
+    pairs = [r for r in rows
+             if not any(isinstance(e, Exception) for e in r[7:])]
+    apart = [r for r in pairs if abs(r[7].value - r[8].value)
+             > r[7].error_estimate + r[8].error_estimate]
     print(f"points {len(rows)}")
     print("density methods: " + ", ".join(
         f"{m} {n}" for m, n in sorted(methods.items())))
@@ -96,7 +117,14 @@ def main():
     print(f"raised {len(raised)}")
     for row, name, e in raised:
         print(f"  {name} at {_where(row)}: {type(e).__name__}: {e}")
-    return 1 if raised else 0
+    print(f"series/integral pairs {len(pairs)}, outside their summed "
+          f"errors {len(apart)}")
+    for row in apart:
+        s, i = row[7:]
+        print(f"  at {_where(row)}: series {s.value:.10g} +- "
+              f"{s.error_estimate:.2g}, integral {i.value:.10g} +- "
+              f"{i.error_estimate:.2g}")
+    return 1 if raised or apart else 0
 
 
 if __name__ == "__main__":
