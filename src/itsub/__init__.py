@@ -10,6 +10,7 @@ from .its_density import (
     boundary_value,
     cdf,
     derivative_at_zero,
+    eval_density_grid,
     eval_integral,
     eval_series,
 )

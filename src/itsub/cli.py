@@ -87,15 +87,14 @@ def cmd_density(args, out):
     t = args.t
     require_positive("--t", t)
     rows = []
-    for x in xs:
-        try:
-            res = its_density.eval(its_density.EvalPoint(x, t), params)
-            val, err, method = res.value, res.error_estimate, res.method
-            if val < 0 and abs(val) <= err:
-                val = 0.0
-            rows.append([x, val, err, method])
-        except (NonConvergenceError, ParameterError):
+    for x, res in zip(xs, its_density.eval_density_grid(xs, t, params)):
+        if isinstance(res, Exception):
             rows.append([x, math.nan, math.inf, "failed"])
+            continue
+        val, err = res.value, res.error_estimate
+        if val < 0 and abs(val) <= err:
+            val = 0.0
+        rows.append([x, val, err, res.method])
     _write(out, args.format, ["x", "h", "err", "method"], rows)
     return _EXIT_NUMERIC if any(r[3] == "failed" for r in rows) else _EXIT_OK
 

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import BAR, integrate_interval, integrate_semi_infinite
+from .quadrature import (
+    BAR,
+    integrate_interval,
+    integrate_semi_infinite,
+    integrate_semi_infinite_rows,
+)
 from .special_fn import GAMMA_REL_ERROR, upper_incomplete_gamma_scaled
 from .stable_family import (
     NonConvergenceError,
@@ -59,26 +64,32 @@ _SERIES_MAX_X_LAM_BETA = 2.0
 _SERIES_MAX_TERMS = 400
 
 
+def _cut_integrand(m, t, params):
+    """f(x, y) = Im[z**m * exp(x*z - t*(y+lam))] / (y+lam) with
+    z = lam**beta - y**beta * exp(-i*beta*pi), the value of -Psi(s) just
+    below the branch cut s = -lam - y; x and y broadcast."""
+    beta, lam = params.beta, params.lam
+    lb = lam ** beta
+    turn = cmath.exp(-1j * beta * math.pi)
+
+    def integrand(x, y):
+        z = lb - y ** beta * turn
+        return (z ** m * np.exp(x * z - t * (y + lam))).imag / (y + lam)
+
+    return integrand
+
+
 def _branch_cut(m, x, t, params, what):
-    """(1/pi) int_0^inf Im[z**m * exp(x*z - t*(y+lam))] / (y+lam) dy with
-    z = lam**beta - y**beta * exp(-i*beta*pi), the value of
-    -Psi(s) just below the branch cut s = -lam - y.
+    """(1/pi) int_0^inf _cut_integrand(m, t, params)(x, y) dy.
 
     m = 1 gives h(x, t), m = 0 the CDF, and m = k+1 at x = 0 the k-th
     x-derivative at 0+. Returns (value, error, panels); NonConvergenceError
     naming `what` when the quadrature did not converge.
     """
-    beta, lam = params.beta, params.lam
-    lb = lam ** beta
-    turn = cmath.exp(-1j * beta * math.pi)
-
-    def integrand(y):
-        z = lb - y ** beta * turn
-        return (z ** m * np.exp(x * z - t * (y + lam))).imag / (y + lam)
-
-    res = integrate_semi_infinite(integrand, 1.0 / t, beta)
-    value = converged_value(
-        res, f"{what} at x={x}, t={t}, beta={beta}, lam={lam}")
+    f = _cut_integrand(m, t, params)
+    res = integrate_semi_infinite(lambda y: f(x, y), 1.0 / t, params.beta)
+    value = converged_value(res, f"{what} at x={x}, t={t}, "
+                                 f"beta={params.beta}, lam={params.lam}")
     return value / math.pi, res.error_estimate / math.pi, res.subdivisions_used
 
 
@@ -200,6 +211,15 @@ def _last_jump(density, x, t, params):
     return log_i, err, res.subdivisions_used
 
 
+def _boundary(t, params):
+    """h(0+, t) = A_1 / pi, with the gamma's bound plus the rounding of
+    exp(log A_1) as its error."""
+    la, _ = _coefficient(1, t, params)
+    value = math.exp(la) / math.pi
+    rel = GAMMA_REL_ERROR + 2.2e-16 * (abs(la) + 4.0) if value else 0.0
+    return DensityResult(value, value * rel, "boundary", 0)
+
+
 def eval(p, params):
     """Density h(x, t): A_1 / pi at x = 0, with the gamma's bound plus the
     rounding of exp(log A_1) as its error; else the first to converge of
@@ -208,10 +228,7 @@ def eval(p, params):
     meets the bar BAR * max(1, |value|) itself or raises NonConvergenceError.
     """
     if p.x == 0:
-        la, _ = _coefficient(1, p.t, params)
-        value = math.exp(la) / math.pi
-        rel = GAMMA_REL_ERROR + 2.2e-16 * (abs(la) + 4.0) if value else 0.0
-        return DensityResult(value, value * rel, "boundary", 0)
+        return _boundary(p.t, params)
     forms = [eval_integral]
     if p.x * params.lam ** params.beta <= _SERIES_MAX_X_LAM_BETA:
         forms.insert(0, eval_series)
@@ -220,8 +237,129 @@ def eval(p, params):
             return form(p, params)
         except NonConvergenceError:
             pass
-    log_h, err, panels = _last_jump(True, p.x, p.t, params)
+    return _positive(p.x, p.t, params)
+
+
+def _positive(x, t, params):
+    """h(x, t) by the last-jump integral, method positive."""
+    log_h, err, panels = _last_jump(True, x, t, params)
     return DensityResult(math.exp(log_h), err, "positive", panels)
+
+
+# Terms per round of the grid series.
+_SERIES_BLOCK = 32
+
+
+def _series_rows(xs, t, params):
+    """eval_series at every x > 0 of xs at once: per x its DensityResult,
+    None where the series did not converge, or the ParameterError that
+    A_j raised. Each round takes the next block of j, one A_j each, for
+    the rows still summing, as a (rows x j) log-space array, and ends each
+    row by sum_series's rule: its running sum and rounding are cumulative
+    sums along the row, and three small terms in a row or a log scale
+    above 700 stop it."""
+    beta, lam = params.beta, params.lam
+    lb = lam ** beta
+    rel, lt = GAMMA_REL_ERROR if lam > 0 else 0.0, 2 * beta * abs(math.log(t))
+    out = [None] * len(xs)
+    # Per row still summing: its index, x, log x, the log prefactor, the
+    # sum and rounding so far (acc) and the last two small-term flags.
+    idx = np.arange(len(xs))
+    x = np.asarray(xs, dtype=float)[:, None]
+    lx = np.log(x)
+    lpref = lb * x - math.log(math.pi)
+    acc = np.zeros((2, len(xs), 1))
+    last = np.zeros((len(xs), 2), dtype=bool)
+    for j0 in range(1, _SERIES_MAX_TERMS + 1, _SERIES_BLOCK):
+        js = range(j0, min(j0 + _SERIES_BLOCK, _SERIES_MAX_TERMS + 1))
+        try:
+            coeffs = [_coefficient(k, t, params) for k in js]
+        except ParameterError as e:
+            for i in idx.tolist():
+                out[i] = e
+            break
+        # the terms of eval_series; an A_j that underflowed gets log scale
+        # +inf, which ends the row unconverged
+        la = np.array([math.inf if s and v == -math.inf else v
+                       for v, s in coeffs])
+        mant = np.array([s if k % 2 else -s for k, (_, s) in zip(js, coeffs)])
+        j = np.array(js, dtype=float)
+        lg = np.array([math.lgamma(k) for k in js])
+        lw = (j - 1.0) * lx - lg  # x**(j-1)/(j-1)!
+        ls = lpref + la + lw + np.log1p(lb * x / j)
+        parts = np.abs(lpref) + np.abs(la) + np.abs(lw) + (6.0 * lg + j * lt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = mant * np.exp(ls)
+            own = (rel + 2.2e-16 * (parts + np.abs(ls) + 4.0)) * np.abs(v)
+            acc = np.concatenate(
+                [acc, np.stack([v, np.where(v != 0.0, own, 0.0)])],
+                axis=2).cumsum(axis=2)
+            sums, rnd = acc[:, :, 1:]
+            small = np.hstack([last, np.abs(v) < 1e-15 * np.maximum(
+                np.abs(sums), 1e-300)])
+        stop = (ls > 700.0) | (small[:, 2:] & small[:, 1:-1] & small[:, :-2])
+        k = stop.argmax(axis=1)
+        r = np.flatnonzero(stop[np.arange(len(idx)), k])
+        k = k[r]
+        err = np.abs(v[r, k]) + rnd[r, k]
+        ok = (ls[r, k] <= 700.0) & (err <= np.maximum(
+            1e-13 / math.pi, BAR * np.abs(sums[r, k])))
+        for i, value, e, n in zip(idx[r][ok].tolist(), sums[r, k][ok].tolist(),
+                                  err[ok].tolist(), (k[ok] + js[0]).tolist()):
+            out[i] = DensityResult(value, e, "series", n)
+        going = np.ones(len(idx), dtype=bool)
+        going[r] = False
+        idx, x, lx, lpref = idx[going], x[going], lx[going], lpref[going]
+        acc, last = acc[:, going, -1:], small[going, -2:]
+        if not len(idx):
+            break
+    return out
+
+
+def eval_density_grid(xs, t, params):
+    """eval at every x of xs with t and params shared: per x the
+    DensityResult that eval gives there, or the ParameterError or
+    NonConvergenceError that it raises. Each x takes eval's path; the
+    series rows share one A_j per j and are summed together
+    (_series_rows), the branch-cut integrals run in lockstep
+    (integrate_semi_infinite_rows), and the last-jump integral runs per
+    x. For a few points or more this is the faster path; eval stays the
+    one for a single point."""
+    out = [None] * len(xs)
+    lb = params.lam ** params.beta
+    series, cut = [], []
+    for i, x in enumerate(xs):
+        try:
+            EvalPoint(x, t)
+            if x == 0:
+                out[i] = _boundary(t, params)
+            elif x * lb <= _SERIES_MAX_X_LAM_BETA:
+                series.append(i)
+            else:
+                cut.append(i)
+        except ParameterError as e:
+            out[i] = e
+    if series:
+        done = _series_rows([xs[i] for i in series], t, params)
+        for i, res in zip(series, done):
+            out[i] = res
+        cut += [i for i, res in zip(series, done) if res is None]
+    if not cut:
+        return out
+    f = _cut_integrand(1, t, params)
+    cut_xs = [xs[i] for i in cut]
+    quads = integrate_semi_infinite_rows(f, cut_xs, 1.0 / t, params.beta)
+    for i, x, res in zip(cut, cut_xs, quads):
+        if res.converged:
+            out[i] = DensityResult(res.value / math.pi,
+                                   res.error_estimate / math.pi, "integral",
+                                   res.subdivisions_used)
+            continue
+        try:
+            out[i] = _positive(x, t, params)
+        except (NonConvergenceError, ParameterError) as e:
+            out[i] = e
+    return out
 
 
 def boundary_value(t, params):

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .its_density import EvalPoint, derivative_at_zero, eval as eval_density
+from .its_density import derivative_at_zero, eval_density_grid
+from .its_density import eval as eval_density  # not called; bench/spans.py wraps this name
 from .quadrature import integrate_semi_infinite
 from .stable_family import (
     NonConvergenceError,
@@ -79,29 +80,45 @@ def _spatial_operator(h_fn, x, t, case):
     return total
 
 
+def _lattice(h_fn, case):
+    """(|spatial operator - dh/dt|, |dh/dt|) per lattice point, from
+    h_fn(x, t)."""
+    shape = (len(case.x_points), len(case.t_points))
+    residuals, dhdts = np.empty(shape), np.empty(shape)
+    for i, x in enumerate(case.x_points):
+        for k, t in enumerate(case.t_points):
+            dhdt = (h_fn(x, t + case.ht) - h_fn(x, t - case.ht)) / (2 * case.ht)
+            lhs = _spatial_operator(h_fn, x, t, case)
+            residuals[i, k] = abs(lhs - dhdt)
+            dhdts[i, k] = abs(dhdt)
+    return residuals, dhdts
+
+
 def pde_residual(case, beta=None):
     """Relative PDE residuals on the case lattice.
 
     Returns |spatial operator - dh/dt| / max|dh/dt| per lattice point.
     Passing beta overrides the reciprocal-integer default 1/m (used for
     the negative control at non-reciprocal beta, where the residual must
-    NOT vanish).
+    NOT vanish). The stencils' densities come from one eval_density_grid
+    call per distinct t.
     """
     if case.m not in _STENCILS:
         raise ParameterError(f"stencils available for m <= 4, got {case.m}")
     params = TemperedStableParams(case.beta if beta is None else beta, case.lam)
 
-    def h_fn(x, t):
-        return eval_density(EvalPoint(x, t), params).value
-
-    residuals = np.empty((len(case.x_points), len(case.t_points)))
-    dt_scale = 0.0
-    for i, x in enumerate(case.x_points):
-        for k, t in enumerate(case.t_points):
-            dhdt = (h_fn(x, t + case.ht) - h_fn(x, t - case.ht)) / (2 * case.ht)
-            lhs = _spatial_operator(h_fn, x, t, case)
-            residuals[i, k] = abs(lhs - dhdt)
-            dt_scale = max(dt_scale, abs(dhdt))
+    # A first pass over the lattice collects the stencil points by t.
+    wanted = {}
+    _lattice(lambda x, t: wanted.setdefault(t, set()).add(x) or 0.0, case)
+    h = {}
+    for t, xs in wanted.items():
+        xs = sorted(xs)
+        for x, res in zip(xs, eval_density_grid(xs, t, params)):
+            if isinstance(res, Exception):
+                raise res
+            h[x, t] = res.value
+    residuals, dhdts = _lattice(lambda x, t: h[x, t], case)
+    dt_scale = float(np.max(dhdts))
     if dt_scale == 0.0:
         raise NonConvergenceError("dh/dt vanished on the whole lattice")
     return residuals / dt_scale

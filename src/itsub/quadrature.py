@@ -97,21 +97,29 @@ def _power_map(f, s):
     return g
 
 
+def _verdict(value, error, floor, n):
+    """The stop rule of the refinement, given the panels' summed value,
+    error and rounding floor and their number n: the result once the
+    error is within ABS_TOL, REL_TOL * |value| or the floor, or,
+    unconverged, at a non-finite error, a floor above
+    BAR * max(1, |value|) or the budget; None while bisection goes on."""
+    if not math.isfinite(error):
+        return QuadratureResult(value, math.inf, n, False)
+    converged = error <= max(ABS_TOL, REL_TOL * abs(value), floor)
+    doomed = floor > BAR * max(1.0, abs(value))  # no bisection helps
+    if converged or doomed or n >= MAX_SUBDIVISIONS:
+        return QuadratureResult(value, max(error, floor), n,
+                                converged and not doomed)
+    return None
+
+
 def _refine(panels):
-    """Bisect the worst panel until the summed error is within ABS_TOL,
-    REL_TOL * |value| or the summed rounding floor; stop unconverged at a
-    non-finite panel, a floor above BAR * max(1, |value|) or the budget."""
+    """Bisect the worst panel until _verdict stops the loop."""
     while True:
-        value = sum(p[3] for p in panels)
-        error = sum(p[4] for p in panels)
-        floor = sum(p[5] for p in panels)
-        if not math.isfinite(error):
-            return QuadratureResult(value, math.inf, len(panels), False)
-        converged = error <= max(ABS_TOL, REL_TOL * abs(value), floor)
-        doomed = floor > BAR * max(1.0, abs(value))  # no bisection helps
-        if converged or doomed or len(panels) >= MAX_SUBDIVISIONS:
-            return QuadratureResult(value, max(error, floor), len(panels),
-                                    converged and not doomed)
+        done = _verdict(sum(p[3] for p in panels), sum(p[4] for p in panels),
+                        sum(p[5] for p in panels), len(panels))
+        if done:
+            return done
         # Bisect the worst panel; tie-break on width.
         worst = max(panels, key=lambda p: (p[4], p[2] - p[1]))
         panels.remove(worst)
@@ -174,3 +182,115 @@ def integrate_semi_infinite(f, scale=1.0, power_singularity=None):
             if panels[-1][6] <= TRUNCATION_THRESHOLD * peak and n_tail >= 4:
                 break
         return _refine(panels)
+
+
+def _gk15_rows(f, x, a, b, mapped, inv):
+    """Gauss7/Kronrod15 panels [a[k], b[k]] of y -> f(x[k], y), in one
+    call of f: arrays of value, error, rounding floor and peak |f|, each
+    as _gk15 gives it. A mapped panel lies in v = y**(1/inv), as
+    _power_map has it."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    v = mid[:, None] + half[:, None] * _XK
+    if not mapped.any():
+        fy = np.asarray(f(x[:, None], v), dtype=float)
+    else:
+        y = v.copy()
+        y[mapped] = v[mapped] ** inv
+        fy = np.asarray(f(x[:, None], y), dtype=float)
+        vm = v[mapped]
+        fy[mapped] = fy[mapped] * inv * y[mapped] / np.where(vm > 0, vm, 1.0)
+    afy = np.abs(fy)
+    vk, vg = (fy @ _RULES.T).T
+    return (half * vk, np.abs(half * (vk - vg)),
+            _ROUNDING * np.abs(half) * (afy @ _WK), afy.max(axis=1))
+
+
+def integrate_semi_infinite_rows(f, xs, scale=1.0, power_singularity=None):
+    """integrate_semi_infinite of y -> f(x, y) for every x in xs, in
+    lockstep; f takes a column of x and a 2-d y with one row per x.
+
+    Each x gets the panels, the tail coverage and the stop rule (_verdict)
+    that integrate_semi_infinite gives it alone, and one call of f per
+    round evaluates the new panels of every unfinished x: the next tail
+    panel, or the two halves of its worst panel. Returns one
+    QuadratureResult per x; the values agree with the single integrals
+    to rounding, since the Kronrod sums take another order.
+    """
+    xs = np.asarray(xs, dtype=float)
+    scale = float(scale)
+    if not np.isfinite(scale) or scale <= 0:
+        scale = 1.0
+    s = power_singularity
+    mapped = s is not None and s != 1.0
+    inv = 1.0 / float(s) if mapped else 1.0
+    # Per x, its panels as parallel lists: (mapped flag, left end, right
+    # end), value, error and rounding floor.
+    panels = [([], [], [], []) for _ in xs]
+
+    def add(rows, a, b, flags):
+        """Evaluate and append one panel per entry of rows; return the
+        new panels' errors and peaks."""
+        value, error, floor, peak = _gk15_rows(
+            f, xs[list(rows)], np.array(a), np.array(b), np.array(flags), inv)
+        error = error.tolist()
+        for i, where, v, e, fl in zip(rows, zip(flags, a, b), value.tolist(),
+                                      error, floor.tolist()):
+            ends, values, errors, floors = panels[i]
+            ends.append(where)
+            values.append(v)
+            errors.append(e)
+            floors.append(fl)
+        return error, peak.tolist()
+
+    n = len(xs)
+    results = [None] * n
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = scale ** float(s) if mapped else scale
+        live = list(range(n))
+        errors, peaks = add(live, [0.0] * n, [first] * n, [mapped] * n)
+        # Geometric tail coverage, as integrate_semi_infinite: each x stops
+        # at its first non-finite panel or once the integrand is below
+        # TRUNCATION_THRESHOLD * its peak after at least four tail panels.
+        live = [i for i in live if math.isfinite(errors[i])]
+        a = width = scale
+        n_tail = 0
+        while live and n_tail < MAX_SUBDIVISIONS:
+            k = len(live)
+            errors, new_peaks = add(live, [a] * k, [a + width] * k, [False] * k)
+            a += width
+            width *= 2.0
+            n_tail += 1
+            still = []
+            for i, e, p in zip(live, errors, new_peaks):
+                peaks[i] = max(peaks[i], p)
+                if math.isfinite(e) and not (
+                        p <= TRUNCATION_THRESHOLD * peaks[i] and n_tail >= 4):
+                    still.append(i)
+            live = still
+        # Refinement: every unfinished x bisects its own worst panel, the
+        # one of largest error, tie-broken on width, as _refine.
+        live = range(n)
+        while live:
+            split = []
+            for i in live:
+                ends, value, error, floor = panels[i]
+                results[i] = _verdict(sum(value), sum(error), sum(floor),
+                                      len(error))
+                if results[i] is not None:
+                    continue
+                worst = max(error)
+                k = error.index(worst)
+                if error.count(worst) > 1:
+                    k = max((j for j, e in enumerate(error) if e == worst),
+                            key=lambda j: ends[j][2] - ends[j][1])
+                flag, lo, hi = ends[k]
+                split.append((i, flag, lo, 0.5 * (lo + hi), hi))
+                for col in panels[i]:
+                    del col[k]
+            if not split:
+                break
+            rows, flags, pa, pm, pb = zip(*split)
+            add(rows + rows, pa + pm, pm + pb, flags + flags)
+            live = rows
+    return results

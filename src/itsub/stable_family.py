@@ -250,10 +250,12 @@ def inverse_stable_density_series(x, t, beta):
     lx = math.log(x) if x > 0 else -math.inf
 
     def term(k):
-        # x**(k-1), with x**0 = 1 also at x = 0
+        # x**(k-1), with x**0 = 1 also at x = 0; rel: eps times the parts
+        # of the log scale, which cancel
         lxk = (k - 1) * lx if k > 1 else 0.0
-        return (sp.gammaln(k * beta) - sp.gammaln(float(k)) + k * lt_b + lxk,
-                (-1.0) ** (k - 1) * math.sin(k * beta * math.pi), 0.0)
+        parts = (math.lgamma(k * beta), -math.lgamma(k), k * lt_b, lxk)
+        return (sum(parts), (-1.0) ** (k - 1) * math.sin(k * beta * math.pi),
+                2.2e-16 * sum(map(abs, parts)))
 
     r, c = sum_series(term, _MAX_TERMS, 1e-11, 1e-9), 1.0 / math.pi
     return r._replace(value=r.value * c, error_estimate=r.error_estimate * c)

@@ -7,7 +7,7 @@ import pytest
 
 from itsub import its_density
 from itsub.cli import build_parser, main, parse_grid
-from itsub.stable_family import NonConvergenceError
+from itsub.stable_family import NonConvergenceError, TemperedStableParams
 
 
 def _run(capsys, *argv):
@@ -42,6 +42,22 @@ def test_density_profile(capsys):
     assert 0 < peak < len(hs) - 1
     assert all(a <= b + 1e-12 for a, b in zip(hs[:peak], hs[1:peak + 1]))
     assert all(a >= b - 1e-12 for a, b in zip(hs[peak:], hs[peak + 1:]))
+
+
+def test_density_rows_match_pointwise_eval(capsys):
+    # the table comes from one eval_density_grid call; each row is eval's
+    # method and value at its x, within eval's error
+    code, out, _ = _run(capsys, "density", "--beta", "0.4", "--lambda", "1",
+                        "--t", "1", "--x", "0:8:0.1")
+    assert code == 0
+    params = TemperedStableParams(0.4, 1.0)
+    for row in _rows(out):
+        res = its_density.eval(its_density.EvalPoint(float(row["x"]), 1.0),
+                               params)
+        assert row["method"] == res.method
+        assert abs(float(row["h"]) - res.value) <= res.error_estimate
+    assert {r["method"] for r in _rows(out)} == {"boundary", "series",
+                                                  "integral"}
 
 
 def test_density_untempered_origin_value(capsys):

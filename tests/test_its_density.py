@@ -752,3 +752,56 @@ def test_sweep_returns_a_value_or_a_typed_error():
                             continue
                         assert math.isfinite(res.value) and res.value >= 0.0
                         assert res.error_estimate <= 1e-8 * max(1.0, res.value)
+
+
+def _grid_matches_eval(xs, t, params):
+    """eval_density_grid on xs, each row checked against eval at its x:
+    the same raise, or the same method and terms or panels and a value
+    within eval's error estimate."""
+    grid = its_density.eval_density_grid(xs, t, params)
+    assert len(grid) == len(xs)
+    for x, row in zip(xs, grid):
+        try:
+            point = eval_density(EvalPoint(x, t), params)
+        except (NonConvergenceError, ParameterError) as e:
+            assert type(row) is type(e)
+            continue
+        assert (row.method, row.terms_or_panels) == (point.method,
+                                                     point.terms_or_panels)
+        assert abs(row.value - point.value) <= point.error_estimate
+        assert type(row.value) is float and type(row.error_estimate) is float
+    return grid
+
+
+@pytest.mark.parametrize("lam", (0.0, 1.0))
+@pytest.mark.parametrize("beta", (0.2, 0.4, 0.6))
+def test_density_grid_matches_eval_on_the_table_grids(beta, lam):
+    # the README grids, x = 0:4:0.02 at t = 1: the boundary, series rows
+    # and, at lam = 1, branch-cut rows past x lam**beta = 2
+    grid = _grid_matches_eval([i * 0.02 for i in range(201)], 1.0,
+                              TemperedStableParams(beta, lam))
+    methods = {row.method for row in grid}
+    assert methods == ({"boundary", "series", "integral"} if lam
+                       else {"boundary", "series"})
+
+
+def test_density_grid_rows_take_evals_path():
+    # x = 0, negative and nan x, and a far-tail row that ends positive
+    grid = _grid_matches_eval([0.0, -1.0, 0.5, math.nan, 11.005, 2.0], 1.0,
+                              TemperedStableParams(0.7, 0.0))
+    assert [type(r).__name__ if isinstance(r, Exception) else r.method
+            for r in grid] == ["boundary", "ParameterError", "series",
+                               "ParameterError", "positive", "series"]
+    # a series that misses its bar, and one whose A_j underflow, go on to
+    # the integral; a doomed branch cut goes on to the last-jump integral
+    for xs, t, params in (([0.02815071826673611, 0.01], 1e-3,
+                           TemperedStableParams(0.7, 50.0)),
+                          ([0.5, 1.0], 1000.0, TemperedStableParams(0.5, 1.0)),
+                          ([1428.79, 100.0], 1e3,
+                           TemperedStableParams(0.7, 1.0))):
+        _grid_matches_eval(xs, t, params)
+    assert its_density.eval_density_grid([], 1.0,
+                                         TemperedStableParams(0.5)) == []
+    bad_t = its_density.eval_density_grid([1.0], -1.0,
+                                          TemperedStableParams(0.5))
+    assert isinstance(bad_t[0], ParameterError)

@@ -5,10 +5,14 @@ points, with x = {1e-3, 0.3, 1, 3, 10} times the mean E[E(t)] from
 `moment_exact`, and every warning raised as an error. Prints the density
 methods, the raises, the seconds spent in each function, the slowest
 point of each, the number of quadrature calls and the largest panel count
-of any one integral. Wherever both `eval_series` and `eval_integral`
-converge, their values must agree within the sum of their error
-estimates. Exits 1 if any density or cdf raised or warned, or if a
-series/integral pair lies outside its summed errors.
+of any one integral (per-point calls only). Wherever both `eval_series`
+and `eval_integral` converge, their values must agree within the sum of
+their error estimates. Each (beta, lam, t) also goes through
+`eval_density_grid` on its 5 x, whose rows must match the per-point
+`eval_density`: the same method, the same terms or panels, the same
+raise, and a value within the point's error estimate. Exits 1 if any
+density or cdf raised or warned, if a series/integral pair lies outside
+its summed errors, or if a grid row differs from its point.
 
     PYTHONPATH=src python tools/sweep.py
 """
@@ -23,6 +27,7 @@ from itsub.its_density import (
     EvalPoint,
     cdf,
     eval as eval_density,
+    eval_density_grid,
     eval_integral,
     eval_series,
 )
@@ -86,6 +91,35 @@ def sweep():
     return rows, panels
 
 
+def grid_rows(rows):
+    """eval_density_grid on the 5 x of each (beta, lam, t), outside the
+    panel counter: (per-point row, grid result or raise) pairs and the
+    seconds the grid calls took."""
+    pairs, seconds = [], 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(0, len(rows), len(MEAN_MULTIPLES)):
+            group = rows[k:k + len(MEAN_MULTIPLES)]
+            params, t = group[0][:2]
+            grid, s = _timed(
+                lambda: eval_density_grid([r[2] for r in group], t, params))
+            seconds += s
+            if isinstance(grid, Exception):
+                grid = [grid] * len(group)
+            pairs += zip(group, grid)
+    return pairs, seconds
+
+
+def _differs(point, grid):
+    """True unless the grid row is the point's raise, or has its method
+    and terms or panels and a value within its error estimate."""
+    if isinstance(point, Exception) or isinstance(grid, Exception):
+        return type(point) is not type(grid)
+    return (point.method != grid.method
+            or point.terms_or_panels != grid.terms_or_panels
+            or abs(point.value - grid.value) > point.error_estimate)
+
+
 def _where(row):
     params, t, x = row[:3]
     return f"beta={params.beta} lam={params.lam} t={t} x={x:.6g}"
@@ -124,7 +158,13 @@ def main():
         print(f"  at {_where(row)}: series {s.value:.10g} +- "
               f"{s.error_estimate:.2g}, integral {i.value:.10g} +- "
               f"{i.error_estimate:.2g}")
-    return 1 if raised or apart else 0
+    pairs, grid_s = grid_rows(rows)
+    differ = [(row, g) for row, g in pairs if _differs(row[3], g)]
+    print(f"grid rows {len(pairs)} in {grid_s:.1f} s, differing from "
+          f"eval_density {len(differ)}")
+    for row, g in differ:
+        print(f"  at {_where(row)}: point {row[3]!r}, grid {g!r}")
+    return 1 if raised or apart or differ else 0
 
 
 if __name__ == "__main__":
