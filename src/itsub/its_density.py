@@ -323,8 +323,8 @@ def eval_density_grid(xs, t, params):
     series rows share one A_j per j and are summed together
     (_series_rows), the branch-cut integrals run in lockstep
     (integrate_semi_infinite_rows), and the last-jump integral runs per
-    x. For a few points or more this is the faster path; eval stays the
-    one for a single point."""
+    x. For a few points or more the shared series make this the faster
+    path; eval stays the one for a single point."""
     out = [None] * len(xs)
     lb = params.lam ** params.beta
     series, cut = [], []
@@ -373,7 +373,8 @@ def derivative_at_zero(k, t, params):
     """k-th x-derivative of h(x, t) at x = 0+, for every lam >= 0: the
     series' sum_j C(k,j) lam**(beta*(k-j)) (-1)**j (A_{j+1} - lam**beta A_j)
     / pi, A_0 = 0, collected by coefficient. At lam = 0 it is
-    (-1)**k * t**(-(k+1)*beta) / Gamma(1 - (k+1)*beta).
+    (-1)**k * t**(-(k+1)*beta) / Gamma(1 - (k+1)*beta). NonConvergenceError
+    where it overflows a double.
     """
     if k < 0 or k != int(k):
         raise ParameterError(f"require integer k >= 0, got {k}")
@@ -381,8 +382,17 @@ def derivative_at_zero(k, t, params):
     k = int(k)
     lb = params.lam ** params.beta
     terms = ((m, *_coefficient(m, t, params)) for m in range(1, k + 2))
-    return sum((-1.0) ** (m - 1) * math.comb(k + 1, m) * lb ** (k + 1 - m)
-               * sign * math.exp(la) for m, la, sign in terms) / math.pi
+    try:
+        value = sum((-1.0) ** (m - 1) * math.comb(k + 1, m)
+                    * lb ** (k + 1 - m) * sign * math.exp(la)
+                    for m, la, sign in terms) / math.pi
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NonConvergenceError(
+            f"derivative {k} at x=0+, t={t}, beta={params.beta}, "
+            f"lam={params.lam} overflows a double")
+    return value
 
 
 def cdf(x, t, params):

@@ -152,6 +152,8 @@ def initial_condition_check(beta, x):
     convergent, so a vanishing regulator exp(-t_reg * y) with
     t_reg = x**2 / 120 is kept (its own contribution is below 1e-12);
     for beta < 1/2 the cos(beta*pi) damping suffices and t_reg = 0.
+    NonConvergenceError where the integral's scale
+    (1 / (x cos(beta*pi)))**(1/beta) overflows a double.
     """
     if not 0.0 < beta <= 0.5:
         raise ParameterError(f"require 0 < beta <= 1/2, got {beta}")
@@ -165,7 +167,12 @@ def initial_condition_check(beta, x):
         return (np.exp(-t_reg * y - x * yb * c) * yb / y
                 * np.sin(beta * math.pi - x * yb * s))
 
-    scale = (1.0 / (x * max(c, 1e-2))) ** (1.0 / beta)
+    try:
+        scale = (1.0 / (x * max(c, 1e-2))) ** (1.0 / beta)
+    except (OverflowError, ZeroDivisionError):
+        raise NonConvergenceError(
+            f"initial-condition integral at beta={beta}, x={x}: its scale "
+            "overflows a double") from None
     res = integrate_semi_infinite(integrand, scale=scale,
                                   power_singularity=beta)
     return abs(converged_value(

@@ -1,10 +1,11 @@
 """Adaptive quadrature on (0, inf) for exponentially damped, possibly
-oscillatory integrands, and on finite intervals.
+oscillatory integrands, and on finite intervals; one integral or a family
+of them in lockstep.
 
 The half line is covered by geometrically growing panels until the
 integrand falls below a truncation threshold, a finite interval by one
-panel between each pair of given edges; both are then refined by the
-same loop, bisecting the worst error estimate. Each panel uses the nested
+panel between each pair of given edges; both are then refined by one
+loop, bisecting the worst error estimate. Each panel uses the nested
 Gauss7/Kronrod15 pair, with the error taken as the difference of the two
 orders. An error within the rounding floor 50 * eps * int |f| has
 converged, and a floor above the bar BAR * max(1, |value|) gives up at
@@ -69,32 +70,31 @@ class QuadratureResult:
     converged: bool
 
 
-def _gk15(f, a, b):
-    """Gauss7/Kronrod15 panel of f on [a, b]:
-    (f, a, b, value, error, rounding floor, peak |f|).
-
-    The floor, 50 * eps * int |f| over the panel, is the error below which
-    the Gauss/Kronrod difference measures only rounding noise.
-    """
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fy = np.asarray(f(mid + half * _XK), dtype=float)
+def _gk15_rows(g, new, inv):
+    """Gauss7/Kronrod15 panels (row, mapped, a, b) of new, in one call
+    g(rows, y), y with one row of nodes per panel: lists of value, error,
+    rounding floor and peak |f|, one entry per panel. The floor,
+    50 * eps * int |f| over the panel, is the error below which the
+    Gauss/Kronrod difference measures only rounding noise. Mapped panels
+    come first and lie in v = y**(1/inv), which flattens an f ~ y**(s-1)
+    endpoint singularity at inv = 1/s."""
+    rows, flags, a, b = zip(*new)
+    a, b = np.array((a, b))
+    h = 0.5 * (b - a)
+    v = (0.5 * (a + b))[:, None] + h[:, None] * _XK
+    n = flags.count(True)
+    if n:
+        y = v.copy()
+        y[:n] **= inv
+        fy = np.asarray(g(rows, y), dtype=float)
+        fy[:n] = fy[:n] * inv * y[:n] / v[:n]
+    else:
+        fy = np.asarray(g(rows, v), dtype=float)
     afy = np.abs(fy)
-    vk, vg = (_RULES @ fy).tolist()
-    floor = _ROUNDING * abs(half) * float(_WK @ afy)
-    return f, a, b, half * vk, abs(half * (vk - vg)), floor, float(afy.max())
-
-
-def _power_map(f, s):
-    """Flatten an f ~ y**(s-1) endpoint singularity via y = v**(1/s)."""
-    inv = 1.0 / s
-
-    def g(v):
-        v = np.asarray(v, dtype=float)
-        y = v ** inv
-        return f(y) * inv * y / np.where(v > 0, v, 1.0)
-
-    return g
+    vk, vg = _RULES @ fy.T
+    return ((h * vk).tolist(), np.abs(h * (vk - vg)).tolist(),
+            (_ROUNDING * np.abs(h) * (_WK @ afy.T)).tolist(),
+            afy.max(axis=1).tolist())
 
 
 def _verdict(value, error, floor, n):
@@ -113,19 +113,79 @@ def _verdict(value, error, floor, n):
     return None
 
 
-def _refine(panels):
-    """Bisect the worst panel until _verdict stops the loop."""
-    while True:
-        done = _verdict(sum(p[3] for p in panels), sum(p[4] for p in panels),
-                        sum(p[5] for p in panels), len(panels))
-        if done:
-            return done
-        # Bisect the worst panel; tie-break on width.
-        worst = max(panels, key=lambda p: (p[4], p[2] - p[1]))
-        panels.remove(worst)
-        fn, pa, pb = worst[:3]
-        pm = 0.5 * (pa + pb)
-        panels += [_gk15(fn, pa, pm), _gk15(fn, pm, pb)]
+def _lockstep(g, new, tails, inv=1.0):
+    """Refine the integrals of rows 0 .. len(tails)-1 together: one
+    QuadratureResult per row.
+
+    new holds each row's first panels as (row, mapped, a, b), the mapped
+    ones first. A row with tails[i] = [a, width, peak] starts as the half
+    line does, with one panel and four tail panels, and goes on covering
+    it with [a, a + width], doubling the width, until a tail panel from
+    the fourth on peaks below TRUNCATION_THRESHOLD * the row's peak. Then
+    it bisects its worst panel, the one of largest error, tie-broken on
+    width, until _verdict stops it. A row keeps no panel after its first
+    non-finite one. Each round evaluates the new panels of every
+    unfinished row in one call of g.
+    """
+    # Per row, its panels as parallel lists: (row, mapped flag, left end,
+    # right end), value, error and rounding floor.
+    panels = [([], [], [], []) for _ in tails]
+    results = [None] * len(tails)
+    live = range(len(tails))
+    # A non-finite panel ends its row unconverged, so numpy's overflow,
+    # invalid-value and division warnings would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while live:
+            done = _gk15_rows(g, new, inv) if new else []
+            for p, v, e, fl, pk in zip(new, *done):
+                i = p[0]
+                ends, values, errors, floors = panels[i]
+                if errors and not math.isfinite(errors[-1]):
+                    continue
+                ends.append(p)
+                values.append(v)
+                errors.append(e)
+                floors.append(fl)
+                tail = tails[i]
+                if tail:
+                    tail[2] = max(tail[2], pk)
+                    if not math.isfinite(e) or (
+                            len(errors) > 4
+                            and pk <= TRUNCATION_THRESHOLD * tail[2]):
+                        tails[i] = None
+            mapped, plain, going = [], [], []
+            for i in live:
+                ends, values, errors, floors = panels[i]
+                tail = tails[i]
+                if tail and len(errors) < MAX_SUBDIVISIONS:
+                    plain.append((i, False, tail[0], tail[0] + tail[1]))
+                    tail[0] += tail[1]
+                    tail[1] *= 2.0
+                    going.append(i)
+                    continue
+                results[i] = _verdict(sum(values), sum(errors), sum(floors),
+                                      len(errors))
+                if results[i] is not None:
+                    continue
+                worst = max(errors)
+                k = errors.index(worst)
+                if errors.count(worst) > 1:
+                    k = max((j for j, e in enumerate(errors) if e == worst),
+                            key=lambda j: ends[j][3] - ends[j][2])
+                _, flag, lo, hi = ends[k]
+                mid = 0.5 * (lo + hi)
+                (mapped if flag else plain).extend(
+                    [(i, flag, lo, mid), (i, flag, mid, hi)])
+                going.append(i)
+                for col in panels[i]:
+                    del col[k]
+            new, live = mapped + plain, going
+        return results
+
+
+def _one_row(f):
+    """f of a 1-d y as the integrand g(rows, y) of one row."""
+    return lambda rows, y: f(y.ravel()).reshape(y.shape)
 
 
 def integrate_interval(f, edges):
@@ -134,8 +194,8 @@ def integrate_interval(f, edges):
     peaks keep them visible to the first pass. f must be vectorized and
     finite inside the interval; the rest is as integrate_semi_infinite.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _refine([_gk15(f, a, b) for a, b in zip(edges, edges[1:])])
+    new = [(0, False, a, b) for a, b in zip(edges, edges[1:])]
+    return _lockstep(_one_row(f), new, [None])[0]
 
 
 def integrate_semi_infinite(f, scale=1.0, power_singularity=None):
@@ -152,145 +212,31 @@ def integrate_semi_infinite(f, scale=1.0, power_singularity=None):
     Non-convergence (a floor above that bar, the panel budget spent, or a
     non-finite panel) is reported through the `converged` flag.
     """
-    scale = float(scale)
-    if not np.isfinite(scale) or scale <= 0:
-        scale = 1.0
-
-    # Panels as _gk15 returns them; the first is possibly transformed. A
-    # non-finite panel ends the integration as unconverged, so numpy's
-    # overflow and invalid-value warnings would only repeat that report.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if power_singularity is not None and power_singularity != 1.0:
-            s = float(power_singularity)
-            panels = [_gk15(_power_map(f, s), 0.0, scale ** s)]
-        else:
-            panels = [_gk15(f, 0.0, scale)]
-
-        # Geometric tail coverage: stop once the integrand has dropped
-        # below TRUNCATION_THRESHOLD * peak on a panel (and at least a few
-        # panels beyond the scale have been seen), or at the first
-        # non-finite panel.
-        a = scale
-        width = scale
-        n_tail = 0
-        while math.isfinite(panels[-1][4]) and n_tail < MAX_SUBDIVISIONS:
-            panels.append(_gk15(f, a, a + width))
-            a += width
-            width *= 2.0
-            n_tail += 1
-            peak = max(p[6] for p in panels)
-            if panels[-1][6] <= TRUNCATION_THRESHOLD * peak and n_tail >= 4:
-                break
-        return _refine(panels)
-
-
-def _gk15_rows(f, x, a, b, mapped, inv):
-    """Gauss7/Kronrod15 panels [a[k], b[k]] of y -> f(x[k], y), in one
-    call of f: arrays of value, error, rounding floor and peak |f|, each
-    as _gk15 gives it. A mapped panel lies in v = y**(1/inv), as
-    _power_map has it."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    v = mid[:, None] + half[:, None] * _XK
-    if not mapped.any():
-        fy = np.asarray(f(x[:, None], v), dtype=float)
-    else:
-        y = v.copy()
-        y[mapped] = v[mapped] ** inv
-        fy = np.asarray(f(x[:, None], y), dtype=float)
-        vm = v[mapped]
-        fy[mapped] = fy[mapped] * inv * y[mapped] / np.where(vm > 0, vm, 1.0)
-    afy = np.abs(fy)
-    vk, vg = (fy @ _RULES.T).T
-    return (half * vk, np.abs(half * (vk - vg)),
-            _ROUNDING * np.abs(half) * (afy @ _WK), afy.max(axis=1))
+    return _half_line(_one_row(f), 1, scale, power_singularity)[0]
 
 
 def integrate_semi_infinite_rows(f, xs, scale=1.0, power_singularity=None):
     """integrate_semi_infinite of y -> f(x, y) for every x in xs, in
     lockstep; f takes a column of x and a 2-d y with one row per x.
 
-    Each x gets the panels, the tail coverage and the stop rule (_verdict)
-    that integrate_semi_infinite gives it alone, and one call of f per
-    round evaluates the new panels of every unfinished x: the next tail
-    panel, or the two halves of its worst panel. Returns one
-    QuadratureResult per x; the values agree with the single integrals
-    to rounding, since the Kronrod sums take another order.
+    Each x gets the panels and the stop rule that integrate_semi_infinite
+    gives it alone, and one call of f per round evaluates the new panels
+    of every unfinished x. Returns one QuadratureResult per x, which
+    agrees with the single integral's to rounding.
     """
     xs = np.asarray(xs, dtype=float)
-    scale = float(scale)
-    if not np.isfinite(scale) or scale <= 0:
-        scale = 1.0
-    s = power_singularity
+    return _half_line(lambda rows, y: f(xs[list(rows), None], y), len(xs),
+                      scale, power_singularity)
+
+
+def _half_line(g, n, scale, s):
+    """_lockstep over (0, inf) for rows 0 .. n-1 of g: each starts with
+    [0, scale], in y**s at a power singularity s, and four tail panels."""
+    scale = float(scale) if 0.0 < scale < math.inf else 1.0
     mapped = s is not None and s != 1.0
-    inv = 1.0 / float(s) if mapped else 1.0
-    # Per x, its panels as parallel lists: (mapped flag, left end, right
-    # end), value, error and rounding floor.
-    panels = [([], [], [], []) for _ in xs]
-
-    def add(rows, a, b, flags):
-        """Evaluate and append one panel per entry of rows; return the
-        new panels' errors and peaks."""
-        value, error, floor, peak = _gk15_rows(
-            f, xs[list(rows)], np.array(a), np.array(b), np.array(flags), inv)
-        error = error.tolist()
-        for i, where, v, e, fl in zip(rows, zip(flags, a, b), value.tolist(),
-                                      error, floor.tolist()):
-            ends, values, errors, floors = panels[i]
-            ends.append(where)
-            values.append(v)
-            errors.append(e)
-            floors.append(fl)
-        return error, peak.tolist()
-
-    n = len(xs)
-    results = [None] * n
-    with np.errstate(over="ignore", invalid="ignore"):
-        first = scale ** float(s) if mapped else scale
-        live = list(range(n))
-        errors, peaks = add(live, [0.0] * n, [first] * n, [mapped] * n)
-        # Geometric tail coverage, as integrate_semi_infinite: each x stops
-        # at its first non-finite panel or once the integrand is below
-        # TRUNCATION_THRESHOLD * its peak after at least four tail panels.
-        live = [i for i in live if math.isfinite(errors[i])]
-        a = width = scale
-        n_tail = 0
-        while live and n_tail < MAX_SUBDIVISIONS:
-            k = len(live)
-            errors, new_peaks = add(live, [a] * k, [a + width] * k, [False] * k)
-            a += width
-            width *= 2.0
-            n_tail += 1
-            still = []
-            for i, e, p in zip(live, errors, new_peaks):
-                peaks[i] = max(peaks[i], p)
-                if math.isfinite(e) and not (
-                        p <= TRUNCATION_THRESHOLD * peaks[i] and n_tail >= 4):
-                    still.append(i)
-            live = still
-        # Refinement: every unfinished x bisects its own worst panel, the
-        # one of largest error, tie-broken on width, as _refine.
-        live = range(n)
-        while live:
-            split = []
-            for i in live:
-                ends, value, error, floor = panels[i]
-                results[i] = _verdict(sum(value), sum(error), sum(floor),
-                                      len(error))
-                if results[i] is not None:
-                    continue
-                worst = max(error)
-                k = error.index(worst)
-                if error.count(worst) > 1:
-                    k = max((j for j, e in enumerate(error) if e == worst),
-                            key=lambda j: ends[j][2] - ends[j][1])
-                flag, lo, hi = ends[k]
-                split.append((i, flag, lo, 0.5 * (lo + hi), hi))
-                for col in panels[i]:
-                    del col[k]
-            if not split:
-                break
-            rows, flags, pa, pm, pb = zip(*split)
-            add(rows + rows, pa + pm, pm + pb, flags + flags)
-            live = rows
-    return results
+    first = scale ** float(s) if mapped else scale
+    new = [(i, mapped, 0.0, first) for i in range(n)]
+    new += [(i, False, a * scale, 2.0 * a * scale)
+            for i in range(n) for a in (1.0, 2.0, 4.0, 8.0)]
+    tails = [[16.0 * scale, 16.0 * scale, 0.0] for _ in range(n)]
+    return _lockstep(g, new, tails, 1.0 / float(s) if mapped else 1.0)

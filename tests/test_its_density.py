@@ -471,6 +471,15 @@ def test_derivative_at_zero_reference():
                 assert val == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
+def test_derivative_at_zero_raises_where_it_overflows():
+    # at k = 80, t = 1e-3, beta 0.98 the derivative is beyond double
+    # range: math.exp of A_j's log used to raise a bare OverflowError
+    params = TemperedStableParams(0.98, 0.0)
+    assert math.isfinite(derivative_at_zero(60, 1e-3, params))
+    with pytest.raises(NonConvergenceError, match="overflows"):
+        derivative_at_zero(80, 1e-3, params)
+
+
 def test_boundary_error_holds_against_the_reference():
     # eval at x = 0 reports A_1 / pi with an error computed from its
     # inputs; it bounds the distance to the mpmath value everywhere

@@ -8,7 +8,7 @@ from itsub.pde_check import (
     pde_residual,
     residual_decay_ratio,
 )
-from itsub.stable_family import ParameterError
+from itsub.stable_family import NonConvergenceError, ParameterError
 
 
 def test_case_validation():
@@ -74,3 +74,12 @@ def test_initial_condition_domain():
         initial_condition_check(0.7, 1.0)
     with pytest.raises(ParameterError):
         initial_condition_check(0.5, -1.0)
+
+
+@pytest.mark.parametrize("beta, x", [(0.1, 1e-40), (0.3, 1e-300),
+                                     (0.5, 1e-200)])
+def test_initial_condition_raises_where_its_scale_overflows(beta, x):
+    # (1 / (x cos(beta pi)))**(1/beta) is beyond double range here; it
+    # used to raise a bare OverflowError
+    with pytest.raises(NonConvergenceError, match="overflows"):
+        initial_condition_check(beta, x)

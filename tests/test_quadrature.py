@@ -1,9 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from itsub.quadrature import BAR, REL_TOL, integrate_semi_infinite
+from itsub.its_density import _cut_integrand
+from itsub.quadrature import (
+    BAR,
+    REL_TOL,
+    integrate_interval,
+    integrate_semi_infinite,
+)
+from itsub.stable_family import TemperedStableParams
 
 
 def _check(result, expected, tol=1e-10):
@@ -86,3 +94,39 @@ def test_rounding_floor_above_the_bar_stops_unconverged():
 def test_subdivision_budget_reported():
     r = integrate_semi_infinite(lambda y: np.exp(-y))
     assert r.subdivisions_used >= 1
+
+
+def test_interval_closed_form_over_given_edges():
+    # int_0^pi sin = 2 from three first panels; |y - 1| is linear on each
+    # side of its edge at 1, so both of its panels are exact at once
+    _check(integrate_interval(np.sin, [0.0, 1.0, 2.0, math.pi]), 2.0)
+    r = integrate_interval(lambda y: np.abs(y - 1.0), [0.0, 1.0, 2.0])
+    _check(r, 1.0)
+    assert r.subdivisions_used == 2
+
+
+def test_non_finite_panel_ends_the_interval_unconverged():
+    # 1 / (y - 1.5) is infinite at the centre node of [1, 2]: the call
+    # stops there, keeps no panel after it and warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = integrate_interval(lambda y: 1.0 / (y - 1.5), [0.0, 1.0, 2.0, 3.0])
+    assert not r.converged
+    assert r.error_estimate == math.inf
+    assert r.subdivisions_used == 2
+
+
+def test_one_row_half_line_batches_its_first_round():
+    # the branch cut at beta 0.4, lam 1, t 1, x 0.8: the first panel and
+    # four tail panels go in one integrand call, then one call per round
+    f = _cut_integrand(1, 1.0, TemperedStableParams(0.4, 1.0))
+    calls = []
+
+    def counted(y):
+        calls.append(y.size)
+        return f(0.8, y)
+
+    r = integrate_semi_infinite(counted, 1.0, 0.4)
+    assert r.converged and r.subdivisions_used == 11
+    assert len(calls) <= 7
+    assert calls[0] == 5 * 15

@@ -67,14 +67,14 @@ def sweep():
     a raise stands in for its result, and the panel count of every
     quadrature call."""
     panels = []
-    refine = quadrature._refine
+    lockstep = quadrature._lockstep
 
-    def counted(p):
-        res = refine(p)
-        panels.append(res.subdivisions_used)
-        return res
+    def counted(*args):
+        results = lockstep(*args)
+        panels.extend(r.subdivisions_used for r in results)
+        return results
 
-    quadrature._refine = counted
+    quadrature._lockstep = counted
     rows = []
     try:
         with warnings.catch_warnings():
@@ -87,7 +87,7 @@ def sweep():
                          for f in (eval_series, eval_integral)]
                 rows.append((params, t, x, h, c, h_s, c_s, *forms))
     finally:
-        quadrature._refine = refine
+        quadrature._lockstep = lockstep
     return rows, panels
 
 
