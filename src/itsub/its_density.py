@@ -176,35 +176,41 @@ def _last_jump(density, x, t, params):
     # w dy = beta g / Gamma(2 - beta) ds.
     p = 1.0 - beta if density else 1.0
     edges = sorted({0.0, t ** p} | {(t - y) ** p for y in ys if 0.0 < y < t})
-    nodes = {}  # s -> (log of the integrand, Kanter's error of that log)
+    # The shift is the largest log of the first call, which holds every
+    # edge panel; below the floor, I is below the least subnormal, e**-746.
+    floor = -746.0 - math.log(edges[-1])
+    shift, kanter = None, 0.0  # kanter: Kanter's error where it counts
 
-    def log_integrand(s):
-        for si in set(s.tolist()) - nodes.keys():
+    def integrand(s):
+        """e**(log of the integrand - shift), or 0 below the floor."""
+        nonlocal shift, kanter
+        logs = []
+        for si in s.tolist():
             r = si ** (1.0 / p)
             lf, err = (_stable_log_density(t - r, x, beta) if r < t
                        else (-math.inf, 0.0))
             w = (upper_incomplete_gamma_scaled(-beta, lam * r) * beta
                  / math.gamma(2.0 - beta) if density else 1.0)
             lf += lam ** beta * x - lam * (t - r)
-            nodes[si] = lf + math.log(w) if w > 0.0 else -math.inf, err
-        return np.array([nodes[si][0] for si in s.tolist()])
+            logs.append((lf + math.log(w) if w > 0.0 else -math.inf, err))
+        lf, err = np.array(logs).T
+        if shift is None:
+            shift = float(lf.max())
+        if shift < floor:
+            return np.zeros_like(lf)
+        kanter = max(kanter, err[lf > shift - 40].max(initial=0.0))
+        return np.exp(lf - shift)
 
-    # Divide by the largest integrand of the first pass: a pass over zeros
-    # visits just its nodes, which the real pass then takes from the cache.
-    integrate_interval(lambda s: np.zeros_like(log_integrand(s)), edges)
-    shift = max(lf for lf, _ in nodes.values())
-    if shift + math.log(edges[-1]) < -746.0:  # log of the least subnormal
-        return -math.inf, 0.0, len(edges) - 1
-    res = integrate_interval(lambda s: np.exp(log_integrand(s) - shift),
-                             edges)
+    res = integrate_interval(integrand, edges)
+    if shift < floor:
+        return -math.inf, 0.0, res.subdivisions_used
     what = f"last-jump integral at x={x}, t={t}, beta={beta}, lam={lam}"
     log_i = shift + math.log(converged_value(res, what))
     value = math.exp(log_i)
     # Kanter's error where the integrand counts, the gamma's bound and the
     # rounding of exp(log I)
     err = value * (
-        res.error_estimate / res.value + GAMMA_REL_ERROR
-        + math.expm1(max(e for lf, e in nodes.values() if lf > shift - 40))
+        res.error_estimate / res.value + GAMMA_REL_ERROR + math.expm1(kanter)
         + 2.2e-16 * (abs(log_i) + 4.0))
     if err > BAR * max(1.0, value):
         raise NonConvergenceError(f"{what}: error {err:.3g} above the bar")

@@ -153,7 +153,8 @@ def initial_condition_check(beta, x):
     t_reg = x**2 / 120 is kept (its own contribution is below 1e-12);
     for beta < 1/2 the cos(beta*pi) damping suffices and t_reg = 0.
     NonConvergenceError where the integral's scale
-    (1 / (x cos(beta*pi)))**(1/beta) overflows a double.
+    (1 / (x cos(beta*pi)))**(1/beta), or the end of its mass, overflows a
+    double.
     """
     if not 0.0 < beta <= 0.5:
         raise ParameterError(f"require 0 < beta <= 1/2, got {beta}")
@@ -169,10 +170,14 @@ def initial_condition_check(beta, x):
 
     try:
         scale = (1.0 / (x * max(c, 1e-2))) ** (1.0 / beta)
+        # the damping e**(-x c y**beta) is below the least double past
+        # scale * 745**(1/beta); the quadrature needs the mass within range
+        if scale * 745.0 ** (1.0 / beta) == math.inf:
+            raise OverflowError
     except (OverflowError, ZeroDivisionError):
         raise NonConvergenceError(
             f"initial-condition integral at beta={beta}, x={x}: its scale "
-            "overflows a double") from None
+            "or the end of its mass overflows a double") from None
     res = integrate_semi_infinite(integrand, scale=scale,
                                   power_singularity=beta)
     return abs(converged_value(

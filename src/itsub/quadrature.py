@@ -1,17 +1,17 @@
-"""Adaptive quadrature on (0, inf) for exponentially damped, possibly
-oscillatory integrands, and on finite intervals; one integral or a family
-of them in lockstep.
+"""Adaptive quadrature on (0, inf) for decaying, possibly oscillatory
+integrands, and on finite intervals; one integral or a family of them in
+lockstep.
 
-The half line is covered by geometrically growing panels until the
-integrand falls below a truncation threshold, a finite interval by one
-panel between each pair of given edges; both are then refined by one
-loop, bisecting the worst error estimate. Each panel uses the nested
-Gauss7/Kronrod15 pair, with the error taken as the difference of the two
-orders. An error within the rounding floor 50 * eps * int |f| has
-converged, and a floor above the bar BAR * max(1, |value|) gives up at
-once, since no bisection brings cancelling noise under it (the roundoff
-tests of QUADPACK's QAG/QAGI, Piessens et al. 1983, section 3.4).
-Integrands must accept and return numpy arrays.
+The half line starts from six panels, the last [16 * scale, inf) mapped
+onto [0, 1] as in QUADPACK's QAGI, a finite interval from one panel
+between each pair of given edges; one loop then bisects the worst error
+estimate. Each panel uses the nested Gauss7/Kronrod15 pair, with the
+error taken as the difference of the two orders. An error within the
+rounding floor 50 * eps * int |f| has converged, and a floor above the
+bar BAR * max(1, |value|) gives up at once, since no bisection brings
+cancelling noise under it (the roundoff tests of QUADPACK's QAG/QAGI,
+Piessens et al. 1983, section 3.4). Integrands must accept and return
+numpy arrays.
 """
 
 import math
@@ -51,13 +51,12 @@ _RULES[1, 1::2] = _WG
 
 
 # Every caller integrates to the same standard: an absolute or relative
-# target, a panel budget, a tail cut relative to the peak |f|, and the
-# package's bar: every accepted result has error <= BAR * max(1, |value|).
+# target, a panel budget, and the package's bar: every accepted result has
+# error <= BAR * max(1, |value|).
 BAR = 1e-8
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
 MAX_SUBDIVISIONS = 2000
-TRUNCATION_THRESHOLD = 1e-16
 # Per-panel rounding floor as a multiple of int |f| (QUADPACK qk15).
 _ROUNDING = 50.0 * sys.float_info.epsilon
 
@@ -70,31 +69,35 @@ class QuadratureResult:
     converged: bool
 
 
-def _gk15_rows(g, new, inv):
-    """Gauss7/Kronrod15 panels (row, mapped, a, b) of new, in one call
-    g(rows, y), y with one row of nodes per panel: lists of value, error,
-    rounding floor and peak |f|, one entry per panel. The floor,
-    50 * eps * int |f| over the panel, is the error below which the
-    Gauss/Kronrod difference measures only rounding noise. Mapped panels
-    come first and lie in v = y**(1/inv), which flattens an f ~ y**(s-1)
-    endpoint singularity at inv = 1/s."""
-    rows, flags, a, b = zip(*new)
+def _gk15_rows(g, new, inv, reach):
+    """Gauss7/Kronrod15 panels (row, kind, a, b) of new, in one call
+    g(rows, y), y with one row of nodes per panel: lists of value, error
+    and rounding floor, one entry per panel. The floor, 50 * eps * int |f|
+    over the panel, is the error below which the Gauss/Kronrod difference
+    measures only rounding noise. new is ordered by kind: 0 lies in
+    v = y**(1/inv), which flattens an f ~ y**(s-1) endpoint singularity at
+    inv = 1/s, 1 in u = reach/y, where a node whose |dy/du| = y/u
+    overflows adds 0, and 2 in y."""
+    rows, kinds, a, b = zip(*new)
     a, b = np.array((a, b))
     h = 0.5 * (b - a)
     v = (0.5 * (a + b))[:, None] + h[:, None] * _XK
-    n = flags.count(True)
+    n, m = kinds.count(0), len(kinds) - kinds.count(2)
+    y = v.copy() if m else v
     if n:
-        y = v.copy()
         y[:n] **= inv
-        fy = np.asarray(g(rows, y), dtype=float)
+    if m > n:
+        y[n:m] = reach / v[n:m]
+    fy = np.asarray(g(rows, y), dtype=float)
+    if n:
         fy[:n] = fy[:n] * inv * y[:n] / v[:n]
-    else:
-        fy = np.asarray(g(rows, v), dtype=float)
-    afy = np.abs(fy)
+    if m > n:
+        dy = y[n:m] / v[n:m]
+        fy[n:m] *= dy
+        fy[n:m][np.isinf(dy)] = 0.0
     vk, vg = _RULES @ fy.T
     return ((h * vk).tolist(), np.abs(h * (vk - vg)).tolist(),
-            (_ROUNDING * np.abs(h) * (_WK @ afy.T)).tolist(),
-            afy.max(axis=1).tolist())
+            (_ROUNDING * np.abs(h) * (np.abs(fy) @ _WK)).tolist())
 
 
 def _verdict(value, error, floor, n):
@@ -113,56 +116,33 @@ def _verdict(value, error, floor, n):
     return None
 
 
-def _lockstep(g, new, tails, inv=1.0):
-    """Refine the integrals of rows 0 .. len(tails)-1 together: one
-    QuadratureResult per row.
-
-    new holds each row's first panels as (row, mapped, a, b), the mapped
-    ones first. A row with tails[i] = [a, width, peak] starts as the half
-    line does, with one panel and four tail panels, and goes on covering
-    it with [a, a + width], doubling the width, until a tail panel from
-    the fourth on peaks below TRUNCATION_THRESHOLD * the row's peak. Then
-    it bisects its worst panel, the one of largest error, tie-broken on
-    width, until _verdict stops it. A row keeps no panel after its first
-    non-finite one. Each round evaluates the new panels of every
-    unfinished row in one call of g.
-    """
-    # Per row, its panels as parallel lists: (row, mapped flag, left end,
-    # right end), value, error and rounding floor.
-    panels = [([], [], [], []) for _ in tails]
-    results = [None] * len(tails)
-    live = range(len(tails))
+def _lockstep(g, new, n, inv=1.0, reach=0.0):
+    """One QuadratureResult per row 0 .. n-1, refined together from the
+    first panels (row, kind, a, b) in new, kinds as in _gk15_rows. Each
+    round evaluates the new panels of every unfinished row in one call of
+    g; then each row bisects its worst panel, the one of largest error,
+    tie-broken on width, until _verdict stops it. A row keeps no panel
+    after its first non-finite one."""
+    # Per row, its panels as parallel lists: (row, kind, left end, right
+    # end), value, error and rounding floor.
+    panels = [([], [], [], []) for _ in range(n)]
+    results = [None] * n
+    live = range(n)
     # A non-finite panel ends its row unconverged, so numpy's overflow,
     # invalid-value and division warnings would only repeat that.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while live:
-            done = _gk15_rows(g, new, inv) if new else []
-            for p, v, e, fl, pk in zip(new, *done):
-                i = p[0]
-                ends, values, errors, floors = panels[i]
-                if errors and not math.isfinite(errors[-1]):
+            new.sort(key=lambda p: p[1])  # each kind one slice
+            done = _gk15_rows(g, new, inv, reach) if new else []
+            for p, v, e, fl in zip(new, *done):
+                row = panels[p[0]]
+                if row[2] and not math.isfinite(row[2][-1]):
                     continue
-                ends.append(p)
-                values.append(v)
-                errors.append(e)
-                floors.append(fl)
-                tail = tails[i]
-                if tail:
-                    tail[2] = max(tail[2], pk)
-                    if not math.isfinite(e) or (
-                            len(errors) > 4
-                            and pk <= TRUNCATION_THRESHOLD * tail[2]):
-                        tails[i] = None
-            mapped, plain, going = [], [], []
+                for col, item in zip(row, (p, v, e, fl)):
+                    col.append(item)
+            new = []
             for i in live:
                 ends, values, errors, floors = panels[i]
-                tail = tails[i]
-                if tail and len(errors) < MAX_SUBDIVISIONS:
-                    plain.append((i, False, tail[0], tail[0] + tail[1]))
-                    tail[0] += tail[1]
-                    tail[1] *= 2.0
-                    going.append(i)
-                    continue
                 results[i] = _verdict(sum(values), sum(errors), sum(floors),
                                       len(errors))
                 if results[i] is not None:
@@ -172,14 +152,12 @@ def _lockstep(g, new, tails, inv=1.0):
                 if errors.count(worst) > 1:
                     k = max((j for j, e in enumerate(errors) if e == worst),
                             key=lambda j: ends[j][3] - ends[j][2])
-                _, flag, lo, hi = ends[k]
+                _, kind, lo, hi = ends[k]
                 mid = 0.5 * (lo + hi)
-                (mapped if flag else plain).extend(
-                    [(i, flag, lo, mid), (i, flag, mid, hi)])
-                going.append(i)
+                new += [(i, kind, lo, mid), (i, kind, mid, hi)]
                 for col in panels[i]:
                     del col[k]
-            new, live = mapped + plain, going
+            live = [i for i in live if results[i] is None]
         return results
 
 
@@ -194,17 +172,19 @@ def integrate_interval(f, edges):
     peaks keep them visible to the first pass. f must be vectorized and
     finite inside the interval; the rest is as integrate_semi_infinite.
     """
-    new = [(0, False, a, b) for a, b in zip(edges, edges[1:])]
-    return _lockstep(_one_row(f), new, [None])[0]
+    new = [(0, 2, a, b) for a, b in zip(edges, edges[1:])]
+    return _lockstep(_one_row(f), new, 1)[0]
 
 
 def integrate_semi_infinite(f, scale=1.0, power_singularity=None):
     """Integrate f over (0, inf).
 
-    f must be vectorized, finite on (0, inf), and decay at least
-    exponentially. `scale` locates the interesting region (first panel is
-    [0, scale]). `power_singularity` = s flags an integrable f ~ y**(s-1)
-    behaviour at 0, handled by a power substitution on the first panel.
+    f must be vectorized and finite on (0, inf), with its mass within
+    double range. `scale` locates the interesting region: the first
+    panels are [0, scale] .. [8 scale, 16 scale], doubling, and
+    [16 scale, inf) as [0, 1] in u = 16 scale / y, where a node whose
+    |dy/du| overflows adds 0. `power_singularity` = s flags an integrable
+    f ~ y**(s-1) at 0, handled by a power substitution on the first panel.
 
     The integral has converged once the summed error is within ABS_TOL,
     REL_TOL * |value| or the summed rounding floor, and that floor within
@@ -231,12 +211,12 @@ def integrate_semi_infinite_rows(f, xs, scale=1.0, power_singularity=None):
 
 def _half_line(g, n, scale, s):
     """_lockstep over (0, inf) for rows 0 .. n-1 of g: each starts with
-    [0, scale], in y**s at a power singularity s, and four tail panels."""
+    [0, scale], in y**s at a power singularity s, four doubling panels and
+    the far tail, u in [0, 1]."""
     scale = float(scale) if 0.0 < scale < math.inf else 1.0
-    mapped = s is not None and s != 1.0
-    first = scale ** float(s) if mapped else scale
-    new = [(i, mapped, 0.0, first) for i in range(n)]
-    new += [(i, False, a * scale, 2.0 * a * scale)
-            for i in range(n) for a in (1.0, 2.0, 4.0, 8.0)]
-    tails = [[16.0 * scale, 16.0 * scale, 0.0] for _ in range(n)]
-    return _lockstep(g, new, tails, 1.0 / float(s) if mapped else 1.0)
+    power = s is not None and s != 1.0
+    first = [(0, 0.0, scale ** float(s)) if power else (2, 0.0, scale),
+             (1, 0.0, 1.0)]
+    first += [(2, a * scale, 2.0 * a * scale) for a in (1.0, 2.0, 4.0, 8.0)]
+    return _lockstep(g, [(i, *p) for i in range(n) for p in first], n,
+                     1.0 / float(s) if power else 1.0, 16.0 * scale)

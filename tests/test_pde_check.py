@@ -77,9 +77,30 @@ def test_initial_condition_domain():
 
 
 @pytest.mark.parametrize("beta, x", [(0.1, 1e-40), (0.3, 1e-300),
-                                     (0.5, 1e-200)])
+                                     (0.5, 1e-200), (0.02, 1e-6)])
 def test_initial_condition_raises_where_its_scale_overflows(beta, x):
-    # (1 / (x cos(beta pi)))**(1/beta) is beyond double range here; it
-    # used to raise a bare OverflowError
+    # (1 / (x cos(beta pi)))**(1/beta) is beyond double range at the first
+    # three, where it used to raise a bare OverflowError; at the last the
+    # scale is 1.1e300 and the mass ends near 4e443, where 3.7e5 came
+    # back as converged
     with pytest.raises(NonConvergenceError, match="overflows"):
         initial_condition_check(beta, x)
+
+
+@pytest.mark.parametrize("beta, x", [(0.1, 0.5), (0.1, 1.0), (0.2, 1e-3),
+                                     (0.3, 1e-5), (0.3, 1e-3)])
+def test_initial_condition_vanishes_at_small_beta(beta, x):
+    # the integral's mass lies far past its scale here; a tail cut by a
+    # peak test stopped early and returned 2.0e-5, 6.4e-6, 28, 74 and
+    # 3.5e-4 as converged
+    assert initial_condition_check(beta, x) < 1e-8
+
+
+@pytest.mark.parametrize("beta, x", [(0.02, 1.0), (0.05, 2.0), (0.1, 1e-10),
+                                     (0.02, 1e-6)])
+def test_initial_condition_vanishes_or_raises(beta, x):
+    # 0.28, 2.1e-3, 3.5e9 and 3.7e5 used to come back as converged
+    try:
+        assert initial_condition_check(beta, x) < 1e-8
+    except NonConvergenceError:
+        pass

@@ -117,8 +117,9 @@ def test_non_finite_panel_ends_the_interval_unconverged():
 
 
 def test_one_row_half_line_batches_its_first_round():
-    # the branch cut at beta 0.4, lam 1, t 1, x 0.8: the first panel and
-    # four tail panels go in one integrand call, then one call per round
+    # the branch cut at beta 0.4, lam 1, t 1, x 0.8: the first panel,
+    # four doubling panels and the far tail go in one integrand call, then
+    # one call per round, which only bisects
     f = _cut_integrand(1, 1.0, TemperedStableParams(0.4, 1.0))
     calls = []
 
@@ -127,6 +128,29 @@ def test_one_row_half_line_batches_its_first_round():
         return f(0.8, y)
 
     r = integrate_semi_infinite(counted, 1.0, 0.4)
-    assert r.converged and r.subdivisions_used == 11
+    assert r.converged and r.subdivisions_used == 9
     assert len(calls) <= 7
-    assert calls[0] == 5 * 15
+    assert calls[0] == 6 * 15
+    assert all(n == 2 * 15 for n in calls[1:])
+
+
+@pytest.mark.parametrize("k", [4, 10])
+def test_stretched_exponential_tail(k):
+    # int_0^inf e**(-y**(1/k)) dy = k!: the mass lies out to y ~ 40**k,
+    # far past the doubling panels, nearly all of it in the far tail
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = integrate_semi_infinite(lambda y: np.exp(-y ** (1.0 / k)))
+    assert r.converged
+    assert r.value == pytest.approx(math.factorial(k), rel=1e-9)
+    assert abs(r.value - math.factorial(k)) <= r.error_estimate
+
+
+def test_far_tail_node_beyond_double_range_adds_nothing():
+    # int_0^inf e**(-y / 1e305) dy = 1e305: at this scale dy/du = y/u of a
+    # far-tail node overflows where f has decayed; that node adds 0
+    # instead of making the integral nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = integrate_semi_infinite(lambda y: np.exp(-y / 1e305), 1e305)
+    _check(r, 1e305, tol=1e-12)

@@ -10,9 +10,13 @@ and `eval_integral` converge, their values must agree within the sum of
 their error estimates. Each (beta, lam, t) also goes through
 `eval_density_grid` on its 5 x, whose rows must match the per-point
 `eval_density`: the same method, the same terms or panels, the same
-raise, and a value within the point's error estimate. Exits 1 if any
-density or cdf raised or warned, if a series/integral pair lies outside
-its summed errors, or if a grid row differs from its point.
+raise, and a value within the point's error estimate. Last, the PDE
+check's `initial_condition_check`, which is 0 analytically, runs over
+8 beta x 5 x, where it must return below 1e-8 or raise
+NonConvergenceError. Exits 1 if any density or cdf raised or warned, if
+a series/integral pair lies outside its summed errors, if a grid row
+differs from its point, or if an initial-condition value is 1e-8 or
+more.
 
     PYTHONPATH=src python tools/sweep.py
 """
@@ -32,12 +36,15 @@ from itsub.its_density import (
     eval_series,
 )
 from itsub.moments import MomentQuery, moment_exact
+from itsub.pde_check import initial_condition_check
 from itsub.stable_family import NonConvergenceError, TemperedStableParams
 
 BETAS = (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98)
 LAMS = (0.0, 1e-3, 1.0, 50.0)
 TS = (1e-3, 1.0, 1e3)
 MEAN_MULTIPLES = (1e-3, 0.3, 1.0, 3.0, 10.0)
+IC_BETAS = (0.02, 0.05, 0.1, 0.2, 0.3, 1.0 / 3.0, 0.4, 0.5)
+IC_XS = (1e-6, 1e-3, 0.1, 1.0, 10.0)
 
 
 def points():
@@ -120,6 +127,20 @@ def _differs(point, grid):
             or abs(point.value - grid.value) > point.error_estimate)
 
 
+def initial_conditions():
+    """initial_condition_check over IC_BETAS x IC_XS: (beta, x, value or
+    the NonConvergenceError raised) triples and the seconds taken."""
+    out, seconds = [], 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in IC_BETAS:
+            for x in IC_XS:
+                value, s = _timed(lambda: initial_condition_check(beta, x))
+                out.append((beta, x, value))
+                seconds += s
+    return out, seconds
+
+
 def _where(row):
     params, t, x = row[:3]
     return f"beta={params.beta} lam={params.lam} t={t} x={x:.6g}"
@@ -164,7 +185,17 @@ def main():
           f"eval_density {len(differ)}")
     for row, g in differ:
         print(f"  at {_where(row)}: point {row[3]!r}, grid {g!r}")
-    return 1 if raised or apart or differ else 0
+    ic, ic_s = initial_conditions()
+    ic_raised = [v for _, _, v in ic if isinstance(v, NonConvergenceError)]
+    ic_bad = [(b, x, v) for b, x, v in ic
+              if not isinstance(v, NonConvergenceError)
+              and (isinstance(v, Exception) or not v < 1e-8)]
+    print(f"initial conditions {len(ic)} in {ic_s:.1f} s: below 1e-8 "
+          f"{len(ic) - len(ic_raised) - len(ic_bad)}, raised "
+          f"{len(ic_raised)}, bad {len(ic_bad)}")
+    for beta, x, v in ic_bad:
+        print(f"  at beta={beta:.6g} x={x:g}: {v!r}")
+    return 1 if raised or apart or differ or ic_bad else 0
 
 
 if __name__ == "__main__":
