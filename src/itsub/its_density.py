@@ -12,10 +12,12 @@ from Kanter's integral, gives h and the CDF.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as sp
 
 from .quadrature import (
     BAR,
@@ -32,7 +34,7 @@ from .stable_family import (
     converged_value,
     require_finite,
     require_positive,
-    sum_series,
+    sum_series_rows,
 )
 
 
@@ -61,7 +63,6 @@ class DensityResult:
 
 # The series runs first where x * lam**beta is at most this.
 _SERIES_MAX_X_LAM_BETA = 2.0
-_SERIES_MAX_TERMS = 400
 
 
 def _cut_integrand(m, t, params):
@@ -93,22 +94,27 @@ def _branch_cut(m, x, t, params, what):
     return value / math.pi, res.error_estimate / math.pi, res.subdivisions_used
 
 
-def _coefficient(j, t, params):
-    """(log|A_j|, sign), j >= 1, for A_j = Gamma(1+beta*j)
-    * lam**(beta*j) * Gamma(-beta*j, lam*t) * sin(j*beta*pi), with
-    lam**(beta*j) * Gamma(-beta*j, u) = t**(-beta*j) * g(-beta*j, u) from
-    the scaled gamma g. The sine, taken at j*beta less its nearest
-    integer, is exactly 0 at integer j*beta, and then no g is computed; an
-    A_j that underflows at large lam * t is (-inf, its sign)."""
-    jb = j * params.beta
-    n = round(jb)
-    sn = (-1.0) ** n * math.sin(math.pi * (jb - n))
-    if sn == 0.0:
-        return -math.inf, 0.0
-    g = upper_incomplete_gamma_scaled(-jb, params.lam * t)
-    la = math.lgamma(1.0 + jb) - jb * math.log(t) + math.log(abs(sn))
-    la = la + math.log(g) if g > 0.0 else -math.inf
-    return la, math.copysign(1.0, sn)
+@functools.lru_cache(maxsize=256)
+def _coefficients(j0, j1, t, params):
+    """(log|A_j|, sign) for j0 <= j < j1 as a read-only (2 x j) array, for
+    A_j = Gamma(1+beta*j) * lam**(beta*j) * Gamma(-beta*j, lam*t)
+    * sin(j*beta*pi), with lam**(beta*j) * Gamma(-beta*j, u)
+    = t**(-beta*j) * g(-beta*j, u) from the scaled gamma g. The sine,
+    taken at j*beta less its nearest integer, is exactly 0 at integer
+    j*beta, and then no g is computed; an A_j that underflows at large
+    lam * t is (-inf, its sign). Each g is an incomplete gamma call, so a
+    block is kept for the next point at the same (beta, lam, t)."""
+    jb = np.arange(j0, j1) * params.beta
+    n = np.round(jb)
+    sn = np.where(n % 2, -1.0, 1.0) * np.sin(math.pi * (jb - n))
+    g = [upper_incomplete_gamma_scaled(-a, params.lam * t) if s else 0.0
+         for a, s in zip(jb.tolist(), sn.tolist())]
+    with np.errstate(divide="ignore"):
+        la = (sp.gammaln(1.0 + jb) - jb * math.log(t) + np.log(np.abs(sn))
+              + np.log(g))
+    block = np.array([la, np.sign(sn)])
+    block.setflags(write=False)
+    return block
 
 
 def eval_integral(p, params):
@@ -123,37 +129,48 @@ def eval_integral(p, params):
     return DensityResult(value, err, "integral", panels)
 
 
+def _series(xs, t, params):
+    """eval_series at every x of xs, one row each of sum_series_rows: per
+    x its DensityResult, or None where the sum did not converge. An A_j
+    that underflowed at large lam * t gets log scale +inf, which ends
+    the row unconverged."""
+    beta, lam = params.beta, params.lam
+    lb = lam ** beta
+    # rel: the gamma's bound (0 where A_j is exact) plus eps times the parts
+    # of the log scale, which cancel: |lw| + 2 lgamma(j) for lw, |la|
+    # + 2 (lgamma(j) + log j + j beta |log t|) for la, log j <= lgamma(j) + 1
+    rel, lt = GAMMA_REL_ERROR if lam > 0 else 0.0, 2 * beta * abs(math.log(t))
+    x = np.asarray(xs, dtype=float)[:, None]
+    lpref = lb * x - math.log(math.pi)
+
+    def block(js, rows):
+        la, sign = _coefficients(int(js[0]), int(js[-1]) + 1, t, params)
+        la = np.where((la == -np.inf) & (sign != 0.0), np.inf, la)
+        lg = sp.gammaln(js)
+        xr, lp = x[rows], lpref[rows]
+        lw = sp.xlogy(js - 1.0, xr) - lg  # x**(j-1)/(j-1)!, 0**0 = 1
+        ls = lp + la + lw + np.log1p(lb * xr / js)
+        parts = np.abs(lp) + np.abs(la) + np.abs(lw) + (6.0 * lg + js * lt)
+        return ls, np.where(js % 2, sign, -sign), rel + 2.2e-16 * parts
+
+    rows = sum_series_rows(block, len(xs), 400, 1e-13 / math.pi, BAR)
+    return [DensityResult(r.value, r.error_estimate, "series", r.terms)
+            if r.converged else None for r in rows]
+
+
 def eval_series(p, params):
     """Density h(x, t) by the power series in x,
     h = (exp(lam**beta * x) / pi)
         * sum_{j>=1} A_j * (-x)**(j-1) / (j-1)! * (1 + lam**beta * x / j);
     at lam = 0 the Wright series. With the prefactor in each term the sum's
-    error is h's; NonConvergenceError when it is above max(1e-13/pi, BAR*|h|).
+    error is h's; NonConvergenceError when it is above max(1e-13/pi, BAR*|h|),
+    and the ParameterError that A_j raised.
     """
-    beta, lam = params.beta, params.lam
-    x, t = p.x, p.t
-    lb = lam ** beta
-    lx = math.log(x) if x > 0 else -math.inf
-    lpref = lb * x - math.log(math.pi)
-    # rel: the gamma's bound (0 where A_j is exact) plus eps times the parts
-    # of the log scale, which cancel: |lw| + 2 lgamma(j) for lw, |la|
-    # + 2 (lgamma(j) + log j + j beta |log t|) for la, log j <= lgamma(j) + 1
-    rel, lt = GAMMA_REL_ERROR if lam > 0 else 0.0, 2 * beta * abs(math.log(t))
-
-    def term(j):
-        """(log|term_j|, sign, rel); one coefficient A_j per term."""
-        la, sign = _coefficient(j, t, params)
-        if la == -math.inf and sign:
-            return math.inf, 0.0, 0.0  # A_j underflowed: end unconverged
-        lw = (j - 1) * lx - math.lgamma(j) if j > 1 else 0.0  # x**(j-1)/(j-1)!
-        parts = abs(lpref) + abs(la) + abs(lw) + 6.0 * math.lgamma(j) + j * lt
-        return (lpref + la + lw + math.log1p(lb * x / j),
-                -sign if j % 2 == 0 else sign, rel + 2.2e-16 * parts)
-
-    res = sum_series(term, _SERIES_MAX_TERMS, 1e-13 / math.pi, BAR)
-    value = converged_value(
-        res, f"density series at x={x}, t={t}, beta={beta}, lam={lam}")
-    return DensityResult(value, res.error_estimate, "series", res.terms)
+    res, = _series([p.x], p.t, params)
+    if res is None:
+        raise NonConvergenceError(f"density series at x={p.x}, t={p.t}, "
+                                  f"beta={params.beta}, lam={params.lam}")
+    return res
 
 
 def _last_jump(density, x, t, params):
@@ -220,7 +237,7 @@ def _last_jump(density, x, t, params):
 def _boundary(t, params):
     """h(0+, t) = A_1 / pi, with the gamma's bound plus the rounding of
     exp(log A_1) as its error."""
-    la, _ = _coefficient(1, t, params)
+    la = float(_coefficients(1, 2, t, params)[0, 0])
     value = math.exp(la) / math.pi
     rel = GAMMA_REL_ERROR + 2.2e-16 * (abs(la) + 4.0) if value else 0.0
     return DensityResult(value, value * rel, "boundary", 0)
@@ -252,85 +269,15 @@ def _positive(x, t, params):
     return DensityResult(math.exp(log_h), err, "positive", panels)
 
 
-# Terms per round of the grid series.
-_SERIES_BLOCK = 32
-
-
-def _series_rows(xs, t, params):
-    """eval_series at every x > 0 of xs at once: per x its DensityResult,
-    None where the series did not converge, or the ParameterError that
-    A_j raised. Each round takes the next block of j, one A_j each, for
-    the rows still summing, as a (rows x j) log-space array, and ends each
-    row by sum_series's rule: its running sum and rounding are cumulative
-    sums along the row, and three small terms in a row or a log scale
-    above 700 stop it."""
-    beta, lam = params.beta, params.lam
-    lb = lam ** beta
-    rel, lt = GAMMA_REL_ERROR if lam > 0 else 0.0, 2 * beta * abs(math.log(t))
-    out = [None] * len(xs)
-    # Per row still summing: its index, x, log x, the log prefactor, the
-    # sum and rounding so far (acc) and the last two small-term flags.
-    idx = np.arange(len(xs))
-    x = np.asarray(xs, dtype=float)[:, None]
-    lx = np.log(x)
-    lpref = lb * x - math.log(math.pi)
-    acc = np.zeros((2, len(xs), 1))
-    last = np.zeros((len(xs), 2), dtype=bool)
-    for j0 in range(1, _SERIES_MAX_TERMS + 1, _SERIES_BLOCK):
-        js = range(j0, min(j0 + _SERIES_BLOCK, _SERIES_MAX_TERMS + 1))
-        try:
-            coeffs = [_coefficient(k, t, params) for k in js]
-        except ParameterError as e:
-            for i in idx.tolist():
-                out[i] = e
-            break
-        # the terms of eval_series; an A_j that underflowed gets log scale
-        # +inf, which ends the row unconverged
-        la = np.array([math.inf if s and v == -math.inf else v
-                       for v, s in coeffs])
-        mant = np.array([s if k % 2 else -s for k, (_, s) in zip(js, coeffs)])
-        j = np.array(js, dtype=float)
-        lg = np.array([math.lgamma(k) for k in js])
-        lw = (j - 1.0) * lx - lg  # x**(j-1)/(j-1)!
-        ls = lpref + la + lw + np.log1p(lb * x / j)
-        parts = np.abs(lpref) + np.abs(la) + np.abs(lw) + (6.0 * lg + j * lt)
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = mant * np.exp(ls)
-            own = (rel + 2.2e-16 * (parts + np.abs(ls) + 4.0)) * np.abs(v)
-            acc = np.concatenate(
-                [acc, np.stack([v, np.where(v != 0.0, own, 0.0)])],
-                axis=2).cumsum(axis=2)
-            sums, rnd = acc[:, :, 1:]
-            small = np.hstack([last, np.abs(v) < 1e-15 * np.maximum(
-                np.abs(sums), 1e-300)])
-        stop = (ls > 700.0) | (small[:, 2:] & small[:, 1:-1] & small[:, :-2])
-        k = stop.argmax(axis=1)
-        r = np.flatnonzero(stop[np.arange(len(idx)), k])
-        k = k[r]
-        err = np.abs(v[r, k]) + rnd[r, k]
-        ok = (ls[r, k] <= 700.0) & (err <= np.maximum(
-            1e-13 / math.pi, BAR * np.abs(sums[r, k])))
-        for i, value, e, n in zip(idx[r][ok].tolist(), sums[r, k][ok].tolist(),
-                                  err[ok].tolist(), (k[ok] + js[0]).tolist()):
-            out[i] = DensityResult(value, e, "series", n)
-        going = np.ones(len(idx), dtype=bool)
-        going[r] = False
-        idx, x, lx, lpref = idx[going], x[going], lx[going], lpref[going]
-        acc, last = acc[:, going, -1:], small[going, -2:]
-        if not len(idx):
-            break
-    return out
-
-
 def eval_density_grid(xs, t, params):
     """eval at every x of xs with t and params shared: per x the
     DensityResult that eval gives there, or the ParameterError or
     NonConvergenceError that it raises. Each x takes eval's path; the
-    series rows share one A_j per j and are summed together
-    (_series_rows), the branch-cut integrals run in lockstep
+    series rows share one A_j per j and are summed together (_series),
+    the branch-cut integrals run in lockstep
     (integrate_semi_infinite_rows), and the last-jump integral runs per
-    x. For a few points or more the shared series make this the faster
-    path; eval stays the one for a single point."""
+    x. A series row is eval_series at its x, bit for bit: both are rows
+    of one sum_series_rows call."""
     out = [None] * len(xs)
     lb = params.lam ** params.beta
     series, cut = [], []
@@ -346,7 +293,10 @@ def eval_density_grid(xs, t, params):
         except ParameterError as e:
             out[i] = e
     if series:
-        done = _series_rows([xs[i] for i in series], t, params)
+        try:
+            done = _series([xs[i] for i in series], t, params)
+        except ParameterError as e:
+            done = [e] * len(series)
         for i, res in zip(series, done):
             out[i] = res
         cut += [i for i, res in zip(series, done) if res is None]
@@ -387,7 +337,7 @@ def derivative_at_zero(k, t, params):
     require_positive("t", t)
     k = int(k)
     lb = params.lam ** params.beta
-    terms = ((m, *_coefficient(m, t, params)) for m in range(1, k + 2))
+    terms = zip(range(1, k + 2), *_coefficients(1, k + 2, t, params).tolist())
     try:
         value = sum((-1.0) ** (m - 1) * math.comb(k + 1, m)
                     * lb ** (k + 1 - m) * sign * math.exp(la)

@@ -10,6 +10,7 @@ asymptotics cover the small-t and large-t regimes.
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 from scipy import special as sp
@@ -59,8 +60,11 @@ def talbot_inversion(F, t, n_nodes=32):
     F must accept complex s analytically to the right of the contour's
     leftmost excursion (singularities on the negative real axis are
     fine, which covers the branch point at -lam and the pole at 0).
+    n_nodes is an integer >= 1.
     """
     require_positive("t", t)
+    if not (isinstance(n_nodes, numbers.Integral) and n_nodes >= 1):
+        raise ParameterError(f"require integer n_nodes >= 1, got {n_nodes}")
     r = 2.0 * n_nodes / (5.0 * t)
     total = 0.5 * (F(complex(r, 0.0)) * cmath.exp(r * t)).real
     for k in range(1, n_nodes):
@@ -75,12 +79,13 @@ def talbot_inversion(F, t, n_nodes=32):
 def gaver_stehfest_inversion(F, t, n_terms=14):
     """Gaver-Stehfest inversion on the real axis (cross-check quality).
 
-    n_terms must be even; usable precision in doubles tops out around
-    n_terms = 14-16.
+    n_terms must be an even integer >= 2; usable precision in doubles
+    tops out around n_terms = 14-16.
     """
     require_positive("t", t)
-    if n_terms % 2 != 0:
-        raise ParameterError("n_terms must be even")
+    if not (isinstance(n_terms, numbers.Integral) and n_terms >= 2
+            and n_terms % 2 == 0):
+        raise ParameterError(f"require even n_terms >= 2, got {n_terms}")
     ln2_t = math.log(2.0) / t
     half = n_terms // 2
     total = 0.0

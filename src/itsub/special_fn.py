@@ -94,9 +94,12 @@ def upper_incomplete_gamma_scaled(a, u):
 
     This form stays representable for very negative a where the plain
     value would overflow; as u -> 0 it tends to -1/a for a < 0, the value
-    returned at u = 0. A u > 0 below the smallest normal double, where
-    1/u is no longer finite, is refused. Every branch returns a float.
+    returned at u = 0. A non-finite a or u is refused, and so is a u > 0
+    below the smallest normal double, where 1/u is no longer finite.
+    Every branch returns a float.
     """
+    if not (math.isfinite(a) and math.isfinite(u)):
+        raise GammaDomainError(f"require finite a and u; got a = {a}, u = {u}")
     if u == 0 and a < 0:
         return -1.0 / a
     if u < sys.float_info.min:

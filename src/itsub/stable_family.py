@@ -7,7 +7,8 @@ positive on (0, pi) (Kanter 1975, Ann. Probab. 3; Nolan 1997, Stoch.
 Models 13); the inverse stable density, the tests' lam = 0 reference,
 has a power series in x with a fallback to f through the first-passage
 identity. All densities vanish for x <= 0 by convention. Every series
-in the package is summed by sum_series.
+in the package, this one and the density series of its_density, is
+summed by sum_series_rows, a block of terms at a time for many rows.
 """
 
 import math
@@ -29,6 +30,12 @@ def require_positive(name, v):
     """ParameterError unless 0 < v < inf; nan fails too."""
     if not 0.0 < v < math.inf:
         raise ParameterError(f"require 0 < {name} < inf, got {v}")
+
+
+def require_beta(beta):
+    """ParameterError unless 0 < beta < 1; nan fails too."""
+    if not 0.0 < beta < 1.0:
+        raise ParameterError(f"require 0 < beta < 1, got {beta}")
 
 
 def require_finite(name, v):
@@ -61,8 +68,7 @@ class TemperedStableParams:
     lam: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ParameterError(f"require 0 < beta < 1, got {self.beta}")
+        require_beta(self.beta)
         if not 0.0 <= self.lam < math.inf:
             raise ParameterError(f"require 0 <= lam < inf, got {self.lam}")
 
@@ -77,42 +83,56 @@ class SeriesEval(NamedTuple):
     converged: bool
 
 
-_MAX_TERMS = 500
+_SERIES_BLOCK = 32  # terms per round of sum_series_rows
 
 
-def sum_series(term, max_terms, floor, rel):
-    """Sum term(1) + term(2) + ..., one term at a time.
-
-    term(k) returns (log_scale, mantissa, rel_k) for the term
-    mantissa * exp(log_scale), rel_k its error before the exp, so
-    coefficients that overflow doubles still give representable terms.
-    The sum stops after three consecutive terms below 1e-15 of the
-    running total: zero terms occur periodically for rational beta, so
-    one small term proves nothing. Its error is the last term plus the
-    sum of (rel_k + eps (|log_scale| + 4)) |term|, each term's error and
-    the rounding of its exp and its addition (Higham 2002, ch. 4); it has
-    converged when that is within max(floor, rel * |sum|). A log_scale
-    above 700 (+inf: unrepresentable) or max_terms terms end it unconverged.
-    """
-    total = value = rounding = 0.0
-    small_run = 0
-    for n in range(1, max_terms + 1):
-        log_scale, mantissa, rel_n = term(n)
-        if log_scale > 700.0:
-            return SeriesEval(total, abs(total), n, False)
-        value = mantissa * math.exp(log_scale)
-        total += value
-        if value:  # a zero term's log_scale may be -inf
-            rounding += (rel_n + 2.2e-16 * (abs(log_scale) + 4.0)) * abs(value)
-        if abs(value) < 1e-15 * max(abs(total), 1e-300):
-            small_run += 1
-        else:
-            small_run = 0
-        if small_run == 3:
-            err = abs(value) + rounding
-            return SeriesEval(total, err, n,
-                              err <= max(floor, rel * abs(total)))
-    return SeriesEval(total, abs(value), max_terms, False)
+def sum_series_rows(block, n_rows, max_terms, floor, rel):
+    """Sum n_rows series term(1) + term(2) + ..., _SERIES_BLOCK terms a
+    round, and return each row's SeriesEval. block(js, rows) gives
+    (log_scale, mantissa, rel_j) of the terms mantissa * exp(log_scale)
+    at the j of js in the rows still summing (indices rows): log_scale
+    (rows x j), the others broadcasting to it, and rel_j a term's error
+    before the exp, which keeps terms of overflowing coefficients
+    representable. A row stops after three terms in a row below 1e-15 of
+    its sum (zero terms recur for rational beta). Its error is the last
+    term plus the sum of (rel_j + eps (|log_scale| + 4)) |term|, each
+    term's error and the rounding of its exp and its addition (Higham
+    2002, ch. 4); it has converged when that is within max(floor,
+    rel * |sum|). max_terms terms end a row unconverged, as does a
+    log_scale above 700, with the sum before it as value and error. A
+    row's sums run along that row alone."""
+    out = [None] * n_rows
+    live = np.arange(n_rows)  # the rows still summing,
+    acc = np.zeros((2, n_rows, 1))  # their sum and rounding so far
+    last = np.zeros((n_rows, 2), dtype=bool)  # and last two small flags
+    for j0 in range(1, max_terms + 1, _SERIES_BLOCK):
+        if not len(live):
+            break
+        js = np.arange(j0, min(j0 + _SERIES_BLOCK, max_terms + 1))
+        log_scale, mantissa, rel_j = block(js, live)
+        with np.errstate(over="ignore", invalid="ignore"):
+            big = log_scale > 700.0
+            v = np.where(big, 0.0, mantissa * np.exp(log_scale))
+            own = (rel_j + 2.2e-16 * (np.abs(log_scale) + 4.0)) * np.abs(v)
+            # a zero term's log_scale may be -inf
+            acc = np.concatenate([acc, np.stack(
+                [v, np.where(v != 0.0, own, 0.0)])], axis=2).cumsum(axis=2)
+            sums, rnd = acc[:, :, 1:]
+            small = np.hstack([last, np.abs(v) < 1e-15 * np.maximum(
+                np.abs(sums), 1e-300)])
+        three = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
+        stop = big | three
+        stop[:, -1] |= js[-1] == max_terms
+        done = stop.any(axis=1)
+        r, k = np.flatnonzero(done), stop[done].argmax(axis=1)
+        total, big, three = sums[r, k], big[r, k], three[r, k]
+        err = np.where(big, np.abs(total), np.abs(v[r, k]) + rnd[r, k])
+        ok = three & ~big & (err <= np.maximum(floor, rel * np.abs(total)))
+        for i, *res in zip(live[r].tolist(), total.tolist(), err.tolist(),
+                           (k + j0).tolist(), ok.tolist()):
+            out[i] = SeriesEval(*res)
+        live, acc, last = live[~done], acc[:, ~done, -1:], small[~done, -2:]
+    return out
 
 
 # log(sin(v) / v) = -sum_n zeta(2n) (v/pi)**(2n) / n, as a polynomial in
@@ -135,8 +155,7 @@ def _kanter(x, t, beta):
     at v* = pi - u ~ sin(beta pi) z**(1-beta), and y = v = pi - u.
     """
     require_positive("t", t)
-    if not 0.0 < beta < 1.0:
-        raise ParameterError(f"require 0 < beta < 1, got {beta}")
+    require_beta(beta)
     log_s = math.log(x) - math.log(t) / beta
     kappa = beta / (1.0 - beta)
     log_a0 = kappa * math.log(beta) + math.log1p(-beta)
@@ -241,24 +260,26 @@ def tempered_density(x, t, params):
 
 
 def inverse_stable_density_series(x, t, beta):
-    """Inverse stable density by its power series in x."""
+    """Inverse stable density as a SeriesEval by its power series in x,
+    sum_k Gamma(k beta) sin(k beta pi) (-x)**(k-1) / (k-1)!
+    * t**(-k beta) / pi."""
     require_finite("x", x)
     require_positive("t", t)
+    require_beta(beta)
     if x < 0:
         return SeriesEval(0.0, 0.0, 0, True)
     lt_b = -beta * math.log(t)
-    lx = math.log(x) if x > 0 else -math.inf
 
-    def term(k):
+    def block(ks, rows):
         # x**(k-1), with x**0 = 1 also at x = 0; rel: eps times the parts
         # of the log scale, which cancel
-        lxk = (k - 1) * lx if k > 1 else 0.0
-        parts = (math.lgamma(k * beta), -math.lgamma(k), k * lt_b, lxk)
-        return (sum(parts), (-1.0) ** (k - 1) * math.sin(k * beta * math.pi),
-                2.2e-16 * sum(map(abs, parts)))
+        parts = (sp.gammaln(ks * beta), -sp.gammaln(ks), ks * lt_b,
+                 sp.xlogy(ks - 1.0, x), -math.log(math.pi))
+        return (sum(parts)[None, :],
+                np.where(ks % 2, 1.0, -1.0) * np.sin(ks * beta * math.pi),
+                2.2e-16 * sum(map(np.abs, parts)))
 
-    r, c = sum_series(term, _MAX_TERMS, 1e-11, 1e-9), 1.0 / math.pi
-    return r._replace(value=r.value * c, error_estimate=r.error_estimate * c)
+    return sum_series_rows(block, 1, 500, 1e-11 / math.pi, 1e-9)[0]
 
 
 def inverse_stable_density(x, t, beta):

@@ -600,9 +600,12 @@ def test_large_x_never_overflows():
         assert res.error_estimate <= 1e-8 * max(1.0, abs(res.value))
 
 
-def test_series_computes_only_the_coefficients_it_uses(monkeypatch):
-    # one incomplete-gamma call per term summed, not a fixed table, and
-    # none where sin(j*beta*pi) = 0: j = 5, 10, 15, 20 of 22 at beta = 0.4
+def test_series_computes_each_coefficient_block_once(monkeypatch):
+    # the first point computes the A_j of the 32-term block it reaches,
+    # one incomplete gamma each except where sin(j*beta*pi) = 0: j = 5,
+    # 10, ..., 30 at beta = 0.4; a second point at the same (beta, lam, t)
+    # computes none
+    its_density._coefficients.cache_clear()
     calls = []
     gamma = its_density.upper_incomplete_gamma_scaled
 
@@ -611,9 +614,14 @@ def test_series_computes_only_the_coefficients_it_uses(monkeypatch):
         return gamma(a, u)
 
     monkeypatch.setattr(its_density, "upper_incomplete_gamma_scaled", counted)
-    res = eval_series(EvalPoint(0.8, 1.0), TemperedStableParams(0.4, 1.0))
+    params = TemperedStableParams(0.4, 1.0)
+    res = eval_series(EvalPoint(0.8, 1.0), params)
     assert res.terms_or_panels == 22
-    assert len(calls) == res.terms_or_panels - 4
+    assert sorted(round(-a / 0.4) for a in calls) == [
+        j for j in range(1, 33) if j % 5]
+    calls.clear()
+    assert eval_series(EvalPoint(0.5, 1.0), params).terms_or_panels > 0
+    assert calls == []
 
 
 def test_unconverged_forms_fall_back_below_double_range(monkeypatch):
@@ -765,8 +773,9 @@ def test_sweep_returns_a_value_or_a_typed_error():
 
 def _grid_matches_eval(xs, t, params):
     """eval_density_grid on xs, each row checked against eval at its x:
-    the same raise, or the same method and terms or panels and a value
-    within eval's error estimate."""
+    the same raise, a series row equal to eval_series' in value, error and
+    terms, or any other row with the same method and terms or panels and a
+    value within eval's error estimate."""
     grid = its_density.eval_density_grid(xs, t, params)
     assert len(grid) == len(xs)
     for x, row in zip(xs, grid):
@@ -777,6 +786,8 @@ def _grid_matches_eval(xs, t, params):
             continue
         assert (row.method, row.terms_or_panels) == (point.method,
                                                      point.terms_or_panels)
+        if row.method == "series":
+            assert row == point
         assert abs(row.value - point.value) <= point.error_estimate
         assert type(row.value) is float and type(row.error_estimate) is float
     return grid
@@ -801,9 +812,11 @@ def test_density_grid_rows_take_evals_path():
     assert [type(r).__name__ if isinstance(r, Exception) else r.method
             for r in grid] == ["boundary", "ParameterError", "series",
                                "ParameterError", "positive", "series"]
-    # a series that misses its bar, and one whose A_j underflow, go on to
+    # series rows that parted from eval_series in the last bit before; a
+    # series that misses its bar, and one whose A_j underflow, go on to
     # the integral; a doomed branch cut goes on to the last-jump integral
-    for xs, t, params in (([0.02815071826673611, 0.01], 1e-3,
+    for xs, t, params in (([0.55, 0.1], 0.5, TemperedStableParams(0.4, 2.0)),
+                          ([0.02815071826673611, 0.01], 1e-3,
                            TemperedStableParams(0.7, 50.0)),
                           ([0.5, 1.0], 1000.0, TemperedStableParams(0.5, 1.0)),
                           ([1428.79, 100.0], 1e3,

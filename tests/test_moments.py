@@ -65,6 +65,19 @@ def test_gaver_stehfest_inverts_known_transform():
     assert e14 < e8
 
 
+def test_inversions_refuse_a_bad_node_count():
+    # n_terms 0 and -2 returned 0.0, n_nodes 0 a ZeroDivisionError
+    def F(s):
+        return 1.0 / (s + 1.0)
+
+    for n in (0, -2, 3, 2.0, math.nan):
+        with pytest.raises(ParameterError):
+            gaver_stehfest_inversion(F, 1.3, n)
+    for n in (0, -1, 1.5, math.nan):
+        with pytest.raises(ParameterError):
+            talbot_inversion(F, 1.3, n)
+
+
 def test_moment_reference_values():
     for q, t, beta, lam, ref in _MOMENT_REFERENCE:
         query = MomentQuery(q, t, TemperedStableParams(beta, lam))

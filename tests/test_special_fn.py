@@ -119,6 +119,12 @@ def test_domain_errors():
     for a in (0.5, 0.0):
         with pytest.raises(GammaDomainError):
             upper_incomplete_gamma_scaled(a, 0.0)
+    # non-finite a or u: a raw ValueError, an OverflowError and two nans
+    # before, the last where the true value is 0
+    for a, u in ((math.nan, 1.0), (-math.inf, 1.0), (-0.5, math.nan),
+                 (-0.5, math.inf)):
+        with pytest.raises(GammaDomainError):
+            upper_incomplete_gamma_scaled(a, u)
 
 
 def test_scaled_limit_at_zero():

@@ -12,7 +12,7 @@ from itsub.stable_family import (
     inverse_stable_density,
     inverse_stable_density_series,
     stable_density,
-    sum_series,
+    sum_series_rows,
     tempered_density,
 )
 
@@ -278,16 +278,44 @@ def test_argument_validation():
         inverse_stable_density(0.5, -1.0, 0.5)
 
 
+def test_inverse_stable_refuses_beta_outside_the_unit_interval():
+    # beta 0 and -0.5 gave a raw math domain error, beta 1 a converged
+    # 1.6e-16, beta 1.5 and nan an unconverged series
+    for beta in (0.0, -0.5, 1.0, 1.5, math.nan):
+        for f in (inverse_stable_density, inverse_stable_density_series):
+            with pytest.raises(ParameterError):
+                f(0.5, 1.0, beta)
+
+
+def _block(*terms):
+    """The block function of the rows whose term(n) is terms[i](n)."""
+    def block(js, rows):
+        a = np.array([[terms[i](n) for n in js.tolist()]
+                      for i in rows.tolist()])
+        return a[..., 0], a[..., 1], a[..., 2]
+
+    return block
+
+
+def _sum_rows(*terms, max_terms=100):
+    return sum_series_rows(_block(*terms), len(terms), max_terms, 1e-13, 1e-8)
+
+
+def _exp_term(x, rel=0.0):
+    # sum_k (-x)**k / k! = exp(-x), term(n) holding k = n - 1
+    return lambda n: ((n - 1) * math.log(x) - math.lgamma(n),
+                      (-1.0) ** (n - 1), rel)
+
+
 def test_sum_series_exponential():
-    # sum_k (-x)**k / k! = exp(-x), term(n) holding k = n - 1; the sum
-    # stops after the first run of three terms below 1e-15 of the total
+    # the sum stops after the first run of three terms below 1e-15 of the
+    # total
     x = 2.0
 
     def size(k):
         return x ** k / math.factorial(k)
 
-    res = sum_series(lambda n: ((n - 1) * math.log(x) - math.lgamma(n),
-                                (-1.0) ** (n - 1), 0.0), 100, 1e-13, 1e-8)
+    res, = _sum_rows(_exp_term(x))
     assert res.converged
     assert res.value == pytest.approx(math.exp(-x), rel=1e-14)
     n = res.terms
@@ -301,28 +329,35 @@ def test_sum_series_exponential():
     assert res.error_estimate >= rounding
     assert abs(res.value - math.exp(-x)) <= res.error_estimate < 1e-14
     # each term's own relative error adds in
-    rel = sum_series(lambda n: ((n - 1) * math.log(x) - math.lgamma(n),
-                                (-1.0) ** (n - 1), 1e-10), 100, 1e-13, 1e-8)
+    rel, = _sum_rows(_exp_term(x, 1e-10))
     assert rel.error_estimate == pytest.approx(
         res.error_estimate + 1e-10 * sum(size(k) for k in range(n)))
 
 
 def test_sum_series_unconverged_endings():
     # a term whose log scale passes 700 ends the sum unconverged
-    res = sum_series(lambda k: (701.0 if k == 3 else -k, 1.0, 0.0),
-                     100, 1e-13, 1e-8)
+    res, = _sum_rows(lambda k: (701.0 if k == 3 else -k, 1.0, 0.0))
     assert not res.converged
     assert res.terms == 3
     assert math.isfinite(res.value)
     # so does running out of terms (the harmonic series)
-    res = sum_series(lambda k: (-math.log(k), 1.0, 0.0), 50, 1e-13, 1e-8)
+    res, = _sum_rows(lambda k: (-math.log(k), 1.0, 0.0), max_terms=50)
     assert not res.converged
     assert res.terms == 50
     # and so does an error above the bar: 1e-6 of each term in e**-2
-    res = sum_series(lambda n: ((n - 1) * math.log(2.0) - math.lgamma(n),
-                                (-1.0) ** (n - 1), 1e-6), 100, 1e-13, 1e-8)
+    res, = _sum_rows(_exp_term(2.0, 1e-6))
     assert not res.converged
     assert res.error_estimate > 1e-8 * res.value
+
+
+def test_sum_series_rows_sums_each_row_on_its_own():
+    # rows that stop at different j, one of them in a later block, are
+    # each their own one-row call bit for bit
+    rows = (_exp_term(2.0), lambda k: (-math.log(k), 1.0, 0.0),
+            _exp_term(0.5))
+    both = _sum_rows(*rows, max_terms=50)
+    assert both == [_sum_rows(row, max_terms=50)[0] for row in rows]
+    assert len({r.terms for r in both}) == 3
 
 
 def test_inverse_series_passes_zero_terms():

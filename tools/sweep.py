@@ -9,8 +9,9 @@ of any one integral (per-point calls only). Wherever both `eval_series`
 and `eval_integral` converge, their values must agree within the sum of
 their error estimates. Each (beta, lam, t) also goes through
 `eval_density_grid` on its 5 x, whose rows must match the per-point
-`eval_density`: the same method, the same terms or panels, the same
-raise, and a value within the point's error estimate. Last, the PDE
+`eval_density`: the same raise, a series row equal to the point in value,
+error and terms, and any other row with the same method, the same terms
+or panels and a value within the point's error estimate. Last, the PDE
 check's `initial_condition_check`, which is 0 analytically, runs over
 8 beta x 5 x, where it must return below 1e-8 or raise
 NonConvergenceError. Exits 1 if any density or cdf raised or warned, if
@@ -118,10 +119,13 @@ def grid_rows(rows):
 
 
 def _differs(point, grid):
-    """True unless the grid row is the point's raise, or has its method
-    and terms or panels and a value within its error estimate."""
+    """True unless the grid row is the point's raise, is the point itself
+    where that is a series row, or has its method and terms or panels and
+    a value within its error estimate."""
     if isinstance(point, Exception) or isinstance(grid, Exception):
         return type(point) is not type(grid)
+    if point.method == "series":
+        return point != grid
     return (point.method != grid.method
             or point.terms_or_panels != grid.terms_or_panels
             or abs(point.value - grid.value) > point.error_estimate)
