@@ -332,6 +332,7 @@ def derivative_at_zero(k, t, params):
     (-1)**k * t**(-(k+1)*beta) / Gamma(1 - (k+1)*beta). NonConvergenceError
     where it overflows a double.
     """
+    require_finite("k", k)
     if k < 0 or k != int(k):
         raise ParameterError(f"require integer k >= 0, got {k}")
     require_positive("t", t)

@@ -247,10 +247,12 @@ def test_density_large_lam_t(capsys):
 
 def test_simulate_exit_codes(capsys):
     base = ["simulate", "--beta", "0.5", "--lambda", "1", "--t", "1"]
-    for bad in (["--paths", "0"], ["--step", "-1"]):
+    # a negative seed used to end in numpy's raw ValueError, exit 1
+    for bad in (["--paths", "0"], ["--step", "-1"], ["--seed", "-1"]):
         code, _, err = _run(capsys, *base, *bad)
         assert code == 2
-        assert "error:" in err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
     # paths that cannot cross t = 1 within the horizon
     code, _, err = _run(capsys, *base, "--paths", "5", "--horizon", "0.01")
     assert code == 3

@@ -84,6 +84,8 @@ _X_CALLS = {
 @pytest.mark.parametrize("name,call", [
     ("t", lambda: boundary_value(math.nan, _P)),
     ("t", lambda: derivative_at_zero(1, math.nan, _P)),
+    ("k", lambda: derivative_at_zero(math.nan, 1.0, _P)),
+    ("k", lambda: derivative_at_zero(math.inf, 1.0, _P)),
     ("t", lambda: moment_exact(MomentQuery(1.0, math.nan, _P))),
     ("beta", lambda: stable_density(1.0, 1.0, 1.5)),
     ("t", lambda: cdf(1.0, math.inf, _P)),
@@ -93,7 +95,8 @@ _X_CALLS = {
     ("time_step", lambda: SimConfig(10, time_step=math.nan)),
 ] + [("x", lambda f=f, v=v: f(v))
      for f in _X_CALLS.values() for v in (math.nan, math.inf)],
-    ids=["boundary_value", "derivative_at_zero", "moment_exact",
+    ids=["boundary_value", "derivative_at_zero", "derivative_at_zero_k_nan",
+         "derivative_at_zero_k_inf", "moment_exact",
          "stable_density", "cdf", "EvalPoint", "lam_nan", "lam_inf",
          "SimConfig"] + [f"{n}_{v}" for n in _X_CALLS for v in ("nan", "inf")])
 def test_non_finite_or_out_of_range_input_is_a_parameter_error(name, call):

@@ -6,6 +6,7 @@ import pytest
 
 from itsub.moments import MomentQuery, moment_exact
 from itsub.montecarlo import (
+    HorizonError,
     SimConfig,
     empirical_moment,
     first_passage_samples,
@@ -22,6 +23,33 @@ def test_config_validation():
         SimConfig(n_paths=10, time_step=0.0)
     with pytest.raises(ParameterError):
         SimConfig(n_paths=10, horizon=-1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_paths": 1.5}, {"n_paths": True}, {"n_paths": 10.0},
+    {"n_paths": 10, "seed": -1}, {"n_paths": 10, "seed": 0.5},
+    {"n_paths": 10, "seed": False},
+], ids=["n_paths_1.5", "n_paths_True", "n_paths_10.0", "seed_-1",
+        "seed_0.5", "seed_False"])
+def test_config_refuses_non_integer_counts(kwargs):
+    # n_paths 1.5 was accepted and then failed inside np.empty, and a
+    # negative seed reached numpy's raw ValueError
+    with pytest.raises(ParameterError, match=r"\b(n_paths|seed)\b"):
+        SimConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integers():
+    config = SimConfig(n_paths=np.int64(3), seed=np.uint32(7))
+    assert first_passage_samples(
+        config, TemperedStableParams(0.5, 1.0), 0.1).shape == (3,)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, -0.5, math.nan])
+def test_stable_increment_refuses_beta_outside_the_unit_interval(beta):
+    # beta 0 raised ZeroDivisionError, 1 returned dt and nan returned nan
+    rng = np.random.default_rng(0)
+    with pytest.raises(ParameterError, match="beta"):
+        sample_stable_increment(1e-3, beta, rng, size=4)
 
 
 def test_stable_increment_laplace_transform():
@@ -138,10 +166,11 @@ def test_untempered_samples_match_exact_law(beta):
 
 def test_stable_increment_is_kanters_form():
     # the ratio form rearranges a(u) = sin(beta u)**(beta/(1-beta))
-    # * sin((1-beta) u) / sin(u)**(1/(1-beta)); where that is finite the
-    # draws agree with it to rounding, from the same uniforms
+    # * sin((1-beta) u) / sin(u)**(1/(1-beta)) and takes each sine from
+    # its half-angle tangent; where a(u) is finite the draws agree with
+    # it to rounding, from the same uniforms, out to beta 0.02 and 0.98
     dt, n = 1e-3, 10000
-    for beta in (0.3, 0.5, 0.9):
+    for beta in (0.02, 0.3, 0.5, 0.9, 0.98):
         draws = sample_stable_increment(dt, beta, np.random.default_rng(3),
                                         size=n)
         rng = np.random.default_rng(3)
@@ -153,6 +182,41 @@ def test_stable_increment_is_kanters_form():
         ref = dt ** (1.0 / beta) * (a / w) ** ((1.0 - beta) / beta)
         assert np.all(np.isfinite(ref))
         np.testing.assert_allclose(draws, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("lam,dt", [(1.0, 1e-3), (100.0, 0.5)],
+                         ids=["one_draw_a_step", "five_draws_a_step"])
+def test_horizon_boundary_is_exact(lam, dt):
+    # the blocks of draws do not depend on the horizon, so a horizon that
+    # the slowest path just meets gives the same samples, and one grid
+    # step less is a HorizonError; 2000 paths run through the window
+    params = TemperedStableParams(0.5, lam)
+
+    def run(horizon):
+        config = SimConfig(n_paths=2000, time_step=dt, horizon=horizon,
+                           seed=4)
+        return first_passage_samples(config, params, 1.0)
+
+    wide = run(200.0)
+    assert np.array_equal(run(wide.max()), wide)
+    with pytest.raises(HorizonError):
+        run(wide.max() - dt)
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.6])
+def test_untempered_samples_match_the_rounded_exact_law(beta):
+    # lam = 0: on a coarse grid the sample is E(t) moved to the midpoint
+    # of its grid step, which a KS test against the unrounded law sees
+    # (p < 1e-40 at dt = 0.1) and one against the rounded law must not
+    from scipy.stats import ks_2samp
+
+    t, dt = 1.0, 0.1
+    config = SimConfig(n_paths=20_000, time_step=dt, horizon=40.0, seed=5)
+    stepped = first_passage_samples(config, TemperedStableParams(beta), t)
+    rng = np.random.default_rng(6)
+    exact = (t / sample_stable_increment(1.0, beta, rng, size=100_000)) ** beta
+    rounded = (np.floor(exact / dt) + 0.5) * dt
+    assert ks_2samp(stepped, rounded).pvalue > 1e-3
 
 
 def test_near_one_beta_draws_stay_finite():
@@ -177,3 +241,7 @@ def test_empirical_moment_basics():
     assert est == 1.0 and se == 0.0
     with pytest.raises(ParameterError):
         empirical_moment([], 1.0)
+    # a nan sample gave (nan, nan)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            empirical_moment([1.0, bad, 2.0], 1.0)
