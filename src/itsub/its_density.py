@@ -22,7 +22,7 @@ from scipy import special as sp
 from .quadrature import (
     BAR,
     integrate_interval,
-    integrate_semi_infinite,
+    integrate_semi_infinite,  # not called; bench/spans.py wraps this name
     integrate_semi_infinite_rows,
 )
 from .special_fn import GAMMA_REL_ERROR, upper_incomplete_gamma_scaled
@@ -80,18 +80,16 @@ def _cut_integrand(m, t, params):
     return integrand
 
 
-def _branch_cut(m, x, t, params, what):
-    """(1/pi) int_0^inf _cut_integrand(m, t, params)(x, y) dy.
-
-    m = 1 gives h(x, t), m = 0 the CDF, and m = k+1 at x = 0 the k-th
-    x-derivative at 0+. Returns (value, error, panels); NonConvergenceError
-    naming `what` when the quadrature did not converge.
+def _branch_cut(m, xs, t, params):
+    """(1/pi) int_0^inf _cut_integrand(m, t, params)(x, y) dy at every x of
+    xs, rows of one integrate_semi_infinite_rows call: m = 1 gives h(x, t),
+    m = 0 the CDF, and m = k+1 at x = 0 the k-th x-derivative at 0+. Per x
+    (value, error, panels), or None where the quadrature did not converge.
     """
-    f = _cut_integrand(m, t, params)
-    res = integrate_semi_infinite(lambda y: f(x, y), 1.0 / t, params.beta)
-    value = converged_value(res, f"{what} at x={x}, t={t}, "
-                                 f"beta={params.beta}, lam={params.lam}")
-    return value / math.pi, res.error_estimate / math.pi, res.subdivisions_used
+    quads = integrate_semi_infinite_rows(_cut_integrand(m, t, params), xs,
+                                         1.0 / t, params.beta)
+    return [(r.value / math.pi, r.error_estimate / math.pi,
+             r.subdivisions_used) if r.converged else None for r in quads]
 
 
 @functools.lru_cache(maxsize=256)
@@ -125,8 +123,12 @@ def eval_integral(p, params):
     """
     if p.x <= 0:
         raise ParameterError("integral form needs x > 0; use boundary_value")
-    value, err, panels = _branch_cut(1, p.x, p.t, params, "density integral")
-    return DensityResult(value, err, "integral", panels)
+    res, = _branch_cut(1, [p.x], p.t, params)
+    if res is None:
+        raise NonConvergenceError(
+            f"density integral at x={p.x}, t={p.t}, beta={params.beta}, "
+            f"lam={params.lam} did not converge")
+    return DensityResult(res[0], res[1], "integral", res[2])
 
 
 def _series(xs, t, params):
@@ -244,40 +246,24 @@ def _boundary(t, params):
 
 
 def eval(p, params):
-    """Density h(x, t): A_1 / pi at x = 0, with the gamma's bound plus the
-    rounding of exp(log A_1) as its error; else the first to converge of
-    the series (small x * lam**beta), the integral and the last-jump
-    integral (method positive; 0 with error 0 below double range). Each
-    meets the bar BAR * max(1, |value|) itself or raises NonConvergenceError.
-    """
-    if p.x == 0:
-        return _boundary(p.t, params)
-    forms = [eval_integral]
-    if p.x * params.lam ** params.beta <= _SERIES_MAX_X_LAM_BETA:
-        forms.insert(0, eval_series)
-    for form in forms:
-        try:
-            return form(p, params)
-        except NonConvergenceError:
-            pass
-    return _positive(p.x, p.t, params)
-
-
-def _positive(x, t, params):
-    """h(x, t) by the last-jump integral, method positive."""
-    log_h, err, panels = _last_jump(True, x, t, params)
-    return DensityResult(math.exp(log_h), err, "positive", panels)
+    """Density h(x, t) at one point: the one-row call of eval_density_grid,
+    whose DensityResult it returns and whose ParameterError or
+    NonConvergenceError it raises."""
+    res, = eval_density_grid([p.x], p.t, params)
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def eval_density_grid(xs, t, params):
-    """eval at every x of xs with t and params shared: per x the
-    DensityResult that eval gives there, or the ParameterError or
-    NonConvergenceError that it raises. Each x takes eval's path; the
-    series rows share one A_j per j and are summed together (_series),
-    the branch-cut integrals run in lockstep
-    (integrate_semi_infinite_rows), and the last-jump integral runs per
-    x. A series row is eval_series at its x, bit for bit: both are rows
-    of one sum_series_rows call."""
+    """Density h(x, t) at every x of xs, t and params shared: per x a
+    DensityResult, or the ParameterError or NonConvergenceError raised
+    there. x = 0 gives A_1 / pi (_boundary); else the first to converge of
+    the series where x * lam**beta <= _SERIES_MAX_X_LAM_BETA, its rows
+    summed together, the branch-cut integral, its rows in lockstep, and
+    the last-jump integral, per x (method positive; 0 with error 0 below
+    double range). Each meets the bar BAR * max(1, |value|) itself or
+    raises NonConvergenceError."""
     out = [None] * len(xs)
     lb = params.lam ** params.beta
     series, cut = [], []
@@ -302,17 +288,14 @@ def eval_density_grid(xs, t, params):
         cut += [i for i, res in zip(series, done) if res is None]
     if not cut:
         return out
-    f = _cut_integrand(1, t, params)
     cut_xs = [xs[i] for i in cut]
-    quads = integrate_semi_infinite_rows(f, cut_xs, 1.0 / t, params.beta)
-    for i, x, res in zip(cut, cut_xs, quads):
-        if res.converged:
-            out[i] = DensityResult(res.value / math.pi,
-                                   res.error_estimate / math.pi, "integral",
-                                   res.subdivisions_used)
+    for i, x, res in zip(cut, cut_xs, _branch_cut(1, cut_xs, t, params)):
+        if res is not None:
+            out[i] = DensityResult(res[0], res[1], "integral", res[2])
             continue
         try:
-            out[i] = _positive(x, t, params)
+            log_h, err, panels = _last_jump(True, x, t, params)
+            out[i] = DensityResult(math.exp(log_h), err, "positive", panels)
         except (NonConvergenceError, ParameterError) as e:
             out[i] = e
     return out
@@ -355,9 +338,9 @@ def derivative_at_zero(k, t, params):
 def cdf(x, t, params):
     """P(E(t) <= x): at lam = 0 P(D(x) > t), the stable survival function
     by Kanter's integral; at lam > 0 the branch-cut integral with m = 0,
-    or 1 - P(D(x) < t) by the last-jump integral where that raises, each
-    within the bar. NonConvergenceError at a value outside [-err, 1 + err];
-    the clamp to [0, 1] trims only an overshoot within it.
+    or 1 - P(D(x) < t) by the last-jump integral where that does not
+    converge, each within the bar. NonConvergenceError at a value outside
+    [-err, 1 + err]; the clamp to [0, 1] trims only an overshoot within it.
     """
     require_finite("x", x)
     require_positive("t", t)
@@ -367,11 +350,12 @@ def cdf(x, t, params):
     if lam == 0:
         value, err = _stable_survival(t, x, beta)
     else:
-        try:
-            value, err, _ = _branch_cut(0, x, t, params, "cdf integral")
-        except NonConvergenceError:
+        res, = _branch_cut(0, [x], t, params)
+        if res is None:
             log_i, err, _ = _last_jump(False, x, t, params)
             value = 1.0 - math.exp(log_i)
+        else:
+            value, err, _ = res
     if not -err <= value <= 1.0 + err:
         raise NonConvergenceError(
             f"cdf at x={x}, t={t}, beta={beta}, lam={lam} gave {value:.3g} "

@@ -18,6 +18,7 @@ from scipy import special as sp
 from .stable_family import (
     ParameterError,
     TemperedStableParams,
+    require_finite,
     require_positive,
 )
 
@@ -45,8 +46,9 @@ class MomentQuery:
 def moment_lt(q, s, params):
     """Laplace transform of M_q: Gamma(1+q) / (s * Psi(s)**q).
 
-    s may be complex; real s must be positive.
+    s may be complex and must be finite; real s must be positive.
     """
+    require_finite("s", s)
     if s.imag == 0 and s.real <= 0:
         raise ParameterError(f"require s > 0, got {s}")
     if not 0.0 < q <= _MAX_Q:

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stable_family import ParameterError, require_beta, require_positive
+from .stable_family import (
+    ParameterError,
+    require_beta,
+    require_finite,
+    require_positive,
+)
 
 # first_passage_samples walks at most _WINDOW paths at a time and gives
 # each of its n active paths max(1, _ROUND_DRAWS // n) proposals a round.
@@ -205,13 +210,18 @@ def first_passage_samples(config, params, t):
 
 def empirical_moment(samples, q):
     """Sample mean of x**q with its plug-in standard error; ParameterError
-    unless the samples are finite and non-empty."""
+    unless q, the samples and every x**q are finite and there is a
+    sample."""
+    require_finite("q", q)
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ParameterError("samples must be non-empty")
     if not np.all(np.isfinite(samples)):
         raise ParameterError("samples must be finite")
-    powers = samples ** q
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        powers = samples ** q
+    if not np.all(np.isfinite(powers)):
+        raise ParameterError(f"a sample's power {q} is not finite")
     est = float(np.mean(powers))
     if samples.size == 1:
         return est, 0.0

@@ -9,6 +9,7 @@ vanishing t -> 0 limit of the lam = 0 density at fixed x > 0.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,8 +49,11 @@ class PdeCase:
     ht: float = 1e-3
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ParameterError(f"require m >= 2, got {self.m}")
+        m = self.m
+        if not isinstance(m, numbers.Integral) or isinstance(m, bool) or m < 2:
+            raise ParameterError(f"require integer m >= 2, got {m!r}")
+        if not (len(self.x_points) and len(self.t_points)):
+            raise ParameterError("x_points and t_points must be non-empty")
         TemperedStableParams(self.beta, self.lam)  # checks 0 <= lam < inf
         require_positive("hx", self.hx)
         require_positive("ht", self.ht)

@@ -197,15 +197,19 @@ def integrate_semi_infinite(f, scale=1.0, power_singularity=None):
 
 def integrate_semi_infinite_rows(f, xs, scale=1.0, power_singularity=None):
     """integrate_semi_infinite of y -> f(x, y) for every x in xs, in
-    lockstep; f takes a column of x and a 2-d y with one row per x.
+    lockstep; f takes a column of x and a 2-d y with one row per x, where
+    one x comes as a float, which spares the row index and the broadcast.
 
     Each x gets the panels and the stop rule that integrate_semi_infinite
     gives it alone, and one call of f per round evaluates the new panels
     of every unfinished x. Returns one QuadratureResult per x, which
     agrees with the single integral's to rounding.
     """
-    xs = np.asarray(xs, dtype=float)
-    return _half_line(lambda rows, y: f(xs[list(rows), None], y), len(xs),
+    col = np.asarray(xs, dtype=float)[:, None]
+    if len(col) == 1:
+        x = float(col[0, 0])
+        return _half_line(lambda rows, y: f(x, y), 1, scale, power_singularity)
+    return _half_line(lambda rows, y: f(col.take(rows, axis=0), y), len(col),
                       scale, power_singularity)
 
 

@@ -95,8 +95,10 @@ def upper_incomplete_gamma_scaled(a, u):
     This form stays representable for very negative a where the plain
     value would overflow; as u -> 0 it tends to -1/a for a < 0, the value
     returned at u = 0. A non-finite a or u is refused, and so is a u > 0
-    below the smallest normal double, where 1/u is no longer finite.
-    Every branch returns a float.
+    below the smallest normal double, where 1/u is no longer finite; at
+    a > 0, so is a u where the value, taken as the regularized gamma
+    Q(a, u) times Gamma(a) u**(-a), overflows a double. Every branch
+    returns a float.
     """
     if not (math.isfinite(a) and math.isfinite(u)):
         raise GammaDomainError(f"require finite a and u; got a = {a}, u = {u}")
@@ -107,5 +109,14 @@ def upper_incomplete_gamma_scaled(a, u):
             f"require u >= {sys.float_info.min:.3g}, or u = 0 with a < 0; "
             f"got a = {a}, u = {u}")
     if a > 0:
-        return float(sp.gammaincc(a, u) * sp.gamma(a) * u ** (-a))
+        try:
+            value = (float(sp.gammaincc(a, u)) * float(sp.gamma(a))
+                     * float(u) ** -a)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise GammaDomainError(
+                f"Q(a, u) * Gamma(a) * u**(-a) overflows a double at a = {a}, "
+                f"u = {u}")
+        return value
     return float(_upper_gamma_scaled_nonpos(a, u))

@@ -274,8 +274,8 @@ def test_derivative_at_zero_tempered_closed_form():
             for t in (0.5, 1.0, 2.0):
                 params = TemperedStableParams(beta, lam)
                 for k in (1, 2, 3):
-                    ref, err, _ = its_density._branch_cut(
-                        k + 1, 0.0, t, params, "derivative integral")
+                    (ref, err, _), = its_density._branch_cut(
+                        k + 1, [0.0], t, params)
                     assert derivative_at_zero(k, t, params) == pytest.approx(
                         ref, rel=1e-9, abs=err)
 
@@ -501,8 +501,7 @@ def test_cdf_falls_back_where_the_branch_cut_misses():
     # with an error estimate of 64, garbage as a probability). The
     # last-jump tail gives P(D(4) < 1) = 2.5e-34 with error 2.5e-43.
     params = TemperedStableParams(0.8, 5.0)
-    with pytest.raises(NonConvergenceError):
-        its_density._branch_cut(0, 4.0, 1.0, params, "cdf")
+    assert its_density._branch_cut(0, [4.0], 1.0, params) == [None]
     assert cdf(4.0, 1.0, params) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -523,7 +522,7 @@ def test_last_jump_keeps_the_mass_on_both_sides_of_the_mean():
 def test_cdf_refuses_a_value_outside_its_error(monkeypatch):
     # a probability of -0.5 with an error of 1e-9 is garbage, not 0
     monkeypatch.setattr(its_density, "_branch_cut",
-                        lambda *args: (-0.5, 1e-9, 1))
+                        lambda *args: [(-0.5, 1e-9, 1)])
     with pytest.raises(NonConvergenceError):
         cdf(1.0, 1.0, TemperedStableParams(0.5, 1.0))
 
@@ -634,14 +633,14 @@ def test_unconverged_forms_fall_back_below_double_range(monkeypatch):
     # quadrature stops at its first non-finite panel, with no numpy
     # warning.
     panels = []
-    integrate = its_density.integrate_semi_infinite
+    integrate = its_density.integrate_semi_infinite_rows
 
     def counted(*args, **kwargs):
-        res = integrate(*args, **kwargs)
-        panels.append(res.subdivisions_used)
-        return res
+        results = integrate(*args, **kwargs)
+        panels.extend(r.subdivisions_used for r in results)
+        return results
 
-    monkeypatch.setattr(its_density, "integrate_semi_infinite", counted)
+    monkeypatch.setattr(its_density, "integrate_semi_infinite_rows", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = eval_density(EvalPoint(0.5, 1e-3),
@@ -657,14 +656,14 @@ def test_bulk_density_skips_the_doomed_branch_cut(monkeypatch):
     # rounding floor is above the bar from the first pass, so the
     # quadrature stops there instead of bisecting to its 2000-panel budget
     panels = []
-    integrate = its_density.integrate_semi_infinite
+    integrate = its_density.integrate_semi_infinite_rows
 
     def counted(*args, **kwargs):
-        res = integrate(*args, **kwargs)
-        panels.append(res.subdivisions_used)
-        return res
+        results = integrate(*args, **kwargs)
+        panels.extend(r.subdivisions_used for r in results)
+        return results
 
-    monkeypatch.setattr(its_density, "integrate_semi_infinite", counted)
+    monkeypatch.setattr(its_density, "integrate_semi_infinite_rows", counted)
     res = eval_density(EvalPoint(1428.79, 1e3), TemperedStableParams(0.7, 1.0))
     assert res.method == "positive"
     assert res.value == 0.01612821616738496

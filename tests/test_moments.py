@@ -41,8 +41,14 @@ def test_moment_lt_closed_form():
     ref = G(2.0) / (s * (2.0 - 1.0))
     assert moment_lt(1.0, s, p) == pytest.approx(ref, rel=1e-14)
     assert moment_lt(1.0, complex(s, 0.0), p) == pytest.approx(ref, rel=1e-14)
-    with pytest.raises(ParameterError):
-        moment_lt(1.0, -1.0, p)
+    # a nan s gave nan, and nan + nanj with a RuntimeWarning
+    for s in (-1.0, math.nan, math.inf, complex(math.nan, 1.0),
+              complex(1.0, math.inf)):
+        with pytest.raises(ParameterError):
+            moment_lt(1.0, s, p)
+    for q in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            moment_lt(q, 3.0, p)
 
 
 def test_talbot_inverts_known_transforms():

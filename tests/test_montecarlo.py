@@ -245,3 +245,10 @@ def test_empirical_moment_basics():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterError, match="finite"):
             empirical_moment([1.0, bad, 2.0], 1.0)
+    # a nan q gave (nan, nan), and 0**-1 (inf, nan) with two
+    # RuntimeWarnings
+    for samples, q in (([1.0, 2.0], math.nan), ([0.0, 2.0], -1.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="finite"):
+                empirical_moment(samples, q)

@@ -21,6 +21,13 @@ def test_case_validation():
         PdeCase(2, 0.0, (0.0005,), (1.0,))
     with pytest.raises(ParameterError):
         PdeCase(2, 0.0, (1.0,), (0.0005,))
+    # an empty lattice gave a raw ValueError from min(), a fractional m a
+    # KeyError; a bool is not an order, a numpy integer is
+    for m, xs, ts in ((2, (), (1.0,)), (2, (1.0,), ()), (2.5, (1.0,), (1.0,)),
+                      (True, (1.0,), (1.0,))):
+        with pytest.raises(ParameterError):
+            PdeCase(m, 1.0, xs, ts)
+    assert PdeCase(np.int64(3), 0.0, (1.0,), (1.0,)).beta == 1.0 / 3.0
     assert PdeCase(2, 0.0, (1.0,), (1.0,)).beta == 0.5
 
 

@@ -10,6 +10,7 @@ from itsub.quadrature import (
     REL_TOL,
     integrate_interval,
     integrate_semi_infinite,
+    integrate_semi_infinite_rows,
 )
 from itsub.stable_family import TemperedStableParams
 
@@ -132,6 +133,21 @@ def test_one_row_half_line_batches_its_first_round():
     assert len(calls) <= 7
     assert calls[0] == 6 * 15
     assert all(n == 2 * 15 for n in calls[1:])
+
+
+def test_rows_in_lockstep_equal_their_single_integrals():
+    # each x of the branch cut at beta 0.4, lam 1, t 1 takes its own
+    # panels whether it runs alone, as a one-row call (x as a float) or
+    # among others (x as a column); 40 is doomed by its rounding floor
+    f = _cut_integrand(1, 1.0, TemperedStableParams(0.4, 1.0))
+    xs = [0.8, 3.0, 40.0, 0.05]
+    singles = [integrate_semi_infinite(lambda y: f(x, y), 1.0, 0.4)
+               for x in xs]
+    assert integrate_semi_infinite_rows(f, xs, 1.0, 0.4) == singles
+    for x, single in zip(xs, singles):
+        assert integrate_semi_infinite_rows(f, [x], 1.0, 0.4) == [single]
+    assert [r.converged for r in singles] == [True, True, False, True]
+    assert integrate_semi_infinite_rows(f, [], 1.0, 0.4) == []
 
 
 @pytest.mark.parametrize("k", [4, 10])

@@ -125,6 +125,11 @@ def test_domain_errors():
                  (-0.5, math.inf)):
         with pytest.raises(GammaDomainError):
             upper_incomplete_gamma_scaled(a, u)
+    # a > 0 beyond double range: a raw OverflowError from u**(-a) and an
+    # inf before
+    for a, u in ((200.0, 1e-300), (500.0, 1.0)):
+        with pytest.raises(GammaDomainError):
+            upper_incomplete_gamma_scaled(a, u)
 
 
 def test_scaled_limit_at_zero():

@@ -7,22 +7,24 @@ methods, the raises, the seconds spent in each function, the slowest
 point of each, the number of quadrature calls and the largest panel count
 of any one integral (per-point calls only). Wherever both `eval_series`
 and `eval_integral` converge, their values must agree within the sum of
-their error estimates. Each (beta, lam, t) also goes through
-`eval_density_grid` on its 5 x, whose rows must match the per-point
-`eval_density`: the same raise, a series row equal to the point in value,
-error and terms, and any other row with the same method, the same terms
-or panels and a value within the point's error estimate. Last, the PDE
-check's `initial_condition_check`, which is 0 analytically, runs over
-8 beta x 5 x, where it must return below 1e-8 or raise
-NonConvergenceError. Exits 1 if any density or cdf raised or warned, if
-a series/integral pair lies outside its summed errors, if a grid row
-differs from its point, or if an initial-condition value is 1e-8 or
-more.
+their error estimates. The cdf of each (beta, lam, t) must not fall,
+beyond 1e-8, from one of its 5 x to a larger one. Each (beta, lam, t)
+also goes through `eval_density_grid` on its 5 x at once, whose rows
+must match `eval_density`, the one-row call: the same raise, a series
+row equal to the point in value, error and terms, and any other row with
+the same method, the same terms or panels and a value within the point's
+error estimate. Last, the PDE check's `initial_condition_check`, which
+is 0 analytically, runs over 8 beta x 5 x, where it must return below
+1e-8 or raise NonConvergenceError. Exits 1 if any density or cdf raised
+or warned, if a series/integral pair lies outside its summed errors, if
+a cdf falls with x, if a grid row differs from its point, or if an
+initial-condition value is 1e-8 or more.
 
     PYTHONPATH=src python tools/sweep.py
 """
 
 import collections
+import math
 import sys
 import time
 import warnings
@@ -97,6 +99,21 @@ def sweep():
     finally:
         quadrature._lockstep = lockstep
     return rows, panels
+
+
+def cdf_falls(rows):
+    """The rows whose cdf lies more than 1e-8 below the largest cdf at a
+    smaller x of their (beta, lam, t); a cdf that raised is passed over."""
+    falls = []
+    for k in range(0, len(rows), len(MEAN_MULTIPLES)):
+        top = -math.inf
+        for row in rows[k:k + len(MEAN_MULTIPLES)]:
+            if isinstance(row[4], Exception):
+                continue
+            if row[4] < top - 1e-8:
+                falls.append(row)
+            top = max(top, row[4])
+    return falls
 
 
 def grid_rows(rows):
@@ -183,6 +200,10 @@ def main():
         print(f"  at {_where(row)}: series {s.value:.10g} +- "
               f"{s.error_estimate:.2g}, integral {i.value:.10g} +- "
               f"{i.error_estimate:.2g}")
+    falls = cdf_falls(rows)
+    print(f"cdf falling with x {len(falls)}")
+    for row in falls:
+        print(f"  at {_where(row)}: cdf {row[4]!r}")
     pairs, grid_s = grid_rows(rows)
     differ = [(row, g) for row, g in pairs if _differs(row[3], g)]
     print(f"grid rows {len(pairs)} in {grid_s:.1f} s, differing from "
@@ -199,7 +220,7 @@ def main():
           f"{len(ic_raised)}, bad {len(ic_bad)}")
     for beta, x, v in ic_bad:
         print(f"  at beta={beta:.6g} x={x:g}: {v!r}")
-    return 1 if raised or apart or differ or ic_bad else 0
+    return 1 if raised or apart or falls or differ or ic_bad else 0
 
 
 if __name__ == "__main__":
