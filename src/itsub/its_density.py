@@ -5,10 +5,9 @@ of a tempered stable subordinator D, for every lam >= 0 (lam = 0 is the
 inverse stable case), is evaluated by two independent representations:
 a power series in x, whose coefficients A_j also give the boundary
 value and every x-derivative at 0+, and the inversion of
-Psi(s)/s * exp(-x*Psi(s)) along the branch cut s = -lam - y, where one
-half-line integral gives the density and the CDF. Where they fail, a
-positive integral over the last jump across t, with the density of D(x)
-from Kanter's integral, gives h and the CDF.
+Psi(s)**m / s * exp(-x*Psi(s)) (m = 1 the density, m = 0 the CDF) by a
+half-line integral on the branch cut s = -lam - y, or where that fails,
+on the vertical line through the real saddle point of s t - x Psi(s).
 """
 
 import cmath
@@ -21,17 +20,15 @@ from scipy import special as sp
 
 from .quadrature import (
     BAR,
-    integrate_interval,
     integrate_semi_infinite,  # not called; bench/spans.py wraps this name
     integrate_semi_infinite_rows,
 )
 from .special_fn import GAMMA_REL_ERROR, upper_incomplete_gamma_scaled
+from .special_fn import _log_upper_gamma_scaled_pos
 from .stable_family import (
     NonConvergenceError,
     ParameterError,
-    _stable_log_density,
     _stable_survival,
-    converged_value,
     require_finite,
     require_positive,
     sum_series_rows,
@@ -63,6 +60,8 @@ class DensityResult:
 
 # The series runs first where x * lam**beta is at most this.
 _SERIES_MAX_X_LAM_BETA = 2.0
+# The log of the least subnormal double: a bound below it certifies a 0.
+_LOG_TINY = math.log(5e-324)
 
 
 def _cut_integrand(m, t, params):
@@ -90,6 +89,90 @@ def _branch_cut(m, xs, t, params):
                                          1.0 / t, params.beta)
     return [(r.value / math.pi, r.error_estimate / math.pi,
              r.subdivisions_used) if r.converged else None for r in quads]
+
+
+def _line(m, x, t, params):
+    """(c, w, phi(c), Psi(c)**m / c, log B) of _saddle's line Re s = c at x.
+
+    c is the saddle point s* of phi(s) = s t - x Psi(s), a = s* + lam =
+    (x beta / t)**(1/(1-beta)) kept in e**(+-700) and above 1e-15 lam; at
+    m = 0 within the width w = phi''(s*)**-0.5 of the pole at 0, c = 2 w.
+    B bounds |I|: at m = 0 |I| is a tail of E(t), e**phi(c) by Chernoff; at
+    m = 1 |Psi(s) / s| <= Psi(c) / c on the line, so B = e**phi(c) Psi(c) J
+    / (c pi), J = int_0^inf e**(-x r(y)) dy, r = Re (a+iy)**beta - a**beta,
+    r' = beta rho**(beta-1) sin((1-beta) theta), a + iy = rho e**(i theta).
+    For y <= a, sin((1-beta) theta) >= (1-beta) y / rho and rho <= sqrt(2) a
+    give r >= k1 y**2; for y > a, theta > pi/4 and rho < sqrt(2) y give
+    r >= k1 a**2 + k2 (y**beta - a**beta). So J <= a sqrt(pi) erf(q) / (2q)
+    + (a/beta) e**(u - q**2) g(1/beta, u), q**2 = x k1 a**2, u = x k2 a**beta,
+    k1 = beta (1-beta) 2**(beta/2) a**(beta-2) / 4, k2 = 2**((beta-1)/2)
+    sin((1-beta) pi/4), g(b, u) = Gamma(b, u) u**-b."""
+    beta, lam = params.beta, params.lam
+    la = min(max(math.log(x * beta / t) / (1.0 - beta), -700.0), 700.0)
+    c = max(math.exp(la), 1e-15 * lam) - lam
+    a = c + lam
+    w = math.exp((2 - beta) / 2 * math.log(a)
+                 - math.log(x * beta * (1 - beta)) / 2)
+    if m == 0 and abs(c) < w:
+        c = 2.0 * w
+    psi = (lam ** beta * math.expm1(beta * math.log1p(c / lam)) if lam
+           else c ** beta)
+    phi = c * t - x * psi
+    at_c = 1.0 / c if m == 0 else psi / c if c else beta * lam ** (beta - 1)
+    if m == 0 or phi == -math.inf:
+        return c, w, phi, at_c, phi
+    xab = x * a ** beta
+    q2 = xab * beta * (1.0 - beta) * 2.0 ** (beta / 2.0) / 4.0
+    u = xab * 2.0 ** ((beta - 1.0) / 2.0) * math.sin((1 - beta) * math.pi / 4)
+    log_j = np.logaddexp(
+        math.log(a * math.sqrt(math.pi / q2) * math.erf(math.sqrt(q2)) / 2),
+        math.log(a / beta) + u - q2 + _log_upper_gamma_scaled_pos(1 / beta, u))
+    return c, w, phi, at_c, float(phi + math.log(at_c / math.pi) + log_j)
+
+
+def _saddle(m, xs, t, params):
+    """The twin of _branch_cut on _line's line Re s = c (Daniels 1954, Ann.
+    Math. Stat. 25; Lugannani & Rice 1980, Adv. Appl. Probab. 12): I =
+    (1/pi) int_0^inf Re[e**phi(s) Psi(s)**m / s] dy, s = c + i y, is h(x, t)
+    at m = 1, 1 - cdf at m = 0 and c > 0, and -cdf at c < 0. Each x is a row
+    of one integrate_semi_infinite_rows call in y / w, with e**phi(c) and
+    the value at y = 0 taken out. Per x (log |I|, error of I, panels);
+    (-inf, 0, 0) with no panel run where _line's bound is below the least
+    subnormal; None where the quadrature did not converge to a positive
+    integral or its error, with the rounding of phi(c) and of the phase
+    w t, is above BAR * max(1, |I|)."""
+    lines = [_line(m, x, t, params) for x in xs]
+    out = [(-math.inf, 0.0, 0) if ln[4] < _LOG_TINY else None for ln in lines]
+    run = [i for i, res in enumerate(out) if res is None]
+    if not run:
+        return out
+    x = np.array([xs[i] for i in run])
+    c, w, phi, at_c, _ = np.array([lines[i] for i in run]).T
+    beta, a = params.beta, c + params.lam
+
+    def integrand(k, v):
+        """Re[e**(phi(s) - phi(c)) Psi(s)**m / s] / at_c at y = w v, rows
+        k, with Psi(s) - Psi(c) = a**beta expm1(beta log1p(i y / a))."""
+        k = np.asarray(k, dtype=np.intp)
+        y = w[k] * v
+        u = y / a[k]
+        p, q = 0.5 * beta * np.log1p(u * u), beta * np.arctan(u)
+        e = a[k] ** beta * (np.expm1(p) * np.cos(q) - 2 * np.sin(q / 2) ** 2
+                            + 1j * np.exp(p) * np.sin(q))
+        z = np.exp(1j * y * t - x[k] * e) / (c[k] + 1j * y)
+        return (z * (at_c[k] * c[k] + e) if m else z).real / at_c[k]
+
+    quads = integrate_semi_infinite_rows(integrand, range(len(run)), 1.0)
+    for j, (i, res) in enumerate(zip(run, quads)):
+        if res.converged and res.value > 0.0:
+            log_i = float(phi[j] + math.log(abs(at_c[j]) * w[j] / math.pi)
+                          + math.log(res.value))
+            value, ct = math.exp(log_i), c[j] * t
+            err = float(value * (res.error_estimate / res.value + 2.2e-16 * (
+                abs(ct) + abs(ct - phi[j]) + w[j] * t + abs(log_i) + 4.0)))
+            if err <= BAR * max(1.0, value):
+                out[i] = (log_i, err, res.subdivisions_used)
+    return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -175,67 +258,6 @@ def eval_series(p, params):
     return res
 
 
-def _last_jump(density, x, t, params):
-    """(log I, error of I, panels) for I = int_0^t w(t-y) g_x(y) dy,
-    g_x(y) = e**(lam**beta x - lam y) f(y; time x) the density of D(x) by
-    Kanter's integral: h(x, t) with w the Levy tail beta r**-beta
-    g(-beta, lam r) / Gamma(1-beta) (Meerschaert & Scheffler 2008, Stoch.
-    Proc. Appl. 118), or P(D(x) < t) with w = 1. (-inf, 0, panels) below
-    double range; NonConvergenceError at an error above BAR * max(1, I)."""
-    beta, lam = params.beta, params.lam
-    # Edges at D(x)'s mean + k sd, k = 0, +-1, +-4, +-16, ..., keep a
-    # panel from stepping over its peak, and t (1 - 4**-k) over one at t.
-    ys = [t * (1.0 - 4.0 ** -k) for k in range(1, 13)]
-    if lam > 0:
-        mean = beta * lam ** (beta - 1.0) * x
-        sd = math.sqrt((1.0 - beta) / lam * mean)
-        ks = [0.0] + [s * 4.0 ** j for j in range(25) for s in (-1.0, 1.0)]
-        ys += [mean + k * sd for k in ks]
-    # In s = (t - y)**(1 - beta) the Levy tail's r**-beta at y = t is gone:
-    # w dy = beta g / Gamma(2 - beta) ds.
-    p = 1.0 - beta if density else 1.0
-    edges = sorted({0.0, t ** p} | {(t - y) ** p for y in ys if 0.0 < y < t})
-    # The shift is the largest log of the first call, which holds every
-    # edge panel; below the floor, I is below the least subnormal, e**-746.
-    floor = -746.0 - math.log(edges[-1])
-    shift, kanter = None, 0.0  # kanter: Kanter's error where it counts
-
-    def integrand(s):
-        """e**(log of the integrand - shift), or 0 below the floor."""
-        nonlocal shift, kanter
-        logs = []
-        for si in s.tolist():
-            r = si ** (1.0 / p)
-            lf, err = (_stable_log_density(t - r, x, beta) if r < t
-                       else (-math.inf, 0.0))
-            w = (upper_incomplete_gamma_scaled(-beta, lam * r) * beta
-                 / math.gamma(2.0 - beta) if density else 1.0)
-            lf += lam ** beta * x - lam * (t - r)
-            logs.append((lf + math.log(w) if w > 0.0 else -math.inf, err))
-        lf, err = np.array(logs).T
-        if shift is None:
-            shift = float(lf.max())
-        if shift < floor:
-            return np.zeros_like(lf)
-        kanter = max(kanter, err[lf > shift - 40].max(initial=0.0))
-        return np.exp(lf - shift)
-
-    res = integrate_interval(integrand, edges)
-    if shift < floor:
-        return -math.inf, 0.0, res.subdivisions_used
-    what = f"last-jump integral at x={x}, t={t}, beta={beta}, lam={lam}"
-    log_i = shift + math.log(converged_value(res, what))
-    value = math.exp(log_i)
-    # Kanter's error where the integrand counts, the gamma's bound and the
-    # rounding of exp(log I)
-    err = value * (
-        res.error_estimate / res.value + GAMMA_REL_ERROR + math.expm1(kanter)
-        + 2.2e-16 * (abs(log_i) + 4.0))
-    if err > BAR * max(1.0, value):
-        raise NonConvergenceError(f"{what}: error {err:.3g} above the bar")
-    return log_i, err, res.subdivisions_used
-
-
 def _boundary(t, params):
     """h(0+, t) = A_1 / pi, with the gamma's bound plus the rounding of
     exp(log A_1) as its error."""
@@ -260,10 +282,10 @@ def eval_density_grid(xs, t, params):
     DensityResult, or the ParameterError or NonConvergenceError raised
     there. x = 0 gives A_1 / pi (_boundary); else the first to converge of
     the series where x * lam**beta <= _SERIES_MAX_X_LAM_BETA, its rows
-    summed together, the branch-cut integral, its rows in lockstep, and
-    the last-jump integral, per x (method positive; 0 with error 0 below
-    double range). Each meets the bar BAR * max(1, |value|) itself or
-    raises NonConvergenceError."""
+    summed together, the branch-cut integral and the saddle-point line
+    (method saddle; 0 with error 0 where its bound is below double
+    range), the rows of each in lockstep. Each meets the bar
+    BAR * max(1, |value|) itself or raises NonConvergenceError."""
     out = [None] * len(xs)
     lb = params.lam ** params.beta
     series, cut = [], []
@@ -288,16 +310,15 @@ def eval_density_grid(xs, t, params):
         cut += [i for i, res in zip(series, done) if res is None]
     if not cut:
         return out
-    cut_xs = [xs[i] for i in cut]
-    for i, x, res in zip(cut, cut_xs, _branch_cut(1, cut_xs, t, params)):
-        if res is not None:
+    for i, res in zip(cut, _branch_cut(1, [xs[i] for i in cut], t, params)):
+        if res:
             out[i] = DensityResult(res[0], res[1], "integral", res[2])
-            continue
-        try:
-            log_h, err, panels = _last_jump(True, x, t, params)
-            out[i] = DensityResult(math.exp(log_h), err, "positive", panels)
-        except (NonConvergenceError, ParameterError) as e:
-            out[i] = e
+    line = [i for i in cut if out[i] is None]
+    for i, res in zip(line, _saddle(1, [xs[i] for i in line], t, params)):
+        out[i] = (DensityResult(math.exp(res[0]), res[1], "saddle", res[2])
+                  if res else NonConvergenceError(
+                      f"saddle-point line at x={xs[i]}, t={t}, beta="
+                      f"{params.beta}, lam={params.lam} did not converge"))
     return out
 
 
@@ -338,9 +359,10 @@ def derivative_at_zero(k, t, params):
 def cdf(x, t, params):
     """P(E(t) <= x): at lam = 0 P(D(x) > t), the stable survival function
     by Kanter's integral; at lam > 0 the branch-cut integral with m = 0,
-    or 1 - P(D(x) < t) by the last-jump integral where that does not
-    converge, each within the bar. NonConvergenceError at a value outside
-    [-err, 1 + err]; the clamp to [0, 1] trims only an overshoot within it.
+    or _saddle where that does not converge or its tail leaves _line's
+    bound by more than its error, each within the bar.
+    NonConvergenceError at a value outside [-err, 1 + err]; the clamp to
+    [0, 1] trims only an overshoot within it.
     """
     require_finite("x", x)
     require_positive("t", t)
@@ -351,11 +373,22 @@ def cdf(x, t, params):
         value, err = _stable_survival(t, x, beta)
     else:
         res, = _branch_cut(0, [x], t, params)
-        if res is None:
-            log_i, err, _ = _last_jump(False, x, t, params)
-            value = 1.0 - math.exp(log_i)
-        else:
-            value, err, _ = res
+        c, *_, log_tail = _line(0, x, t, params)
+        # the tail on c's side, P(E(t) > x) at c > 0 and P(E(t) <= x) at
+        # c < 0, lies in [0, min(1, e**log_tail)]: a cut value outside that
+        # by more than its error goes on to the line
+        if res is not None:
+            tail = 1.0 - res[0] if c > 0 else res[0]
+        if res is None or not -res[1] <= tail <= min(
+                1.0, math.exp(log_tail)) + res[1]:
+            res, = _saddle(0, [x], t, params)
+            if res is None:
+                raise NonConvergenceError(
+                    f"cdf at x={x}, t={t}, beta={beta}, lam={lam}: the "
+                    f"saddle-point line did not converge within the bar")
+            tail = math.exp(res[0])
+            res = (1.0 - tail if c > 0 else tail, res[1])
+        value, err = res[:2]
     if not -err <= value <= 1.0 + err:
         raise NonConvergenceError(
             f"cdf at x={x}, t={t}, beta={beta}, lam={lam} gave {value:.3g} "

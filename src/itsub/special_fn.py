@@ -34,8 +34,8 @@ _CF_MAX_ITER = 500
 _CF_TINY = 1e-300
 
 
-def _upper_gamma_cf_scaled(a, u):
-    """Gamma(a, u) * u**(-a) by the Legendre continued fraction.
+def _upper_gamma_cf(a, u):
+    """Gamma(a, u) * u**(-a) * exp(u) by the Legendre continued fraction.
 
     Modified Lentz iteration; valid for any real a when u > 0, rapidly
     convergent for u >= |a| + 1 or so.
@@ -58,9 +58,7 @@ def _upper_gamma_cf_scaled(a, u):
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             break
-    # h approximates Gamma(a,u) * u**(-a) * exp(u) / u ... rearranged:
-    # Gamma(a,u) = exp(-u) * u**a * h  =>  scaled value is exp(-u) * h.
-    return math.exp(-u) * h
+    return h
 
 
 def _upper_gamma_scaled_nonpos(a, u):
@@ -70,7 +68,7 @@ def _upper_gamma_scaled_nonpos(a, u):
     # the recurrence amplifies rounding, and the continued fraction
     # converges to machine accuracy there.
     if u > 1.0:
-        return _upper_gamma_cf_scaled(a, u)
+        return math.exp(-u) * _upper_gamma_cf(a, u)
     emu = math.exp(-u)
     if a == math.floor(a):
         # Integer chain seeded at Gamma(0, u) = E1(u).
@@ -96,9 +94,8 @@ def upper_incomplete_gamma_scaled(a, u):
     value would overflow; as u -> 0 it tends to -1/a for a < 0, the value
     returned at u = 0. A non-finite a or u is refused, and so is a u > 0
     below the smallest normal double, where 1/u is no longer finite; at
-    a > 0, so is a u where the value, taken as the regularized gamma
-    Q(a, u) times Gamma(a) u**(-a), overflows a double. Every branch
-    returns a float.
+    a > 0, a u where the value, taken in logs, overflows a double. Every
+    branch returns a float.
     """
     if not (math.isfinite(a) and math.isfinite(u)):
         raise GammaDomainError(f"require finite a and u; got a = {a}, u = {u}")
@@ -110,13 +107,18 @@ def upper_incomplete_gamma_scaled(a, u):
             f"got a = {a}, u = {u}")
     if a > 0:
         try:
-            value = (float(sp.gammaincc(a, u)) * float(sp.gamma(a))
-                     * float(u) ** -a)
+            return math.exp(_log_upper_gamma_scaled_pos(a, u))
         except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
             raise GammaDomainError(
-                f"Q(a, u) * Gamma(a) * u**(-a) overflows a double at a = {a}, "
-                f"u = {u}")
-        return value
+                f"Gamma(a, u) * u**(-a) overflows a double at a = {a}, "
+                f"u = {u}") from None
     return float(_upper_gamma_scaled_nonpos(a, u))
+
+
+def _log_upper_gamma_scaled_pos(a, u):
+    """log g(a, u) at a > 0: by the continued fraction above u = a + 1,
+    else log Q(a, u) + lgamma(a) - a log u, Q >= Q(a, a + 1) there."""
+    if u > a + 1.0:
+        return math.log(_upper_gamma_cf(a, u)) - u
+    return (math.log(sp.gammaincc(a, u)) + math.lgamma(a)
+            - a * math.log(u))

@@ -64,6 +64,9 @@ POINTS = [(b, lam, t, k * moment_exact(
      43.01673227956874),
     # north-star sweep, 3 x mean: the series' gamma bound is above the bar
     (0.7, 50.0, 1e-3, 0.02815071826673611),
+    # near the mean of E(1e3): the branch cut's rounding floor is above
+    # the bar, and the saddle-point line gives h
+    (0.7, 1.0, 1e3, 1428.79),
 ]
 # (beta, lam = 0, t, x): north-star sweep points at 10 x mean, where the
 # series cancels, and a README density grid point

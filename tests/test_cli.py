@@ -225,11 +225,11 @@ def test_out_file_is_written_only_for_valid_input(tmp_path, capsys):
 
 
 def test_density_unconverged_point_fails(capsys, monkeypatch):
-    # every form fails: the fallback raises as well
-    def refuse(*args):
-        raise NonConvergenceError("last-jump integral did not converge")
+    # every form fails: the saddle-point line converges at no x either
+    def refuse(m, xs, t, params):
+        return [None] * len(xs)
 
-    monkeypatch.setattr(its_density, "_last_jump", refuse)
+    monkeypatch.setattr(its_density, "_saddle", refuse)
     code, out, _ = _run(capsys, "density", "--beta", "0.95", "--lambda", "1",
                         "--t", "0.001", "--x", "0.5")
     assert code == 3

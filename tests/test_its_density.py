@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -205,12 +206,12 @@ def test_untempered_reference_values():
         assert abs(res.value - ref) <= res.error_estimate
 
 
-def test_untempered_far_tail_falls_back_to_the_last_jump_integral():
+def test_untempered_far_tail_falls_back_to_the_saddle_line():
     # neither form meets the bar this far in the tail at lam = 0; the
     # reference is Kanter's integral in mpmath at 40 digits
     ref = 2.5413860829403332e-168
     res = eval_density(EvalPoint(11.005, 1.0), TemperedStableParams(0.7, 0.0))
-    assert res.method == "positive"
+    assert res.method == "saddle"
     assert abs(res.value - ref) <= res.error_estimate <= 1e-8 * res.value
 
 
@@ -220,7 +221,7 @@ def test_untempered_fallback_below_double_range():
     res = eval_density(EvalPoint(3.025082749821511, 1.0),
                        TemperedStableParams(0.98, 0.0))
     assert (res.value, res.error_estimate, res.method) == (0.0, 0.0,
-                                                           "positive")
+                                                           "saddle")
 
 
 def test_derivative_at_zero_untempered_closed_form():
@@ -499,32 +500,40 @@ def test_cdf_falls_back_where_the_branch_cut_misses():
     # the direct integral's rounding floor is above the bar here, so the
     # quadrature gives up before bisecting far (it used to cancel to -1.61
     # with an error estimate of 64, garbage as a probability). The
-    # last-jump tail gives P(D(4) < 1) = 2.5e-34 with error 2.5e-43.
+    # saddle-point line gives P(D(4) < 1) = 2.42e-34, as does mpmath's
+    # Talbot inversion at 120 digits.
     params = TemperedStableParams(0.8, 5.0)
     assert its_density._branch_cut(0, [4.0], 1.0, params) == [None]
     assert cdf(4.0, 1.0, params) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_last_jump_keeps_the_mass_on_both_sides_of_the_mean():
-    # P(D(x) < t) = 1 where all of D(x)'s mass lies far below t: with no
-    # edge below mean - 4 sd one panel over (0, mean - 4 sd) lost 1.6e-5
-    # at beta 0.98, and one wide panel over (0, t) would step over all of
-    # it at beta 1/2
+def test_cdf_keeps_the_mass_on_both_sides_of_the_mean():
+    # P(D(x) < t) = 1 where all of D(x)'s mass lies far below t: a
+    # last-jump integral over (0, t) lost 1.6e-5 here at beta 0.98 with
+    # no panel edge below mean - 4 sd. The cdf is P(D(x) > t), below
+    # Chernoff's e**phi(s*) on the line through the saddle point, s* < 0
     for beta, lam, t, x in ((0.98, 50.0, 1e3, 331.036),
                             (0.5, 50.0, 1e3, 3.0)):
-        log_i, err, _ = its_density._last_jump(
-            False, x, t, TemperedStableParams(beta, lam))
-        assert math.exp(log_i) == pytest.approx(1.0, abs=1e-8)
-        assert err <= 1e-8
-    assert cdf(331.036, 1e3, TemperedStableParams(0.98, 50.0)) <= 1e-8
+        params = TemperedStableParams(beta, lam)
+        c, *_, log_tail = its_density._line(0, x, t, params)
+        assert c < 0 and log_tail < math.log(1e-8)
+        assert cdf(x, t, params) <= math.exp(log_tail)
 
 
 def test_cdf_refuses_a_value_outside_its_error(monkeypatch):
-    # a probability of -0.5 with an error of 1e-9 is garbage, not 0
+    # a probability of -0.5 with an error of 1e-9 is garbage, not 0: from
+    # the branch cut it goes on to the saddle-point line, and from the
+    # line (a tail of 2, so a cdf of -1 at c > 0) it raises
+    params = TemperedStableParams(0.5, 1.0)
     monkeypatch.setattr(its_density, "_branch_cut",
                         lambda *args: [(-0.5, 1e-9, 1)])
+    assert cdf(2.0, 1.0, params) == pytest.approx(0.37230216184474713,
+                                                  abs=1e-10)
+    monkeypatch.setattr(its_density, "_saddle",
+                        lambda *args: [(math.log(2.0), 1e-9, 1)])
+    assert its_density._line(0, 2.0, 1.0, params)[0] > 0
     with pytest.raises(NonConvergenceError):
-        cdf(1.0, 1.0, TemperedStableParams(0.5, 1.0))
+        cdf(2.0, 1.0, params)
 
 
 def test_cdf_reference_values():
@@ -535,7 +544,8 @@ def test_cdf_reference_values():
 
 # (x, t, lam) -> P(E(t) <= x) at beta = 1/2. At the first four the
 # branch cut's rounding floor is above the bar, so its quadrature stops
-# and cdf takes the last-jump tail; the last two take the branch cut. D(x) is inverse Gaussian, so
+# and cdf takes the saddle-point line; the last two take the branch
+# cut. D(x) is inverse Gaussian, so
 # P(D(x) <= t) = Phi(r (s - 1)) + exp(2 x sqrt(lam)) Phi(-r (s + 1)) with
 # r = x / sqrt(2 t), s = 2 sqrt(lam) t / x, summed by mpmath at 50 digits.
 _CDF_TAIL_REFERENCE = [
@@ -552,6 +562,34 @@ def test_cdf_tail_reference_values():
     for x, t, lam, ref in _CDF_TAIL_REFERENCE:
         assert cdf(x, t, TemperedStableParams(0.5, lam)) == pytest.approx(
             ref, abs=1e-11)
+
+
+def test_cdf_near_the_median_takes_the_shifted_line():
+    # at the second and fourth rows above the saddle point lies within one
+    # width of the pole at 0, where the branch cut misses, so the line
+    # moves two widths right of the pole
+    params = TemperedStableParams(0.5, 1.0)
+    for x, t in ((100.0, 50.0), (2000.0, 1000.0)):
+        assert its_density._branch_cut(0, [x], t, params) == [None]
+        c, w, *_ = its_density._line(0, x, t, params)
+        assert c == 2.0 * w
+
+
+def test_cdf_at_tiny_t_meets_chernoffs_bound():
+    # the m = 0 branch cut converged to 0 +- 0 here, but P(E(t) > 1) is
+    # at most e**phi(s*), phi(s*) = -1.56e8 and -2.5e49, so the cdf is 1
+    for beta, t in ((0.3, 1e-20), (0.5, 1e-50)):
+        assert cdf(1.0, t, TemperedStableParams(beta, 1.0)) == 1.0
+
+
+def test_cdf_takes_the_line_where_the_cut_leaves_the_unit_interval():
+    # the m = 0 branch cut gives 1.00088 +- 1.6e-10 here, and cdf raised;
+    # the line gives P(E(t) > x) = P(D(x) < t), which mpmath's Talbot
+    # inversion of e**(-x Psi(s)) / s gives at 40 and 60 digits
+    params = TemperedStableParams(0.13, 0.01)
+    assert its_density._branch_cut(0, [0.0024], 1e-27, params)[0][0] > 1.0
+    assert cdf(0.0024, 1e-27, params) == pytest.approx(
+        1.0 - 4.362028466358751e-4, abs=1e-12)
 
 
 def test_untempered_cdf_is_the_stable_survival_function():
@@ -628,7 +666,7 @@ def test_series_computes_each_coefficient_block_once(monkeypatch):
 
 def test_unconverged_forms_fall_back_below_double_range(monkeypatch):
     # neither form converges at beta = 0.95, t = 1e-3, where log h is
-    # about -1.8e49: the last-jump integral gives 0 with error 0, not the
+    # about -1.8e49: the saddle line's bound gives 0 with error 0, not the
     # series' 1e303. The branch-cut integrand overflows there: the
     # quadrature stops at its first non-finite panel, with no numpy
     # warning.
@@ -646,7 +684,7 @@ def test_unconverged_forms_fall_back_below_double_range(monkeypatch):
         res = eval_density(EvalPoint(0.5, 1e-3),
                            TemperedStableParams(0.95, 1.0))
     assert (res.value, res.error_estimate, res.method) == (0.0, 0.0,
-                                                           "positive")
+                                                           "saddle")
     assert panels and max(panels) < 100
 
 
@@ -665,8 +703,7 @@ def test_bulk_density_skips_the_doomed_branch_cut(monkeypatch):
 
     monkeypatch.setattr(its_density, "integrate_semi_infinite_rows", counted)
     res = eval_density(EvalPoint(1428.79, 1e3), TemperedStableParams(0.7, 1.0))
-    assert res.method == "positive"
-    assert res.value == 0.01612821616738496
+    assert res.method == "saddle"
     assert panels and max(panels) <= 64
 
 
@@ -688,11 +725,18 @@ def test_series_raises_where_its_own_error_misses_the_bar():
     assert res.value == pytest.approx(0.03485037928418269, rel=1e-9)
 
 
-def test_last_jump_meets_the_bar_itself(monkeypatch):
-    # with a gamma bound of 1e-6 neither the positive density nor the cdf
-    # tail (P(D(90) < 50) = 0.854 at beta 1/2, lam 1) can meet the bar,
-    # and both raise instead of returning
-    monkeypatch.setattr(its_density, "GAMMA_REL_ERROR", 1e-6)
+def test_saddle_line_meets_the_bar_itself(monkeypatch):
+    # with a quadrature error of 1e-5 of the value neither the saddle
+    # density nor the cdf tail (P(D(90) < 50) = 0.854 at beta 1/2, lam 1)
+    # can meet the bar, and both raise instead of returning
+    integrate = its_density.integrate_semi_infinite_rows
+
+    def loose(*args, **kwargs):
+        return [dataclasses.replace(
+            r, error_estimate=r.error_estimate + 1e-5 * abs(r.value))
+            for r in integrate(*args, **kwargs)]
+
+    monkeypatch.setattr(its_density, "integrate_semi_infinite_rows", loose)
     with pytest.raises(NonConvergenceError):
         eval_density(EvalPoint(1428.79, 1e3), TemperedStableParams(0.7, 1.0))
     with pytest.raises(NonConvergenceError):
@@ -701,8 +745,8 @@ def test_last_jump_meets_the_bar_itself(monkeypatch):
 
 def test_results_are_python_floats():
     # one point per method, and cdf by each of its three forms; x = 10 x
-    # mean came as numpy.float64 from moment_exact and carried it into
-    # the positive method's error
+    # mean came as numpy.float64 from moment_exact and once carried it
+    # into the fallback's error
     params = TemperedStableParams(0.7, 1e-3)
     mean = moment_exact(MomentQuery(1.0, 1.0, params))
     assert type(mean) is float
@@ -710,7 +754,7 @@ def test_results_are_python_floats():
                               (0.5, 1.0, params, "series"),
                               (8.0, 1.0, TemperedStableParams(0.5, 2.0),
                                "integral"),
-                              (10.0 * mean, 1.0, params, "positive")):
+                              (10.0 * mean, 1.0, params, "saddle")):
         res = eval_density(EvalPoint(x, t), prm)
         assert res.method == method
         assert type(res.value) is float
@@ -742,14 +786,27 @@ with open(os.path.join(os.path.dirname(__file__),
 def test_density_matches_the_frozen_oracle(row):
     # eval's bar is 1e-8 * max(1, |h|), and every method's error bounds
     # the distance to h: the series' error counts each term's rounding and
-    # its gamma's bound. The last-jump integral meets the bar relative to h.
+    # its gamma's bound. The saddle-point line meets the bar relative to h.
     ref = row["h"]
     res = eval_density(EvalPoint(row["x"], row["t"]),
                        TemperedStableParams(row["beta"], row["lam"]))
     assert abs(res.value - ref) <= 1e-8 * max(1.0, abs(ref))
     assert abs(res.value - ref) <= res.error_estimate
-    if res.method == "positive":
+    if res.method == "saddle":
         assert res.error_estimate <= 1e-8 * abs(ref)
+
+
+@pytest.mark.parametrize("row", _ORACLE,
+                         ids=lambda r: "{beta}-{lam}-{t}-{x:.6g}".format(**r))
+def test_saddle_bound_holds_at_the_frozen_rows(row):
+    # the line's closed-form bound on h is at least h, and at the rows
+    # where h is 0 below double range it certifies that 0 itself
+    *_, log_bound = its_density._line(
+        1, row["x"], row["t"], TemperedStableParams(row["beta"], row["lam"]))
+    if row["h"]:
+        assert log_bound >= math.log(row["h"])
+    else:
+        assert log_bound < math.log(5e-324)
 
 
 def test_sweep_returns_a_value_or_a_typed_error():
@@ -808,15 +865,15 @@ def test_density_grid_matches_eval_on_the_table_grids(beta, lam):
 
 
 def test_density_grid_rows_take_evals_path():
-    # x = 0, negative and nan x, and a far-tail row that ends positive
+    # x = 0, negative and nan x, and a far-tail row on the saddle line
     grid = _grid_matches_eval([0.0, -1.0, 0.5, math.nan, 11.005, 2.0], 1.0,
                               TemperedStableParams(0.7, 0.0))
     assert [type(r).__name__ if isinstance(r, Exception) else r.method
             for r in grid] == ["boundary", "ParameterError", "series",
-                               "ParameterError", "positive", "series"]
+                               "ParameterError", "saddle", "series"]
     # series rows that parted from eval_series in the last bit before; a
     # series that misses its bar, and one whose A_j underflow, go on to
-    # the integral; a doomed branch cut goes on to the last-jump integral
+    # the integral; a doomed branch cut goes on to the saddle-point line
     for xs, t, params in (([0.55, 0.1], 0.5, TemperedStableParams(0.4, 2.0)),
                           ([0.02815071826673611, 0.01], 1e-3,
                            TemperedStableParams(0.7, 50.0)),

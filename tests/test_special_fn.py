@@ -132,6 +132,18 @@ def test_domain_errors():
             upper_incomplete_gamma_scaled(a, u)
 
 
+def test_positive_order_below_double_range_of_gamma():
+    # Gamma(200) overflows a double, but g(200, u) does not: the value
+    # comes from log Q + lgamma(a) - a log u, and above u = a + 1 from
+    # the continued fraction; mpmath.gammainc at 40 digits (1.1e-4347,
+    # 0 in a double, at the last)
+    for a, u, ref in ((200.0, 200.0, 1.203882301104167e-88),
+                      (200.0, 260.0, 1.8961984953490747e-115),
+                      (50.0, 1e4, 0.0)):
+        assert upper_incomplete_gamma_scaled(a, u) == pytest.approx(
+            ref, rel=1e-12, abs=0.0)
+
+
 def test_scaled_limit_at_zero():
     # g(a, 0) = -1/a exactly for a < 0
     assert upper_incomplete_gamma_scaled(-0.7, 0.0) == 1.0 / 0.7

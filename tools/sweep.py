@@ -7,7 +7,9 @@ methods, the raises, the seconds spent in each function, the slowest
 point of each, the number of quadrature calls and the largest panel count
 of any one integral (per-point calls only). Wherever both `eval_series`
 and `eval_integral` converge, their values must agree within the sum of
-their error estimates. The cdf of each (beta, lam, t) must not fall,
+their error estimates. Every value of the saddle-point line, a `saddle`
+density or a cdf tail, must lie at or below the closed-form bound of its
+line. The cdf of each (beta, lam, t) must not fall,
 beyond 1e-8, from one of its 5 x to a larger one. Each (beta, lam, t)
 also goes through `eval_density_grid` on its 5 x at once, whose rows
 must match `eval_density`, the one-row call: the same raise, a series
@@ -18,7 +20,8 @@ is 0 analytically, runs over 8 beta x 5 x, where it must return below
 1e-8 or raise NonConvergenceError. Exits 1 if any density or cdf raised
 or warned, if a series/integral pair lies outside its summed errors, if
 a cdf falls with x, if a grid row differs from its point, or if an
-initial-condition value is 1e-8 or more.
+initial-condition value is 1e-8 or more, or if a saddle-point line
+value lies above its bound.
 
     PYTHONPATH=src python tools/sweep.py
 """
@@ -29,7 +32,7 @@ import sys
 import time
 import warnings
 
-from itsub import quadrature
+from itsub import its_density, quadrature
 from itsub.its_density import (
     EvalPoint,
     cdf,
@@ -74,17 +77,26 @@ def _timed(fn):
 def sweep():
     """One row per point, (params, t, x, density result, cdf value,
     density seconds, cdf seconds, series result, integral result), where
-    a raise stands in for its result, and the panel count of every
-    quadrature call."""
-    panels = []
-    lockstep = quadrature._lockstep
+    a raise stands in for its result; the panel count of every
+    quadrature call; and (m, params, t, x, log |I|, log bound) for every
+    value of the saddle-point line, the bound from its _line."""
+    panels, lines = [], []
+    lockstep, saddle = quadrature._lockstep, its_density._saddle
 
     def counted(*args):
         results = lockstep(*args)
         panels.extend(r.subdivisions_used for r in results)
         return results
 
+    def bounded(m, xs, t, params):
+        results = saddle(m, xs, t, params)
+        lines.extend((m, params, t, x, res[0],
+                      its_density._line(m, x, t, params)[-1])
+                     for x, res in zip(xs, results) if res is not None)
+        return results
+
     quadrature._lockstep = counted
+    its_density._saddle = bounded
     rows = []
     try:
         with warnings.catch_warnings():
@@ -98,7 +110,8 @@ def sweep():
                 rows.append((params, t, x, h, c, h_s, c_s, *forms))
     finally:
         quadrature._lockstep = lockstep
-    return rows, panels
+        its_density._saddle = saddle
+    return rows, panels, lines
 
 
 def cdf_falls(rows):
@@ -168,7 +181,7 @@ def _where(row):
 
 
 def main():
-    rows, panels = sweep()
+    rows, panels, lines = sweep()
     methods = collections.Counter(
         "raised" if isinstance(r[3], Exception) else r[3].method for r in rows)
     raised = [(r, "density", r[3]) for r in rows if isinstance(r[3], Exception)]
@@ -200,6 +213,15 @@ def main():
         print(f"  at {_where(row)}: series {s.value:.10g} +- "
               f"{s.error_estimate:.2g}, integral {i.value:.10g} +- "
               f"{i.error_estimate:.2g}")
+    above = [line for line in lines if line[4] > line[5]]
+    print(f"saddle-point line values: density "
+          f"{sum(line[0] for line in lines)}, cdf "
+          f"{sum(1 - line[0] for line in lines)}; above their bound "
+          f"{len(above)}")
+    for m, params, t, x, log_i, log_bound in above:
+        print(f"  {'density' if m else 'cdf'} at beta={params.beta} "
+              f"lam={params.lam} t={t} x={x:.6g}: log |I| {log_i:.10g}, "
+              f"log bound {log_bound:.10g}")
     falls = cdf_falls(rows)
     print(f"cdf falling with x {len(falls)}")
     for row in falls:
@@ -220,7 +242,7 @@ def main():
           f"{len(ic_raised)}, bad {len(ic_bad)}")
     for beta, x, v in ic_bad:
         print(f"  at beta={beta:.6g} x={x:g}: {v!r}")
-    return 1 if raised or apart or falls or differ or ic_bad else 0
+    return 1 if raised or apart or above or falls or differ or ic_bad else 0
 
 
 if __name__ == "__main__":
