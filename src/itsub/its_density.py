@@ -5,9 +5,11 @@ of a tempered stable subordinator D, for every lam >= 0 (lam = 0 is the
 inverse stable case), is evaluated by two independent representations:
 a power series in x, whose coefficients A_j also give the boundary
 value and every x-derivative at 0+, and the inversion of
-Psi(s)**m / s * exp(-x*Psi(s)) (m = 1 the density, m = 0 the CDF) by a
-half-line integral on the branch cut s = -lam - y, or where that fails,
-on the vertical line through the real saddle point of s t - x Psi(s).
+Psi(s)**m / s * exp(-x*Psi(s)) (m = 1 the density, m = 0 the CDF, at
+every lam) by a half-line integral on the branch cut s = -lam - y, or on
+the vertical line through the real saddle point of s t - x Psi(s). One
+rule, in _invert, picks between the two for both m: the branch cut's
+value stands where it tells more than the line's closed-form bound.
 """
 
 import cmath
@@ -28,7 +30,6 @@ from .special_fn import _log_upper_gamma_scaled_pos
 from .stable_family import (
     NonConvergenceError,
     ParameterError,
-    _stable_survival,
     require_finite,
     require_positive,
     sum_series_rows,
@@ -130,18 +131,17 @@ def _line(m, x, t, params):
     return c, w, phi, at_c, float(phi + math.log(at_c / math.pi) + log_j)
 
 
-def _saddle(m, xs, t, params):
-    """The twin of _branch_cut on _line's line Re s = c (Daniels 1954, Ann.
-    Math. Stat. 25; Lugannani & Rice 1980, Adv. Appl. Probab. 12): I =
-    (1/pi) int_0^inf Re[e**phi(s) Psi(s)**m / s] dy, s = c + i y, is h(x, t)
-    at m = 1, 1 - cdf at m = 0 and c > 0, and -cdf at c < 0. Each x is a row
-    of one integrate_semi_infinite_rows call in y / w, with e**phi(c) and
-    the value at y = 0 taken out. Per x (log |I|, error of I, panels);
-    (-inf, 0, 0) with no panel run where _line's bound is below the least
-    subnormal; None where the quadrature did not converge to a positive
-    integral or its error, with the rounding of phi(c) and of the phase
-    w t, is above BAR * max(1, |I|)."""
-    lines = [_line(m, x, t, params) for x in xs]
+def _saddle(m, xs, t, params, lines):
+    """The twin of _branch_cut on the lines Re s = c that _line gave at
+    each x of xs (Daniels 1954, Ann. Math. Stat. 25; Lugannani & Rice 1980,
+    Adv. Appl. Probab. 12): I = (1/pi) int_0^inf Re[e**phi(s) Psi(s)**m / s]
+    dy, s = c + i y, is h(x, t) at m = 1, 1 - cdf at m = 0 and c > 0, and
+    -cdf at c < 0. Each x is a row of one integrate_semi_infinite_rows call
+    in y / w, with e**phi(c) and the value at y = 0 taken out. Per x
+    (log |I|, error of I, panels); (-inf, 0, 0) with no panel run where
+    _line's bound is below the least subnormal; None where the quadrature
+    did not converge to a positive integral or its error, with the
+    rounding of phi(c) and of the phase w t, is above BAR * max(1, |I|)."""
     out = [(-math.inf, 0.0, 0) if ln[4] < _LOG_TINY else None for ln in lines]
     run = [i for i, res in enumerate(out) if res is None]
     if not run:
@@ -172,6 +172,35 @@ def _saddle(m, xs, t, params):
                 abs(ct) + abs(ct - phi[j]) + w[j] * t + abs(log_i) + 4.0)))
             if err <= BAR * max(1.0, value):
                 out[i] = (log_i, err, res.subdivisions_used)
+    return out
+
+
+def _invert(m, xs, t, params):
+    """The inverse of Psi(s)**m / s * e**(-x Psi(s)) at every x of xs, t and
+    params shared: h(x, t) at m = 1, P(E(t) <= x) at m = 0. Per x (value,
+    error, method, panels), or None where neither contour met the bar.
+    A converged _branch_cut row (method integral) stands where it tells
+    more than _line's bound B on the tail on the line's side, h at m = 1,
+    at m = 0 P(E(t) > x) for c > 0 and P(E(t) <= x) else, with B <= 1
+    there: its error is at most B and that tail lies within it of [0, B].
+    Every other row goes to _saddle (method saddle), all in one call."""
+    lines = [_line(m, x, t, params) for x in xs]
+    out = [None] * len(xs)
+    for i, (res, ln) in enumerate(zip(_branch_cut(m, xs, t, params), lines)):
+        if res is None:
+            continue
+        value, err, panels = res
+        bound = math.exp(min(ln[4], 0.0 if m == 0 else 700.0))
+        tail = 1.0 - value if m == 0 and ln[0] > 0 else value
+        if err <= bound and -err <= tail <= bound + err:
+            out[i] = (value, err, "integral", panels)
+    line = [i for i, res in enumerate(out) if res is None]
+    for i, res in zip(line, _saddle(m, [xs[i] for i in line], t, params,
+                                    [lines[i] for i in line])):
+        if res:
+            tail = math.exp(res[0])
+            value = 1.0 - tail if m == 0 and lines[i][0] > 0 else tail
+            out[i] = (value, res[1], "saddle", res[2])
     return out
 
 
@@ -280,12 +309,13 @@ def eval(p, params):
 def eval_density_grid(xs, t, params):
     """Density h(x, t) at every x of xs, t and params shared: per x a
     DensityResult, or the ParameterError or NonConvergenceError raised
-    there. x = 0 gives A_1 / pi (_boundary); else the first to converge of
-    the series where x * lam**beta <= _SERIES_MAX_X_LAM_BETA, its rows
-    summed together, the branch-cut integral and the saddle-point line
-    (method saddle; 0 with error 0 where its bound is below double
-    range), the rows of each in lockstep. Each meets the bar
-    BAR * max(1, |value|) itself or raises NonConvergenceError."""
+    there. x = 0 gives A_1 / pi (_boundary); else the series where
+    x * lam**beta <= _SERIES_MAX_X_LAM_BETA and it converges, its rows
+    summed together, and every other row from _invert(1, ...): the
+    branch-cut integral where it tells more than the saddle-point line's
+    bound, else the line (method saddle; 0 with error 0 where its bound
+    is below double range), the rows of each in lockstep. Each meets the
+    bar BAR * max(1, |value|) itself or raises NonConvergenceError."""
     out = [None] * len(xs)
     lb = params.lam ** params.beta
     series, cut = [], []
@@ -310,15 +340,10 @@ def eval_density_grid(xs, t, params):
         cut += [i for i, res in zip(series, done) if res is None]
     if not cut:
         return out
-    for i, res in zip(cut, _branch_cut(1, [xs[i] for i in cut], t, params)):
-        if res:
-            out[i] = DensityResult(res[0], res[1], "integral", res[2])
-    line = [i for i in cut if out[i] is None]
-    for i, res in zip(line, _saddle(1, [xs[i] for i in line], t, params)):
-        out[i] = (DensityResult(math.exp(res[0]), res[1], "saddle", res[2])
-                  if res else NonConvergenceError(
-                      f"saddle-point line at x={xs[i]}, t={t}, beta="
-                      f"{params.beta}, lam={params.lam} did not converge"))
+    for i, res in zip(cut, _invert(1, [xs[i] for i in cut], t, params)):
+        out[i] = DensityResult(*res) if res else NonConvergenceError(
+            f"saddle-point line at x={xs[i]}, t={t}, beta={params.beta}, "
+            f"lam={params.lam} did not converge")
     return out
 
 
@@ -357,38 +382,22 @@ def derivative_at_zero(k, t, params):
 
 
 def cdf(x, t, params):
-    """P(E(t) <= x): at lam = 0 P(D(x) > t), the stable survival function
-    by Kanter's integral; at lam > 0 the branch-cut integral with m = 0,
-    or _saddle where that does not converge or its tail leaves _line's
-    bound by more than its error, each within the bar.
-    NonConvergenceError at a value outside [-err, 1 + err]; the clamp to
-    [0, 1] trims only an overshoot within it.
+    """P(E(t) <= x) = P(D(x) > t) at every lam >= 0: the one-row call of
+    _invert at m = 0, the branch-cut integral or the saddle-point line.
+    NonConvergenceError where neither meets the bar or at a value outside
+    [-err, 1 + err]; the clamp to [0, 1] trims only an overshoot within it.
     """
     require_finite("x", x)
     require_positive("t", t)
     if x <= 0:
         return 0.0
     beta, lam = params.beta, params.lam
-    if lam == 0:
-        value, err = _stable_survival(t, x, beta)
-    else:
-        res, = _branch_cut(0, [x], t, params)
-        c, *_, log_tail = _line(0, x, t, params)
-        # the tail on c's side, P(E(t) > x) at c > 0 and P(E(t) <= x) at
-        # c < 0, lies in [0, min(1, e**log_tail)]: a cut value outside that
-        # by more than its error goes on to the line
-        if res is not None:
-            tail = 1.0 - res[0] if c > 0 else res[0]
-        if res is None or not -res[1] <= tail <= min(
-                1.0, math.exp(log_tail)) + res[1]:
-            res, = _saddle(0, [x], t, params)
-            if res is None:
-                raise NonConvergenceError(
-                    f"cdf at x={x}, t={t}, beta={beta}, lam={lam}: the "
-                    f"saddle-point line did not converge within the bar")
-            tail = math.exp(res[0])
-            res = (1.0 - tail if c > 0 else tail, res[1])
-        value, err = res[:2]
+    res, = _invert(0, [x], t, params)
+    if res is None:
+        raise NonConvergenceError(
+            f"cdf at x={x}, t={t}, beta={beta}, lam={lam}: neither the "
+            f"branch cut nor the saddle-point line converged within the bar")
+    value, err = res[:2]
     if not -err <= value <= 1.0 + err:
         raise NonConvergenceError(
             f"cdf at x={x}, t={t}, beta={beta}, lam={lam} gave {value:.3g} "

@@ -21,7 +21,6 @@ from .stable_family import (
     NonConvergenceError,
     ParameterError,
     TemperedStableParams,
-    converged_value,
     inverse_stable_density,  # not called; bench/spans.py wraps this name
     require_positive,
 )
@@ -184,5 +183,8 @@ def initial_condition_check(beta, x):
             "or the end of its mass overflows a double") from None
     res = integrate_semi_infinite(integrand, scale=scale,
                                   power_singularity=beta)
-    return abs(converged_value(
-        res, f"initial-condition integral at beta={beta}, x={x}") / math.pi)
+    if not res.converged:
+        raise NonConvergenceError(
+            f"initial-condition integral at beta={beta}, x={x} did not "
+            "converge")
+    return abs(res.value / math.pi)

@@ -1,10 +1,10 @@
 """Densities of the one-sided stable subordinator, its exponentially
 tempered version, and the inverse stable subordinator.
 
-The stable density f(x, t) (Laplace transform exp(-t s**beta)) and its
-survival function come from Kanter's integral, whose integrand is
-positive on (0, pi) (Kanter 1975, Ann. Probab. 3; Nolan 1997, Stoch.
-Models 13); the inverse stable density, the tests' lam = 0 reference,
+The stable density f(x, t) (Laplace transform exp(-t s**beta)) comes
+from Kanter's integral, whose integrand is positive on (0, pi) (Kanter
+1975, Ann. Probab. 3; Nolan 1997, Stoch. Models 13), summed in logs; the
+inverse stable density, the tests' lam = 0 reference,
 has a power series in x with a fallback to f through the first-passage
 identity. All densities vanish for x <= 0 by convention. Every series
 in the package, this one and the density series of its_density, is
@@ -46,14 +46,6 @@ def require_finite(name, v):
 
 class NonConvergenceError(RuntimeError):
     """Neither representation of a density converged."""
-
-
-def converged_value(res, what):
-    """The value of a quadrature or series result, or NonConvergenceError
-    naming `what` when the result did not converge."""
-    if not res.converged:
-        raise NonConvergenceError(f"{what} did not converge")
-    return res.value
 
 
 @dataclass(frozen=True)
@@ -141,18 +133,18 @@ _LOG_SINC = [-sp.zeta(2 * n) / (n * math.pi ** (2 * n))
              for n in range(10, 0, -1)]
 
 
-def _kanter(x, t, beta):
-    """Kanter's integral at s = x t**(-1/beta) and z = s**-kappa, with
-    kappa = beta/(1-beta) and a(u) = sin(beta u)**kappa sin((1-beta) u)
-    / sin(u)**(1/(1-beta)): f(x, t) = t**(-1/beta) (kappa/pi)
-    s**(-kappa-1) int_0^pi a e**(-a z) du, and for D stable
-    P(D(t) > x) = (1/pi) int_0^pi -expm1(-a z) du.
+def _stable_log_density(x, t, beta):
+    """log f(x, t) for x > 0 by Kanter's integral, summed in logs with
+    e**(-a(0) z) factored out; -inf below every double.
+    NonConvergenceError when the quadrature fails.
 
-    Returns log s, q = log(a(0) z), r(y) = log(a(u) / a(0)) at nodes y,
-    the first panel edges, and the log of the width of the peak of
-    a z e**(-a z).
-    For q >= 0 that peak is at u = 0 and y = u; else it is where a z = 1,
-    at v* = pi - u ~ sin(beta pi) z**(1-beta), and y = v = pi - u.
+    With s = x t**(-1/beta), z = s**-kappa, kappa = beta/(1-beta) and
+    a(u) = sin(beta u)**kappa sin((1-beta) u) / sin(u)**(1/(1-beta)),
+    f(x, t) = t**(-1/beta) (kappa/pi) s**(-kappa-1) int_0^pi a e**(-a z) du.
+    It is taken in y at r(y) = log(a(u) / a(0)), q = log(a(0) z), over
+    first panel edges set by the width of the peak of a z e**(-a z). For
+    q >= 0 that peak is at u = 0 and y = u; else it is where a z = 1, at
+    v* = pi - u ~ sin(beta pi) z**(1-beta), and y = v = pi - u.
     """
     require_positive("t", t)
     require_beta(beta)
@@ -160,11 +152,12 @@ def _kanter(x, t, beta):
     kappa = beta / (1.0 - beta)
     log_a0 = kappa * math.log(beta) + math.log1p(-beta)
     q = log_a0 - kappa * log_s
+    if q > 700.0:
+        return -math.inf
     if q >= 0.0:
-        # Gaussian in u, of width (beta (e**q - 1))**-1/2 when that is
-        # small; beyond q = 700 the density is below every double anyway
+        # Gaussian in u, of width (beta (e**q - 1))**-1/2 when that is small
         log_width = math.log(math.pi) - 0.5 * math.log1p(
-            beta * math.expm1(min(q, 700.0)) * math.pi ** 2)
+            beta * math.expm1(q) * math.pi ** 2)
         edges = [k * math.exp(log_width) for k in (0.0, 1.0, 3.0, 9.0)]
     else:
         # e**(w - e**w) in w = log(a z) ~ log(v*/v) / (1-beta), and a
@@ -176,6 +169,7 @@ def _kanter(x, t, beta):
         while logs[-1] - log_v < 45.0 / kappa and logs[-1] < math.log(math.pi):
             logs.append(logs[-1] + 3.0)
         edges = [0.0] + [math.exp(e) for e in logs]
+    edges = [e for e in edges if e < math.pi] + [math.pi]
 
     def r(y):
         # With sin(c u) = c u sinc(c u) the powers of u cancel. Each
@@ -192,17 +186,6 @@ def _kanter(x, t, beta):
         log_sinc = np.where(arg < 0.5, series * w, np.log(sines / arg))
         return np.array([kappa, 1.0, -1.0 / (1.0 - beta)]) @ log_sinc
 
-    edges = [e for e in edges if e < math.pi] + [math.pi]
-    return log_s, q, r, edges, log_width
-
-
-def _stable_log_density(x, t, beta):
-    """(log f(x, t), error of that log) for x > 0 by Kanter's integral,
-    summed in logs with e**(-a(0) z) factored out; (-inf, 0) below every
-    double. NonConvergenceError when the quadrature fails."""
-    log_s, q, r, edges, log_width = _kanter(x, t, beta)
-    if q > 700.0:
-        return -math.inf, 0.0
     ez = math.exp(q)
     # Dividing a z e**(-z (a - a(0))) by its peak, e**q at u = 0 or
     # e**(e**q - 1) where a z = 1, times the peak's width keeps the
@@ -220,25 +203,9 @@ def _stable_log_density(x, t, beta):
     if not (res.converged and res.value > 0.0):
         raise NonConvergenceError(
             f"stable density at x={x}, t={t}, beta={beta} did not converge")
-    # (kappa/pi) s**(-kappa-1) / z = kappa / (pi s). Rounding enters via
-    # log s, off by eps (|log x| + |log t| / beta) and scaled by kappa e**q
-    # in e**q, and via e**q, off by eps |q|.
-    log_f = (math.log(beta / (1.0 - beta) / math.pi) - log_s - ez + shift
-             + math.log(res.value) - math.log(t) / beta)
-    lx = abs(math.log(x)) + abs(math.log(t)) / beta
-    rounding = 2.2e-16 * ((1.0 + ez * beta / (1.0 - beta)) * lx
-                          + ez * (1.0 + abs(q)) + abs(log_f))
-    return log_f, res.error_estimate / res.value + rounding
-
-
-def _stable_survival(x, t, beta):
-    """(P(D(t) > x), error) for x > 0, D the stable subordinator, by
-    Kanter's integral. NonConvergenceError when the quadrature fails."""
-    _, q, r, edges, _ = _kanter(x, t, beta)
-    res = integrate_interval(lambda y: -np.expm1(-np.exp(q + r(y))), edges)
-    value = converged_value(
-        res, f"stable survival at x={x}, t={t}, beta={beta}")
-    return value / math.pi, res.error_estimate / math.pi
+    # (kappa/pi) s**(-kappa-1) / z = kappa / (pi s)
+    return (math.log(kappa / math.pi) - log_s - ez + shift
+            + math.log(res.value) - math.log(t) / beta)
 
 
 def stable_density(x, t, beta):
@@ -247,7 +214,7 @@ def stable_density(x, t, beta):
     require_finite("x", x)
     if x <= 0:
         return 0.0
-    return math.exp(_stable_log_density(x, t, beta)[0])
+    return math.exp(_stable_log_density(x, t, beta))
 
 
 def tempered_density(x, t, params):
@@ -255,7 +222,7 @@ def tempered_density(x, t, params):
     require_finite("x", x)
     if x <= 0:
         return 0.0
-    log_f, _ = _stable_log_density(x, t, params.beta)
+    log_f = _stable_log_density(x, t, params.beta)
     return math.exp(log_f - params.lam * x + params.lam ** params.beta * t)
 
 

@@ -226,7 +226,7 @@ def test_out_file_is_written_only_for_valid_input(tmp_path, capsys):
 
 def test_density_unconverged_point_fails(capsys, monkeypatch):
     # every form fails: the saddle-point line converges at no x either
-    def refuse(m, xs, t, params):
+    def refuse(m, xs, t, params, lines):
         return [None] * len(xs)
 
     monkeypatch.setattr(its_density, "_saddle", refuse)

@@ -601,6 +601,50 @@ def test_untempered_cdf_is_the_stable_survival_function():
                 math.erf(x / (2.0 * math.sqrt(t))), abs=1e-12)
 
 
+# (beta, x) -> P(E(1) <= x) at lam = 0 from mpmath's Talbot inversion of
+# (1 - e**(-x s**beta)) / s, where 40 and 60 digits agree to 1e-24
+_UNTEMPERED_CDF_REFERENCE = [
+    (0.7, 1.1005474055236655, 0.51847929146460171),
+    (0.9, 1.0397541343476366, 0.41012464699898806),
+    (0.3, 3.342727525641905, 0.9617714434254319),
+    (0.02, 0.30338449576766424, 0.25905806108917631),
+    (0.98, 1.0083609166071703, 0.29554016824752988),
+]
+
+
+def test_untempered_cdf_reference_values():
+    # the branch cut with m = 0 at lam = 0, as at lam > 0
+    for beta, x, ref in _UNTEMPERED_CDF_REFERENCE:
+        assert cdf(x, 1.0, TemperedStableParams(beta, 0.0)) == pytest.approx(
+            ref, abs=1e-11)
+
+
+def test_a_cut_value_that_tells_less_than_the_line_bound_goes_to_the_line():
+    # the branch cut converges at both points, but its error is above the
+    # line's bound on h: -6.92e-187 +- 3.0e-180 where h is 7.18e-216 (the
+    # frozen table), and 8.43e-15 +- 2.5e-13 where h = e**(-x**2/4) /
+    # sqrt(pi) at beta 1/2, lam 0
+    params = TemperedStableParams(0.5, 1.0)
+    x = 600.1499999968989
+    assert its_density._branch_cut(1, [x], 1e3, params)[0][0] < 0.0
+    res = eval_density(EvalPoint(x, 1e3), params)
+    assert res.method == "saddle" and res.value > 0.0
+    assert res.value == pytest.approx(7.184827860980587e-216, rel=1e-8)
+    res = eval_density(EvalPoint(11.283791670955125, 1.0),
+                       TemperedStableParams(0.5, 0.0))
+    assert res.method == "saddle"
+    assert res.value == pytest.approx(8.460623186456837e-15, rel=1e-8)
+
+
+def test_cdf_far_below_the_median_is_positive_within_chernoffs_bound():
+    # the m = 0 branch cut gives -7.0e-187 +- 3.1e-180 here, and cdf gave
+    # 0.0; the line gives P(E(t) <= x) itself, at most e**phi(c), c < 0
+    params = TemperedStableParams(0.5, 1.0)
+    c, _, phi, *_ = its_density._line(0, 600.15, 1e3, params)
+    assert c < 0.0
+    assert 0.0 < cdf(600.15, 1e3, params) <= math.exp(phi)
+
+
 def test_untempered_cdf_far_tail():
     # P(E(1) > 10) < 1e-40 at beta = 0.7; the branch-cut integral gave
     # 2.8e4 +- 5.9e5 here
@@ -744,9 +788,9 @@ def test_saddle_line_meets_the_bar_itself(monkeypatch):
 
 
 def test_results_are_python_floats():
-    # one point per method, and cdf by each of its three forms; x = 10 x
-    # mean came as numpy.float64 from moment_exact and once carried it
-    # into the fallback's error
+    # one point per method, and cdf at lam = 0 and by each of its two
+    # forms; x = 10 x mean came as numpy.float64 from moment_exact and
+    # once carried it into the fallback's error
     params = TemperedStableParams(0.7, 1e-3)
     mean = moment_exact(MomentQuery(1.0, 1.0, params))
     assert type(mean) is float

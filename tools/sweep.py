@@ -3,9 +3,12 @@
 Evaluates `eval_density` and `cdf` at 7 beta x 4 lam x 3 t x 5 x = 420
 points, with x = {1e-3, 0.3, 1, 3, 10} times the mean E[E(t)] from
 `moment_exact`, and every warning raised as an error. Prints the density
-methods, the raises, the seconds spent in each function, the slowest
-point of each, the number of quadrature calls and the largest panel count
-of any one integral (per-point calls only). Wherever both `eval_series`
+and cdf methods (the cdf's at every lam from the branch cut or the
+saddle-point line), the raises, the seconds spent in each function, the
+slowest point of each, the number of quadrature calls and the largest
+panel count of any one integral (per-point calls only), and, without a
+gate, the number of `integral` densities whose error is above 1e-8 of
+their value. Wherever both `eval_series`
 and `eval_integral` converge, their values must agree within the sum of
 their error estimates. Every value of the saddle-point line, a `saddle`
 density or a cdf tail, must lie at or below the closed-form bound of its
@@ -78,25 +81,34 @@ def sweep():
     """One row per point, (params, t, x, density result, cdf value,
     density seconds, cdf seconds, series result, integral result), where
     a raise stands in for its result; the panel count of every
-    quadrature call; and (m, params, t, x, log |I|, log bound) for every
-    value of the saddle-point line, the bound from its _line."""
-    panels, lines = [], []
+    quadrature call; (m, params, t, x, log |I|, log bound) for every
+    value of the saddle-point line, the bound from its _line; and the
+    method of every cdf, failed where neither contour met the bar."""
+    panels, lines, cdf_methods = [], [], []
     lockstep, saddle = quadrature._lockstep, its_density._saddle
+    invert = its_density._invert
 
     def counted(*args):
         results = lockstep(*args)
         panels.extend(r.subdivisions_used for r in results)
         return results
 
-    def bounded(m, xs, t, params):
-        results = saddle(m, xs, t, params)
-        lines.extend((m, params, t, x, res[0],
-                      its_density._line(m, x, t, params)[-1])
-                     for x, res in zip(xs, results) if res is not None)
+    def bounded(m, xs, t, params, line):
+        results = saddle(m, xs, t, params, line)
+        lines.extend((m, params, t, x, res[0], ln[-1])
+                     for x, res, ln in zip(xs, results, line)
+                     if res is not None)
+        return results
+
+    def inverted(m, xs, t, params):
+        results = invert(m, xs, t, params)
+        if m == 0:
+            cdf_methods.extend(res[2] if res else "failed" for res in results)
         return results
 
     quadrature._lockstep = counted
     its_density._saddle = bounded
+    its_density._invert = inverted
     rows = []
     try:
         with warnings.catch_warnings():
@@ -111,7 +123,8 @@ def sweep():
     finally:
         quadrature._lockstep = lockstep
         its_density._saddle = saddle
-    return rows, panels, lines
+        its_density._invert = invert
+    return rows, panels, lines, cdf_methods
 
 
 def cdf_falls(rows):
@@ -181,7 +194,7 @@ def _where(row):
 
 
 def main():
-    rows, panels, lines = sweep()
+    rows, panels, lines, cdf_methods = sweep()
     methods = collections.Counter(
         "raised" if isinstance(r[3], Exception) else r[3].method for r in rows)
     raised = [(r, "density", r[3]) for r in rows if isinstance(r[3], Exception)]
@@ -195,8 +208,15 @@ def main():
     apart = [r for r in pairs if abs(r[7].value - r[8].value)
              > r[7].error_estimate + r[8].error_estimate]
     print(f"points {len(rows)}")
-    print("density methods: " + ", ".join(
-        f"{m} {n}" for m, n in sorted(methods.items())))
+    for name, counts in (("density", methods),
+                         ("cdf", collections.Counter(cdf_methods))):
+        print(f"{name} methods: " + ", ".join(
+            f"{m} {n}" for m, n in sorted(counts.items())))
+    loose = [r for r in rows if not isinstance(r[3], Exception)
+             and r[3].method == "integral"
+             and r[3].error_estimate > 1e-8 * abs(r[3].value)]
+    print(f"integral densities with error above 1e-8 of their value "
+          f"{len(loose)}")
     for col, name in ((5, "density"), (6, "cdf")):
         slowest = max(rows, key=lambda r: r[col])
         print(f"{name} {sum(r[col] for r in rows):.1f} s, slowest "
