@@ -18,10 +18,12 @@ from .its_density import eval as eval_density
 from .moments import (
     InversionError,
     MomentQuery,
+    MomentResult,
     gaver_stehfest_inversion,
     moment_asymptotic,
     moment_exact,
     moment_lt,
+    moment_table,
     talbot_inversion,
 )
 from .montecarlo import (

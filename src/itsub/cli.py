@@ -103,14 +103,14 @@ def cmd_moments(args, out):
     params = TemperedStableParams(args.beta, args.lam)
     ts = np.logspace(-3, 3, 61) if args.t is None else parse_grid(args.t, "--t")
     queries = [moments.MomentQuery(args.q, t, params) for t in ts]
+    table = moments.moment_table(args.q, ts, params)
     rows, status = [], _EXIT_OK
-    for query in queries:
-        try:
-            exact = moments.moment_exact(query)
-        except InversionError:
+    for query, res in zip(queries, table):
+        if isinstance(res, InversionError):
             rows.append([query.t] + [math.nan] * 5)
             status = _EXIT_NUMERIC
             continue
+        exact = res.value
         small = moments.moment_asymptotic(query, "small_t")
         # At lam = 0 the large-t form does not exist.
         large = (moments.moment_asymptotic(query, "large_t")

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -159,6 +160,20 @@ def test_moments_single_t(capsys):
     assert len(rows) == 1
     assert float(rows[0]["exact"]) == pytest.approx(2.4716049381348697,
                                                     rel=1e-6)
+
+
+@pytest.mark.parametrize("beta, lam, t", [("0.02", "50", "1000"),
+                                          ("0.98", "0", "1e300")])
+def test_moment_beyond_double_range_exits_3(capsys, beta, lam, t):
+    # moments above 1e308: at lam > 0 a nan row used to exit 0, and at
+    # lam = 0 a raw OverflowError escaped with a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = _run(capsys, "moments", "--beta", beta, "--lambda",
+                            lam, "--q", "50", "--t", t)
+    assert code == 3
+    (row,) = _rows(out)
+    assert math.isnan(float(row["exact"]))
 
 
 def test_simulate_deterministic(capsys):

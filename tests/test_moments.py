@@ -1,5 +1,9 @@
+import json
 import math
+import os
+import warnings
 
+import numpy as np
 import pytest
 from scipy.special import gamma as G
 
@@ -10,6 +14,7 @@ from itsub.moments import (
     moment_asymptotic,
     moment_exact,
     moment_lt,
+    moment_table,
     talbot_inversion,
 )
 from itsub.stable_family import ParameterError, TemperedStableParams
@@ -140,3 +145,88 @@ def test_moments_monotone_in_time():
     vals = [moment_exact(MomentQuery(1.0, t, params))
             for t in (0.1, 0.5, 1.0, 5.0, 20.0)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("q, t, beta, lam", [(50.0, 1e3, 0.02, 50.0),
+                                             (50.0, 1e300, 0.98, 0.0)])
+def test_a_moment_beyond_double_range_raises(q, t, beta, lam):
+    # (lam**(1-beta) t / beta)**q ~ 1e318: both Talbot sums overflow, and
+    # the 24/32 check, False for nan, once let the nan through as a moment;
+    # at lam = 0 the closed form's t**(q*beta) raised a raw OverflowError
+    query = MomentQuery(q, t, TemperedStableParams(beta, lam))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InversionError):
+            moment_exact(query)
+        (row,) = moment_table(q, [t], query.params)
+    assert isinstance(row, InversionError)
+
+
+# (lam, beta) -> M_1 at t = 1e-3, 1, 1e3 from the scalar Talbot path with
+# Psi(s) = (s+lam)**beta - lam**beta, the form the table keeps where s / lam
+# would overflow
+_TINY_LAM = [
+    (1e-300, 0.02, [0.8807902738629192, 1.011282674613959, 1.161108039058166]),
+    (1e-300, 0.5, [0.035682482323033046, 1.1283791671000811,
+                   35.682482323144015]),
+    (1e-300, 0.98, [0.0011577532381788845, 1.008360916608316,
+                    878.2456439002694]),
+    (5e-324, 0.02, [0.880789763626435, 1.0112820019895394,
+                    1.1611071523678065]),
+    (5e-324, 0.5, [0.035682482323033046, 1.1283791671000811,
+                   35.682482323144015]),
+    (5e-324, 0.98, [0.0011577532381788845, 1.008360916608316,
+                    878.2456439002694]),
+]
+
+
+@pytest.mark.parametrize("lam, beta, refs", _TINY_LAM)
+def test_laplace_symbol_at_the_least_lambdas(lam, beta, refs):
+    # lam**beta * expm1(beta * log1p(s / lam)) is nan at lam = 5e-324
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = moment_table(1.0, [1e-3, 1.0, 1e3],
+                            TemperedStableParams(beta, lam))
+    for row, ref in zip(rows, refs):
+        assert math.isfinite(row.value) and math.isfinite(row.error_estimate)
+        assert row.value == pytest.approx(ref, rel=1e-9)
+
+
+with open(os.path.join(os.path.dirname(__file__), "moment_oracle.json")) as _f:
+    _ORACLE = json.load(_f)
+
+
+@pytest.mark.parametrize("row", _ORACLE,
+                         ids=lambda r: "{beta}-{lam}-{t}-{q}".format(**r))
+def test_moment_error_bounds_the_oracle(row):
+    ref = row["moment"]
+    (res,) = moment_table(row["q"], [row["t"]],
+                          TemperedStableParams(row["beta"], row["lam"]))
+    assert abs(res.value - ref) <= res.error_estimate
+    assert res.error_estimate <= 1e-6 * abs(ref)
+
+
+@pytest.mark.parametrize("beta, lam, q", [(0.4, 1.0, 2.0), (0.98, 50.0, 1.0)])
+def test_table_row_is_the_one_row_call(beta, lam, q):
+    params = TemperedStableParams(beta, lam)
+    ts = np.logspace(-3, 3, 61)
+    rows = moment_table(q, ts, params)
+    assert all(row.value == moment_exact(MomentQuery(q, t, params))
+               for t, row in zip(ts, rows))
+
+
+def test_untempered_table_is_the_closed_form():
+    params = TemperedStableParams(0.3)
+    for t, row in zip((1e-3, 2.0, 1e3), moment_table(2.0, (1e-3, 2.0, 1e3),
+                                                      params)):
+        ref = G(3.0) / G(1.6) * t ** 0.6
+        assert abs(row.value - ref) <= row.error_estimate <= 1e-14 * ref
+
+
+def test_table_refuses_bad_input():
+    params = TemperedStableParams(0.5, 1.0)
+    for q, ts in ((0.0, [1.0]), (math.nan, [1.0]), (1.0, [1.0, 0.0]),
+                  (1.0, [math.inf]), (1.0, [math.nan])):
+        with pytest.raises(ParameterError):
+            moment_table(q, ts, params)
+    assert moment_table(1.0, [], params) == []

@@ -2,14 +2,16 @@
 
 Evaluates `eval_density` and `cdf` at 7 beta x 4 lam x 3 t x 5 x = 420
 points, with x = {1e-3, 0.3, 1, 3, 10} times the mean E[E(t)] from
-`moment_exact`, and every warning raised as an error. Prints the density
-and cdf methods (the cdf's at every lam from the branch cut or the
-saddle-point line), the raises, the seconds spent in each function, the
-slowest point of each, the number of quadrature calls and the largest
-panel count of any one integral (per-point calls only), and, without a
-gate, the number of `integral` densities whose error is above 1e-8 of
-their value. Wherever both `eval_series`
-and `eval_integral` converge, their values must agree within the sum of
+`moment_exact`, and every warning raised as an error. Each (beta, lam)
+first makes one `moment_table` call over its 3 t, whose rows must equal
+`moment_exact`, the one-row call, and carry a finite error estimate.
+Prints the density and cdf methods (the cdf's at every lam from the
+branch cut or the saddle-point line), the raises, the seconds spent in
+each function, the slowest point of each, the number of quadrature calls
+and the largest panel count of any one integral (per-point calls only),
+and, without a gate, the number of `integral` densities whose error is
+above 1e-8 of their value. Wherever both `eval_series` and
+`eval_integral` converge, their values must agree within the sum of
 their error estimates. Every value of the saddle-point line, a `saddle`
 density or a cdf tail, must lie at or below the closed-form bound of its
 line. The cdf of each (beta, lam, t) must not fall,
@@ -20,10 +22,11 @@ row equal to the point in value, error and terms, and any other row with
 the same method, the same terms or panels and a value within the point's
 error estimate. Last, the PDE check's `initial_condition_check`, which
 is 0 analytically, runs over 8 beta x 5 x, where it must return below
-1e-8 or raise NonConvergenceError. Exits 1 if any density or cdf raised
-or warned, if a series/integral pair lies outside its summed errors, if
-a cdf falls with x, if a grid row differs from its point, or if an
-initial-condition value is 1e-8 or more, or if a saddle-point line
+1e-8 or raise NonConvergenceError. Exits 1 if a moment table row
+differs from `moment_exact` or has no finite error, if any density or
+cdf raised or warned, if a series/integral pair lies outside its summed
+errors, if a cdf falls with x, if a grid row differs from its point, or
+if an initial-condition value is 1e-8 or more, or if a saddle-point line
 value lies above its bound.
 
     PYTHONPATH=src python tools/sweep.py
@@ -44,7 +47,7 @@ from itsub.its_density import (
     eval_integral,
     eval_series,
 )
-from itsub.moments import MomentQuery, moment_exact
+from itsub.moments import MomentQuery, moment_exact, moment_table
 from itsub.pde_check import initial_condition_check
 from itsub.stable_family import NonConvergenceError, TemperedStableParams
 
@@ -56,15 +59,27 @@ IC_BETAS = (0.02, 0.05, 0.1, 0.2, 0.3, 1.0 / 3.0, 0.4, 0.5)
 IC_XS = (1e-6, 1e-3, 0.1, 1.0, 10.0)
 
 
-def points():
-    """(params, t, x) over the box."""
-    for beta in BETAS:
-        for lam in LAMS:
-            params = TemperedStableParams(beta, lam)
-            for t in TS:
-                mean = moment_exact(MomentQuery(1.0, t, params))
-                for k in MEAN_MULTIPLES:
-                    yield params, t, k * mean
+def moment_tables():
+    """(params, t, moment_table row, moment_exact) at each (beta, lam, t),
+    the rows from one moment_table call over TS per (beta, lam), every
+    warning raised as an error."""
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in BETAS:
+            for lam in LAMS:
+                params = TemperedStableParams(beta, lam)
+                for t, row in zip(TS, moment_table(1.0, TS, params)):
+                    out.append((params, t, row,
+                                moment_exact(MomentQuery(1.0, t, params))))
+    return out
+
+
+def points(tables):
+    """(params, t, x) over the box, x a multiple of moment_exact."""
+    for params, t, _, mean in tables:
+        for k in MEAN_MULTIPLES:
+            yield params, t, k * mean
 
 
 def _timed(fn):
@@ -77,10 +92,10 @@ def _timed(fn):
     return out, time.perf_counter() - start
 
 
-def sweep():
-    """One row per point, (params, t, x, density result, cdf value,
-    density seconds, cdf seconds, series result, integral result), where
-    a raise stands in for its result; the panel count of every
+def sweep(tables):
+    """One row per point of points(tables), (params, t, x, density result,
+    cdf value, density seconds, cdf seconds, series result, integral
+    result), where a raise stands in for its result; the panel count of every
     quadrature call; (m, params, t, x, log |I|, log bound) for every
     value of the saddle-point line, the bound from its _line; and the
     method of every cdf, failed where neither contour met the bar."""
@@ -113,7 +128,7 @@ def sweep():
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for params, t, x in points():
+            for params, t, x in points(tables):
                 p = EvalPoint(x, t)
                 h, h_s = _timed(lambda: eval_density(p, params))
                 c, c_s = _timed(lambda: cdf(x, t, params))
@@ -194,7 +209,16 @@ def _where(row):
 
 
 def main():
-    rows, panels, lines, cdf_methods = sweep()
+    tables = moment_tables()
+    moment_bad = [(params, t, row, mean) for params, t, row, mean in tables
+                  if isinstance(row, Exception) or row.value != mean
+                  or not math.isfinite(row.error_estimate)]
+    print(f"moment table rows {len(tables)}, differing from moment_exact "
+          f"or without a finite error {len(moment_bad)}")
+    for params, t, row, mean in moment_bad:
+        print(f"  at beta={params.beta} lam={params.lam} t={t}: table "
+              f"{row!r}, moment_exact {mean!r}")
+    rows, panels, lines, cdf_methods = sweep(tables)
     methods = collections.Counter(
         "raised" if isinstance(r[3], Exception) else r[3].method for r in rows)
     raised = [(r, "density", r[3]) for r in rows if isinstance(r[3], Exception)]
@@ -262,7 +286,8 @@ def main():
           f"{len(ic_raised)}, bad {len(ic_bad)}")
     for beta, x, v in ic_bad:
         print(f"  at beta={beta:.6g} x={x:g}: {v!r}")
-    return 1 if raised or apart or above or falls or differ or ic_bad else 0
+    return 1 if (moment_bad or raised or apart or above or falls or differ
+                 or ic_bad) else 0
 
 
 if __name__ == "__main__":
