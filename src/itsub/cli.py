@@ -7,6 +7,7 @@ A density or moment table writes a failed point as a nan row and exits 3.
 """
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -265,6 +266,7 @@ def cmd_selfcheck(args, out):
     return _EXIT_OK if all_ok else 1
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="itsub",

@@ -4,14 +4,15 @@ lockstep.
 
 The half line starts from six panels, the last [16 * scale, inf) mapped
 onto [0, 1] as in QUADPACK's QAGI, a finite interval from one panel
-between each pair of given edges; one loop then bisects the worst error
-estimate. Each panel uses the nested Gauss7/Kronrod15 pair, with the
-error taken as the difference of the two orders. An error within the
-rounding floor 50 * eps * int |f| has converged, and a floor above the
-bar BAR * max(1, |value|) gives up at once, since no bisection brings
-cancelling noise under it (the roundoff tests of QUADPACK's QAG/QAGI,
-Piessens et al. 1983, section 3.4). Integrands must accept and return
-numpy arrays.
+between each pair of given edges; one loop then bisects, each round, the
+panels of largest error estimate until those it leaves whole are within
+the target (the batching of scipy's quad_vec). Each panel uses the
+nested Gauss7/Kronrod15 pair, with the error taken as the difference of
+the two orders. An error within the rounding floor 50 * eps * int |f|
+has converged, and a floor above the bar BAR * max(1, |value|) gives up
+at once, since no bisection brings cancelling noise under it (the
+roundoff tests of QUADPACK's QAG/QAGI, Piessens et al. 1983, section
+3.4). Integrands must accept and return numpy arrays.
 """
 
 import math
@@ -102,27 +103,32 @@ def _gk15_rows(g, new, inv, reach):
 
 def _verdict(value, error, floor, n):
     """The stop rule of the refinement, given the panels' summed value,
-    error and rounding floor and their number n: the result once the
-    error is within ABS_TOL, REL_TOL * |value| or the floor, or,
-    unconverged, at a non-finite error, a floor above
-    BAR * max(1, |value|) or the budget; None while bisection goes on."""
+    error and rounding floor and their number n: (result, excess), the
+    result once the error is within its target max(ABS_TOL,
+    REL_TOL * |value|, floor), or, unconverged, at a non-finite error, a
+    floor above BAR * max(1, |value|) or the budget, and None while
+    bisection goes on; excess is the error above the target."""
     if not math.isfinite(error):
-        return QuadratureResult(value, math.inf, n, False)
-    converged = error <= max(ABS_TOL, REL_TOL * abs(value), floor)
+        return QuadratureResult(value, math.inf, n, False), math.inf
+    target = max(ABS_TOL, REL_TOL * abs(value), floor)
+    converged = error <= target
     doomed = floor > BAR * max(1.0, abs(value))  # no bisection helps
+    result = None
     if converged or doomed or n >= MAX_SUBDIVISIONS:
-        return QuadratureResult(value, max(error, floor), n,
-                                converged and not doomed)
-    return None
+        result = QuadratureResult(value, max(error, floor), n,
+                                  converged and not doomed)
+    return result, error - target
 
 
 def _lockstep(g, new, n, inv=1.0, reach=0.0):
     """One QuadratureResult per row 0 .. n-1, refined together from the
     first panels (row, kind, a, b) in new, kinds as in _gk15_rows. Each
     round evaluates the new panels of every unfinished row in one call of
-    g; then each row bisects its worst panel, the one of largest error,
-    tie-broken on width, until _verdict stops it. A row keeps no panel
-    after its first non-finite one."""
+    g; then, until _verdict stops it, each row bisects its worst panels,
+    largest error first and tie-broken on width, until the panels it
+    leaves whole carry no more error than its target, and at most as many
+    as the budget leaves room for. A row keeps no panel after its first
+    non-finite one."""
     # Per row, its panels as parallel lists: (row, kind, left end, right
     # end), value, error and rounding floor.
     panels = [([], [], [], []) for _ in range(n)]
@@ -143,20 +149,35 @@ def _lockstep(g, new, n, inv=1.0, reach=0.0):
             new = []
             for i in live:
                 ends, values, errors, floors = panels[i]
-                results[i] = _verdict(sum(values), sum(errors), sum(floors),
-                                      len(errors))
+                results[i], excess = _verdict(sum(values), sum(errors),
+                                              sum(floors), len(errors))
                 if results[i] is not None:
                     continue
                 worst = max(errors)
-                k = errors.index(worst)
-                if errors.count(worst) > 1:
-                    k = max((j for j, e in enumerate(errors) if e == worst),
-                            key=lambda j: ends[j][3] - ends[j][2])
-                _, kind, lo, hi = ends[k]
-                mid = 0.5 * (lo + hi)
-                new += [(i, kind, lo, mid), (i, kind, mid, hi)]
-                for col in panels[i]:
-                    del col[k]
+                if worst >= excess:  # the worst panel alone is enough
+                    k = errors.index(worst)
+                    if errors.count(worst) > 1:
+                        k = max((j for j, e in enumerate(errors)
+                                 if e == worst),
+                                key=lambda j: ends[j][3] - ends[j][2])
+                    cut = [k]
+                else:
+                    order = sorted(range(len(errors)), reverse=True,
+                                   key=lambda j: (errors[j],
+                                                  ends[j][3] - ends[j][2]))
+                    cut, covered = [], 0.0
+                    for k in order[:MAX_SUBDIVISIONS - len(errors)]:
+                        cut.append(k)
+                        covered += errors[k]
+                        if covered >= excess:
+                            break
+                for k in cut:
+                    _, kind, lo, hi = ends[k]
+                    mid = 0.5 * (lo + hi)
+                    new += [(i, kind, lo, mid), (i, kind, mid, hi)]
+                for k in sorted(cut, reverse=True):
+                    for col in panels[i]:
+                        del col[k]
             live = [i for i in live if results[i] is None]
         return results
 

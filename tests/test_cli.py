@@ -349,3 +349,30 @@ def test_moments_untempered_has_no_large_t_form(capsys):
     assert math.isnan(float(row["large_t_asym"]))
     assert math.isnan(float(row["ratio_large"]))
     assert math.isfinite(float(row["exact"]))
+
+
+def test_reused_parser_answers_as_fresh_ones(capsys):
+    # main builds its parser once: a usage error on it must leave nothing
+    # behind that a later call would see
+    argvs = [("density", "--beta", "0.4", "--lambda", "1", "--t", "1",
+              "--x", "0:2:0.5"),
+             ("density", "--beta", "0.4", "--format", "xml", "--t", "1",
+              "--x", "1"),
+             ("moments", "--beta", "0.5", "--lambda", "1", "--q", "1",
+              "--t", "1")]
+
+    def run(argv):
+        try:
+            return _run(capsys, *argv)
+        except SystemExit as e:
+            return (e.code, *capsys.readouterr())
+
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    build_parser.cache_clear()
+    reused = [run(argv) for argv in argvs]
+    assert build_parser() is build_parser()
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 2, 0]

@@ -7,6 +7,7 @@ import pytest
 from itsub.its_density import _cut_integrand
 from itsub.quadrature import (
     BAR,
+    MAX_SUBDIVISIONS,
     REL_TOL,
     integrate_interval,
     integrate_semi_infinite,
@@ -97,6 +98,20 @@ def test_subdivision_budget_reported():
     assert r.subdivisions_used >= 1
 
 
+@pytest.mark.parametrize("integrate", [
+    # sign(sin(1/y)) flips infinitely often towards 0, and
+    # sin(y) / (1 + y)**0.01 barely decays: neither converges, and a round
+    # that bisects many panels at once must still stop at the budget
+    lambda: integrate_interval(lambda y: np.sign(np.sin(1.0 / y)),
+                               [1e-9, 1.0]),
+    lambda: integrate_semi_infinite(lambda y: np.sin(y) / (1.0 + y) ** 0.01),
+], ids=["sign_sin_inverse", "slow_oscillation"])
+def test_batched_bisection_keeps_the_panel_budget(integrate):
+    r = integrate()
+    assert r.subdivisions_used == MAX_SUBDIVISIONS
+    assert not r.converged
+
+
 def test_interval_closed_form_over_given_edges():
     # int_0^pi sin = 2 from three first panels; |y - 1| is linear on each
     # side of its edge at 1, so both of its panels are exact at once
@@ -115,6 +130,24 @@ def test_non_finite_panel_ends_the_interval_unconverged():
     assert not r.converged
     assert r.error_estimate == math.inf
     assert r.subdivisions_used == 2
+
+
+def test_each_round_bisects_every_panel_the_target_needs():
+    # |y - 0.3| + |y - 2.7| has a kink inside [0, 1] and one inside [2, 3]
+    # and is linear on [1, 2]: the two kinked panels carry errors too
+    # large for either alone to leave the rest within the target, so each
+    # round bisects both of them, in one integrand call of 4 panels
+    calls = []
+
+    def f(y):
+        calls.append(y.size)
+        return np.abs(y - 0.3) + np.abs(y - 2.7)
+
+    r = integrate_interval(f, [0.0, 1.0, 2.0, 3.0])
+    assert r.converged
+    assert abs(r.value - 7.38) <= r.error_estimate
+    assert r.subdivisions_used == 23
+    assert calls == [3 * 15] + [4 * 15] * 10
 
 
 def test_one_row_half_line_batches_its_first_round():

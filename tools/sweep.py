@@ -7,7 +7,8 @@ first makes one `moment_table` call over its 3 t, whose rows must equal
 `moment_exact`, the one-row call, and carry a finite error estimate.
 Prints the density and cdf methods (the cdf's at every lam from the
 branch cut or the saddle-point line), the raises, the seconds spent in
-each function, the slowest point of each, the number of quadrature calls
+each function, the slowest point of each, the number of quadrature
+calls, their integrand rounds (calls of `_gk15_rows`), their total panels
 and the largest panel count of any one integral (per-point calls only),
 and, without a gate, the number of `integral` densities whose error is
 above 1e-8 of their value. Wherever both `eval_series` and
@@ -96,17 +97,25 @@ def sweep(tables):
     """One row per point of points(tables), (params, t, x, density result,
     cdf value, density seconds, cdf seconds, series result, integral
     result), where a raise stands in for its result; the panel count of every
-    quadrature call; (m, params, t, x, log |I|, log bound) for every
-    value of the saddle-point line, the bound from its _line; and the
-    method of every cdf, failed where neither contour met the bar."""
+    quadrature call; the number of integrand rounds of those calls;
+    (m, params, t, x, log |I|, log bound) for every value of the
+    saddle-point line, the bound from its _line; and the method of every
+    cdf, failed where neither contour met the bar."""
     panels, lines, cdf_methods = [], [], []
+    rounds = 0
     lockstep, saddle = quadrature._lockstep, its_density._saddle
+    gk15_rows = quadrature._gk15_rows
     invert = its_density._invert
 
     def counted(*args):
         results = lockstep(*args)
         panels.extend(r.subdivisions_used for r in results)
         return results
+
+    def evaluated(*args):
+        nonlocal rounds
+        rounds += 1
+        return gk15_rows(*args)
 
     def bounded(m, xs, t, params, line):
         results = saddle(m, xs, t, params, line)
@@ -122,6 +131,7 @@ def sweep(tables):
         return results
 
     quadrature._lockstep = counted
+    quadrature._gk15_rows = evaluated
     its_density._saddle = bounded
     its_density._invert = inverted
     rows = []
@@ -137,9 +147,10 @@ def sweep(tables):
                 rows.append((params, t, x, h, c, h_s, c_s, *forms))
     finally:
         quadrature._lockstep = lockstep
+        quadrature._gk15_rows = gk15_rows
         its_density._saddle = saddle
         its_density._invert = invert
-    return rows, panels, lines, cdf_methods
+    return rows, panels, rounds, lines, cdf_methods
 
 
 def cdf_falls(rows):
@@ -218,7 +229,7 @@ def main():
     for params, t, row, mean in moment_bad:
         print(f"  at beta={params.beta} lam={params.lam} t={t}: table "
               f"{row!r}, moment_exact {mean!r}")
-    rows, panels, lines, cdf_methods = sweep(tables)
+    rows, panels, rounds, lines, cdf_methods = sweep(tables)
     methods = collections.Counter(
         "raised" if isinstance(r[3], Exception) else r[3].method for r in rows)
     raised = [(r, "density", r[3]) for r in rows if isinstance(r[3], Exception)]
@@ -245,7 +256,8 @@ def main():
         slowest = max(rows, key=lambda r: r[col])
         print(f"{name} {sum(r[col] for r in rows):.1f} s, slowest "
               f"{slowest[col]:.3f} s at {_where(slowest)}")
-    print(f"quadrature calls {len(panels)}, largest panel count "
+    print(f"quadrature calls {len(panels)}, integrand rounds {rounds}, "
+          f"panels {sum(panels)}, largest panel count "
           f"{max(panels, default=0)}")
     print(f"raised {len(raised)}")
     for row, name, e in raised:
