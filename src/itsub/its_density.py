@@ -7,9 +7,10 @@ a power series in x, whose coefficients A_j also give the boundary
 value and every x-derivative at 0+, and the inversion of
 Psi(s)**m / s * exp(-x*Psi(s)) (m = 1 the density, m = 0 the CDF, at
 every lam) by a half-line integral on the branch cut s = -lam - y, or on
-the vertical line through the real saddle point of s t - x Psi(s). One
-rule, in _invert, picks between the two for both m: the branch cut's
-value stands where it tells more than the line's closed-form bound.
+the steepest-descent parabola through the real saddle point of
+s t - x Psi(s). Every density beyond the series comes from the parabola;
+the CDF takes the branch cut's value where it tells more than the
+parabola's closed-form bound.
 """
 
 import cmath
@@ -80,30 +81,30 @@ def _cut_integrand(m, t, params):
     return integrand
 
 
-def _branch_cut(m, xs, t, params):
-    """(1/pi) int_0^inf _cut_integrand(m, t, params)(x, y) dy at every x of
-    xs, rows of one integrate_semi_infinite_rows call: m = 1 gives h(x, t),
-    m = 0 the CDF, and m = k+1 at x = 0 the k-th x-derivative at 0+. Per x
-    (value, error, panels), or None where the quadrature did not converge.
-    """
-    quads = integrate_semi_infinite_rows(_cut_integrand(m, t, params), xs,
-                                         1.0 / t, params.beta)
-    return [(r.value / math.pi, r.error_estimate / math.pi,
-             r.subdivisions_used) if r.converged else None for r in quads]
+def _branch_cut(m, x, t, params):
+    """(1/pi) int_0^inf _cut_integrand(m, t, params)(x, y) dy: m = 1 gives
+    h(x, t), m = 0 the CDF, and m = k+1 at x = 0 the k-th x-derivative at
+    0+. (value, error, panels), or None where the quadrature did not
+    converge."""
+    r, = integrate_semi_infinite_rows(_cut_integrand(m, t, params), [x],
+                                      1.0 / t, params.beta)
+    return (r.value / math.pi, r.error_estimate / math.pi,
+            r.subdivisions_used) if r.converged else None
 
 
 def _line(m, x, t, params):
-    """(c, w, phi(c), Psi(c)**m / c, log B) of _saddle's line Re s = c at x.
+    """(c, w, phi(c), Psi(c)**m / c, log B) of _saddle's contour at x.
 
     c is the saddle point s* of phi(s) = s t - x Psi(s), a = s* + lam =
     (x beta / t)**(1/(1-beta)) kept in e**(+-700) and above 1e-15 lam; at
     m = 0 within the width w = phi''(s*)**-0.5 of the pole at 0, c = 2 w.
-    B bounds |I|: at m = 0 |I| is a tail of E(t), e**phi(c) by Chernoff; at
-    m = 1 |Psi(s) / s| <= Psi(c) / c on the line, so B = e**phi(c) Psi(c) J
-    / (c pi), J = int_0^inf e**(-x r(y)) dy, r = Re (a+iy)**beta - a**beta,
-    r' = beta rho**(beta-1) sin((1-beta) theta), a + iy = rho e**(i theta).
-    For y <= a, sin((1-beta) theta) >= (1-beta) y / rho and rho <= sqrt(2) a
-    give r >= k1 y**2; for y > a, theta > pi/4 and rho < sqrt(2) y give
+    B bounds |I| on any contour: at m = 0 |I| is a tail of E(t), e**phi(c)
+    by Chernoff; at m = 1 |Psi(s) / s| <= Psi(c) / c on Re s = c, so
+    B = e**phi(c) Psi(c) J / (c pi), J = int_0^inf e**(-x r(y)) dy,
+    r = Re (a+iy)**beta - a**beta, r' = beta rho**(beta-1)
+    sin((1-beta) theta), a + iy = rho e**(i theta). For y <= a,
+    sin((1-beta) theta) >= (1-beta) y / rho and rho <= sqrt(2) a give
+    r >= k1 y**2; for y > a, theta > pi/4 and rho < sqrt(2) y give
     r >= k1 a**2 + k2 (y**beta - a**beta). So J <= a sqrt(pi) erf(q) / (2q)
     + (a/beta) e**(u - q**2) g(1/beta, u), q**2 = x k1 a**2, u = x k2 a**beta,
     k1 = beta (1-beta) 2**(beta/2) a**(beta-2) / 4, k2 = 2**((beta-1)/2)
@@ -132,16 +133,20 @@ def _line(m, x, t, params):
 
 
 def _saddle(m, xs, t, params, lines):
-    """The twin of _branch_cut on the lines Re s = c that _line gave at
-    each x of xs (Daniels 1954, Ann. Math. Stat. 25; Lugannani & Rice 1980,
-    Adv. Appl. Probab. 12): I = (1/pi) int_0^inf Re[e**phi(s) Psi(s)**m / s]
-    dy, s = c + i y, is h(x, t) at m = 1, 1 - cdf at m = 0 and c > 0, and
-    -cdf at c < 0. Each x is a row of one integrate_semi_infinite_rows call
-    in y / w, with e**phi(c) and the value at y = 0 taken out. Per x
-    (log |I|, error of I, panels); (-inf, 0, 0) with no panel run where
-    _line's bound is below the least subnormal; None where the quadrature
-    did not converge to a positive integral or its error, with the
-    rounding of phi(c) and of the phase w t, is above BAR * max(1, |I|)."""
+    """The twin of _branch_cut through the saddle points c that _line gave
+    at each x of xs (Daniels 1954, Ann. Math. Stat. 25; Lugannani & Rice
+    1980, Adv. Appl. Probab. 12), on the steepest-descent parabola
+    s = c + i y - g y**2 (Weideman & Trefethen 2007, Math. Comp. 76). Its
+    curvature g = -phi'''(c) / (6 phi''(c)) = (2 - beta) / (6 a) keeps
+    Im phi(s) constant to second order. I = (1/pi) int_0^inf Re[e**phi(s)
+    Psi(s)**m / s ds/(i dy)] dy, ds/(i dy) = 1 + 2 i g y, is h(x, t) at
+    m = 1, 1 - cdf at m = 0 and c > 0, and -cdf at c < 0. Each x is a row
+    of one integrate_semi_infinite_rows call in y / w, with e**phi(c) and
+    the value at y = 0 taken out. Per x (log |I|, error of I, panels);
+    (-inf, 0, 0) with no panel run where _line's bound is below the least
+    subnormal; None where the quadrature did not converge to a positive
+    integral or its error, with the rounding of phi(c) and of the phase
+    w t, is above BAR * max(1, |I|)."""
     out = [(-math.inf, 0.0, 0) if ln[4] < _LOG_TINY else None for ln in lines]
     run = [i for i, res in enumerate(out) if res is None]
     if not run:
@@ -149,17 +154,21 @@ def _saddle(m, xs, t, params, lines):
     x = np.array([xs[i] for i in run])
     c, w, phi, at_c, _ = np.array([lines[i] for i in run]).T
     beta, a = params.beta, c + params.lam
+    ga = (2.0 - beta) / 6.0  # g a
 
     def integrand(k, v):
-        """Re[e**(phi(s) - phi(c)) Psi(s)**m / s] / at_c at y = w v, rows
-        k, with Psi(s) - Psi(c) = a**beta expm1(beta log1p(i y / a))."""
+        """Re[e**(phi(s) - phi(c)) Psi(s)**m / s ds/(i dy)] / at_c at
+        y = w v, rows k: s - c = a (b + i u) with u = y / a, b = -g a u**2,
+        and Psi(s) - Psi(c) = a**beta expm1(beta log1p(b + i u))."""
         k = np.asarray(k, dtype=np.intp)
-        y = w[k] * v
-        u = y / a[k]
-        p, q = 0.5 * beta * np.log1p(u * u), beta * np.arctan(u)
+        u = w[k] * v / a[k]
+        b = -ga * u * u
+        p = 0.5 * beta * np.log1p(b * (2.0 + b) + u * u)
+        q = beta * np.arctan2(u, 1.0 + b)
         e = a[k] ** beta * (np.expm1(p) * np.cos(q) - 2 * np.sin(q / 2) ** 2
                             + 1j * np.exp(p) * np.sin(q))
-        z = np.exp(1j * y * t - x[k] * e) / (c[k] + 1j * y)
+        zeta = a[k] * (b + 1j * u)
+        z = np.exp(zeta * t - x[k] * e) * (1 + 2j * ga * u) / (c[k] + zeta)
         return (z * (at_c[k] * c[k] + e) if m else z).real / at_c[k]
 
     quads = integrate_semi_infinite_rows(integrand, range(len(run)), 1.0)
@@ -172,35 +181,6 @@ def _saddle(m, xs, t, params, lines):
                 abs(ct) + abs(ct - phi[j]) + w[j] * t + abs(log_i) + 4.0)))
             if err <= BAR * max(1.0, value):
                 out[i] = (log_i, err, res.subdivisions_used)
-    return out
-
-
-def _invert(m, xs, t, params):
-    """The inverse of Psi(s)**m / s * e**(-x Psi(s)) at every x of xs, t and
-    params shared: h(x, t) at m = 1, P(E(t) <= x) at m = 0. Per x (value,
-    error, method, panels), or None where neither contour met the bar.
-    A converged _branch_cut row (method integral) stands where it tells
-    more than _line's bound B on the tail on the line's side, h at m = 1,
-    at m = 0 P(E(t) > x) for c > 0 and P(E(t) <= x) else, with B <= 1
-    there: its error is at most B and that tail lies within it of [0, B].
-    Every other row goes to _saddle (method saddle), all in one call."""
-    lines = [_line(m, x, t, params) for x in xs]
-    out = [None] * len(xs)
-    for i, (res, ln) in enumerate(zip(_branch_cut(m, xs, t, params), lines)):
-        if res is None:
-            continue
-        value, err, panels = res
-        bound = math.exp(min(ln[4], 0.0 if m == 0 else 700.0))
-        tail = 1.0 - value if m == 0 and ln[0] > 0 else value
-        if err <= bound and -err <= tail <= bound + err:
-            out[i] = (value, err, "integral", panels)
-    line = [i for i, res in enumerate(out) if res is None]
-    for i, res in zip(line, _saddle(m, [xs[i] for i in line], t, params,
-                                    [lines[i] for i in line])):
-        if res:
-            tail = math.exp(res[0])
-            value = 1.0 - tail if m == 0 and lines[i][0] > 0 else tail
-            out[i] = (value, res[1], "saddle", res[2])
     return out
 
 
@@ -235,7 +215,7 @@ def eval_integral(p, params):
     """
     if p.x <= 0:
         raise ParameterError("integral form needs x > 0; use boundary_value")
-    res, = _branch_cut(1, [p.x], p.t, params)
+    res = _branch_cut(1, p.x, p.t, params)
     if res is None:
         raise NonConvergenceError(
             f"density integral at x={p.x}, t={p.t}, beta={params.beta}, "
@@ -311,14 +291,15 @@ def eval_density_grid(xs, t, params):
     DensityResult, or the ParameterError or NonConvergenceError raised
     there. x = 0 gives A_1 / pi (_boundary); else the series where
     x * lam**beta <= _SERIES_MAX_X_LAM_BETA and it converges, its rows
-    summed together, and every other row from _invert(1, ...): the
-    branch-cut integral where it tells more than the saddle-point line's
-    bound, else the line (method saddle; 0 with error 0 where its bound
-    is below double range), the rows of each in lockstep. Each meets the
-    bar BAR * max(1, |value|) itself or raises NonConvergenceError."""
+    summed together, and every other row from the steepest-descent
+    parabola through the saddle point, s = c + i y - g y**2 with
+    g = (2 - beta) / (6 (c + lam)) and the factor ds/(i dy) = 1 + 2 i g y
+    (_saddle at m = 1, method saddle; 0 with error 0 where its bound is
+    below double range), its rows in lockstep. Each meets the bar
+    BAR * max(1, |value|) itself or raises NonConvergenceError."""
     out = [None] * len(xs)
     lb = params.lam ** params.beta
-    series, cut = [], []
+    series, rest = [], []
     for i, x in enumerate(xs):
         try:
             EvalPoint(x, t)
@@ -327,7 +308,7 @@ def eval_density_grid(xs, t, params):
             elif x * lb <= _SERIES_MAX_X_LAM_BETA:
                 series.append(i)
             else:
-                cut.append(i)
+                rest.append(i)
         except ParameterError as e:
             out[i] = e
     if series:
@@ -337,13 +318,14 @@ def eval_density_grid(xs, t, params):
             done = [e] * len(series)
         for i, res in zip(series, done):
             out[i] = res
-        cut += [i for i, res in zip(series, done) if res is None]
-    if not cut:
-        return out
-    for i, res in zip(cut, _invert(1, [xs[i] for i in cut], t, params)):
-        out[i] = DensityResult(*res) if res else NonConvergenceError(
-            f"saddle-point line at x={xs[i]}, t={t}, beta={params.beta}, "
-            f"lam={params.lam} did not converge")
+        rest += [i for i, res in zip(series, done) if res is None]
+    lines = [_line(1, xs[i], t, params) for i in rest]
+    for i, res in zip(rest, _saddle(1, [xs[i] for i in rest], t, params,
+                                    lines)):
+        out[i] = NonConvergenceError(
+            f"saddle-point contour at x={xs[i]}, t={t}, beta={params.beta}, "
+            f"lam={params.lam} did not converge") if res is None else (
+            DensityResult(math.exp(res[0]), res[1], "saddle", res[2]))
     return out
 
 
@@ -382,22 +364,35 @@ def derivative_at_zero(k, t, params):
 
 
 def cdf(x, t, params):
-    """P(E(t) <= x) = P(D(x) > t) at every lam >= 0: the one-row call of
-    _invert at m = 0, the branch-cut integral or the saddle-point line.
-    NonConvergenceError where neither meets the bar or at a value outside
-    [-err, 1 + err]; the clamp to [0, 1] trims only an overshoot within it.
+    """P(E(t) <= x) = P(D(x) > t) at every lam >= 0, the inversion at
+    m = 0. A converged branch-cut value stands where it tells more than
+    _line's bound B on the tail on the contour's side, P(E(t) > x) for
+    c > 0 and P(E(t) <= x) else, with B <= 1 there: where its error is at
+    most B and that tail lies within it of [0, B]. Else _saddle's
+    parabola. NonConvergenceError where neither meets the bar or at a
+    value outside [-err, 1 + err]; the clamp to [0, 1] trims only an
+    overshoot within it.
     """
     require_finite("x", x)
     require_positive("t", t)
     if x <= 0:
         return 0.0
     beta, lam = params.beta, params.lam
-    res, = _invert(0, [x], t, params)
-    if res is None:
-        raise NonConvergenceError(
-            f"cdf at x={x}, t={t}, beta={beta}, lam={lam}: neither the "
-            f"branch cut nor the saddle-point line converged within the bar")
-    value, err = res[:2]
+    line = _line(0, x, t, params)
+    flip = line[0] > 0  # the contour's tail is 1 - cdf
+    bound = math.exp(min(line[4], 0.0))
+    res = _branch_cut(0, x, t, params)
+    if res is not None:
+        value, err, _ = res
+        tail = 1.0 - value if flip else value
+    if res is None or not (err <= bound and -err <= tail <= bound + err):
+        res, = _saddle(0, [x], t, params, [line])
+        if res is None:
+            raise NonConvergenceError(
+                f"cdf at x={x}, t={t}, beta={beta}, lam={lam}: neither the "
+                f"branch cut nor the saddle-point contour met the bar")
+        tail, err = math.exp(res[0]), res[1]
+        value = 1.0 - tail if flip else tail
     if not -err <= value <= 1.0 + err:
         raise NonConvergenceError(
             f"cdf at x={x}, t={t}, beta={beta}, lam={lam} gave {value:.3g} "

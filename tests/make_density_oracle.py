@@ -67,7 +67,24 @@ POINTS = [(b, lam, t, k * moment_exact(
     # near the mean of E(1e3): the branch cut's rounding floor is above
     # the bar, and the saddle-point line gives h
     (0.7, 1.0, 1e3, 1428.79),
-]
+] + [(b, lam, t, k * moment_exact(
+          MomentQuery(1.0, t, TemperedStableParams(b, lam))))
+     for b, lam, t, k in [
+    # (beta, lam, t, x / E[E(t)]): the north-star sweep points where eval
+    # once took the branch cut with an error above 1e-8 of h, but for
+    # (0.3, 50, 1, 0.3), which is in _BULK
+    (0.02, 1e-3, 1e-3, 10.0), (0.02, 1e-3, 1.0, 10.0),
+    (0.02, 1.0, 1e-3, 10.0), (0.02, 50.0, 1.0, 1e-3),
+    (0.1, 1e-3, 1.0, 10.0), (0.1, 1.0, 1e-3, 10.0), (0.1, 50.0, 1e-3, 10.0),
+    (0.3, 0.0, 1e-3, 10.0), (0.3, 0.0, 1.0, 10.0), (0.3, 0.0, 1e3, 10.0),
+    (0.3, 1e-3, 1e-3, 10.0), (0.3, 1e-3, 1.0, 10.0), (0.3, 1.0, 1e-3, 10.0),
+    (0.3, 50.0, 1e-3, 10.0),
+    (0.5, 0.0, 1e-3, 10.0), (0.5, 1e-3, 1e-3, 10.0),
+    (0.5, 1e-3, 1e3, 3.0), (0.5, 50.0, 1.0, 0.3),
+    (0.7, 0.0, 1e3, 3.0), (0.7, 1e-3, 1e3, 3.0), (0.7, 1.0, 1.0, 3.0),
+    (0.7, 50.0, 1.0, 0.3),
+    (0.9, 1.0, 1e3, 0.3), (0.9, 50.0, 1.0, 0.3),
+    (0.98, 1.0, 1e3, 0.3), (0.98, 50.0, 1.0, 0.3)]]
 # (beta, lam = 0, t, x): north-star sweep points at 10 x mean, where the
 # series cancels, and a README density grid point
 WRIGHT_POINTS = [

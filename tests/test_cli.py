@@ -58,7 +58,7 @@ def test_density_rows_match_pointwise_eval(capsys):
         assert row["method"] == res.method
         assert abs(float(row["h"]) - res.value) <= res.error_estimate
     assert {r["method"] for r in _rows(out)} == {"boundary", "series",
-                                                  "integral"}
+                                                  "saddle"}
 
 
 def test_density_untempered_origin_value(capsys):
@@ -69,7 +69,7 @@ def test_density_untempered_origin_value(capsys):
     assert float(rows[0]["h"]) == pytest.approx(1.0 / math.sqrt(math.pi),
                                                 rel=1e-9)
     assert rows[0]["method"] == "boundary"
-    assert all(r["method"] in ("series", "integral") for r in rows[1:])
+    assert all(r["method"] in ("series", "saddle") for r in rows[1:])
 
 
 @pytest.mark.parametrize("beta, t, x, ref", [
@@ -84,7 +84,7 @@ def test_density_untempered_reference_values(capsys, beta, t, x, ref):
     row = _rows(out)[0]
     assert float(row["h"]) == pytest.approx(ref, rel=1e-8)
     assert abs(float(row["h"]) - ref) <= float(row["err"])
-    assert row["method"] == "integral"
+    assert row["method"] == "saddle"
 
 
 def test_density_empty_grid(capsys):
@@ -240,7 +240,7 @@ def test_out_file_is_written_only_for_valid_input(tmp_path, capsys):
 
 
 def test_density_unconverged_point_fails(capsys, monkeypatch):
-    # every form fails: the saddle-point line converges at no x either
+    # every form fails: the saddle contour converges at no x either
     def refuse(m, xs, t, params, lines):
         return [None] * len(xs)
 
@@ -257,7 +257,7 @@ def test_density_large_lam_t(capsys):
     assert code == 0
     row = _rows(out)[0]
     assert float(row["h"]) == 0.0
-    assert row["method"] == "integral"
+    assert row["method"] == "saddle"
 
 
 def test_simulate_exit_codes(capsys):

@@ -6,29 +6,37 @@ points, with x = {1e-3, 0.3, 1, 3, 10} times the mean E[E(t)] from
 first makes one `moment_table` call over its 3 t, whose rows must equal
 `moment_exact`, the one-row call, and carry a finite error estimate.
 Prints the density and cdf methods (the cdf's at every lam from the
-branch cut or the saddle-point line), the raises, the seconds spent in
-each function, the slowest point of each, the number of quadrature
-calls, their integrand rounds (calls of `_gk15_rows`), their total panels
-and the largest panel count of any one integral (per-point calls only),
-and, without a gate, the number of `integral` densities whose error is
-above 1e-8 of their value. Wherever both `eval_series` and
-`eval_integral` converge, their values must agree within the sum of
-their error estimates. Every value of the saddle-point line, a `saddle`
-density or a cdf tail, must lie at or below the closed-form bound of its
-line. The cdf of each (beta, lam, t) must not fall,
-beyond 1e-8, from one of its 5 x to a larger one. Each (beta, lam, t)
-also goes through `eval_density_grid` on its 5 x at once, whose rows
-must match `eval_density`, the one-row call: the same raise, a series
-row equal to the point in value, error and terms, and any other row with
-the same method, the same terms or panels and a value within the point's
-error estimate. Last, the PDE check's `initial_condition_check`, which
-is 0 analytically, runs over 8 beta x 5 x, where it must return below
-1e-8 or raise NonConvergenceError. Exits 1 if a moment table row
-differs from `moment_exact` or has no finite error, if any density or
-cdf raised or warned, if a series/integral pair lies outside its summed
-errors, if a cdf falls with x, if a grid row differs from its point, or
-if an initial-condition value is 1e-8 or more, or if a saddle-point line
-value lies above its bound.
+branch cut or the saddle-point contour, the latter counted by its m = 0
+`_saddle` calls), the raises, the seconds spent in each function, the
+slowest point of each, the number of quadrature calls, their integrand
+rounds (calls of `_gk15_rows`), their total panels and the largest
+panel count of any one integral (per-point calls only). No density, of
+any method, may carry an error above 1e-8 of its value. Wherever both
+`eval_series` and `eval_integral` converge, their values must agree
+within the sum of their error estimates. `_saddle` at m = 1 then runs at
+every point, whatever `eval_density` chose there, outside the panel
+counter: wherever it and the series converge, they must agree within
+their summed errors, and so must it and the integral wherever the
+integral's error is within 1e-8 of its value; the integral rows beyond
+that bar which lie apart are listed without a gate. Every value of the
+saddle-point contour, a `saddle` density, a cdf tail or a direct
+`_saddle` value, must lie at or below the closed-form bound of its
+line. The cdf of each (beta, lam, t) must not fall, beyond 1e-8, from
+one of its 5 x to a larger one. Each (beta, lam, t) also goes through
+`eval_density_grid` on its 5 x at once, whose rows must match
+`eval_density`, the one-row call: the same raise, a series row equal to
+the point in value, error and terms, and any other row with the same
+method, the same terms or panels and a value within the point's error
+estimate. Last, the PDE check's `initial_condition_check`, which is 0
+analytically, runs over 8 beta x 5 x, where it must return below 1e-8
+or raise NonConvergenceError. Exits 1 if a moment table row differs
+from `moment_exact` or has no finite error, if any density, cdf or
+direct `_saddle` call raised or warned, if a density's error is above
+1e-8 of its value, if a series/integral, series/saddle or gated
+integral/saddle pair lies outside its summed errors, if a cdf falls
+with x, if a grid row differs from its point, if an initial-condition
+value is 1e-8 or more, or if a saddle-point contour value lies above
+its bound.
 
     PYTHONPATH=src python tools/sweep.py
 """
@@ -99,13 +107,14 @@ def sweep(tables):
     result), where a raise stands in for its result; the panel count of every
     quadrature call; the number of integrand rounds of those calls;
     (m, params, t, x, log |I|, log bound) for every value of the
-    saddle-point line, the bound from its _line; and the method of every
-    cdf, failed where neither contour met the bar."""
+    saddle-point contour, the bound from its _line; and the method of every
+    cdf: saddle where it called _saddle, integral where it did not, raised
+    where it raised."""
     panels, lines, cdf_methods = [], [], []
     rounds = 0
     lockstep, saddle = quadrature._lockstep, its_density._saddle
     gk15_rows = quadrature._gk15_rows
-    invert = its_density._invert
+    cdf_saddles = []
 
     def counted(*args):
         results = lockstep(*args)
@@ -122,18 +131,13 @@ def sweep(tables):
         lines.extend((m, params, t, x, res[0], ln[-1])
                      for x, res, ln in zip(xs, results, line)
                      if res is not None)
-        return results
-
-    def inverted(m, xs, t, params):
-        results = invert(m, xs, t, params)
         if m == 0:
-            cdf_methods.extend(res[2] if res else "failed" for res in results)
+            cdf_saddles.append(xs)
         return results
 
     quadrature._lockstep = counted
     quadrature._gk15_rows = evaluated
     its_density._saddle = bounded
-    its_density._invert = inverted
     rows = []
     try:
         with warnings.catch_warnings():
@@ -141,7 +145,12 @@ def sweep(tables):
             for params, t, x in points(tables):
                 p = EvalPoint(x, t)
                 h, h_s = _timed(lambda: eval_density(p, params))
+                called = len(cdf_saddles)
                 c, c_s = _timed(lambda: cdf(x, t, params))
+                cdf_methods.append(
+                    "raised" if isinstance(c, Exception)
+                    else "saddle" if len(cdf_saddles) > called
+                    else "integral")
                 forms = [_timed(lambda: f(p, params))[0]
                          for f in (eval_series, eval_integral)]
                 rows.append((params, t, x, h, c, h_s, c_s, *forms))
@@ -149,7 +158,6 @@ def sweep(tables):
         quadrature._lockstep = lockstep
         quadrature._gk15_rows = gk15_rows
         its_density._saddle = saddle
-        its_density._invert = invert
     return rows, panels, rounds, lines, cdf_methods
 
 
@@ -185,6 +193,40 @@ def grid_rows(rows):
                 grid = [grid] * len(group)
             pairs += zip(group, grid)
     return pairs, seconds
+
+
+def saddle_rows(rows):
+    """_saddle(1, ...) at every point, whatever eval chose there: one call
+    on the 5 x of each (beta, lam, t), outside the panel counter. Per row
+    (value, error, panels) or None where it did not converge, or the raise;
+    (1, params, t, x, log |I|, log bound) for each of its values; and the
+    seconds taken."""
+    out, bounds, seconds = [], [], 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(0, len(rows), len(MEAN_MULTIPLES)):
+            group = rows[k:k + len(MEAN_MULTIPLES)]
+            params, t = group[0][:2]
+            xs = [r[2] for r in group]
+            lines = [its_density._line(1, x, t, params) for x in xs]
+            got, s = _timed(
+                lambda: its_density._saddle(1, xs, t, params, lines))
+            seconds += s
+            if isinstance(got, Exception):
+                got = [got] * len(group)
+            for x, res, ln in zip(xs, got, lines):
+                if isinstance(res, tuple):
+                    bounds.append((1, params, t, x, res[0], ln[-1]))
+                    res = (math.exp(res[0]), *res[1:])
+                out.append(res)
+    return out, bounds, seconds
+
+
+def _apart(form, saddle):
+    """True where a form's result and a saddle (value, error) lie farther
+    apart than their summed errors."""
+    return (abs(form.value - saddle[0])
+            > form.error_estimate + saddle[1])
 
 
 def _differs(point, grid):
@@ -230,10 +272,14 @@ def main():
         print(f"  at beta={params.beta} lam={params.lam} t={t}: table "
               f"{row!r}, moment_exact {mean!r}")
     rows, panels, rounds, lines, cdf_methods = sweep(tables)
+    direct, direct_bounds, direct_s = saddle_rows(rows)
+    lines += direct_bounds
     methods = collections.Counter(
         "raised" if isinstance(r[3], Exception) else r[3].method for r in rows)
     raised = [(r, "density", r[3]) for r in rows if isinstance(r[3], Exception)]
     raised += [(r, "cdf", r[4]) for r in rows if isinstance(r[4], Exception)]
+    raised += [(r, "saddle", e) for r, e in zip(rows, direct)
+               if isinstance(e, Exception)]
     # a form may raise NonConvergenceError; any other raise is a fault
     raised += [(r, "form", e) for r in rows for e in r[7:]
                if isinstance(e, Exception)
@@ -248,10 +294,10 @@ def main():
         print(f"{name} methods: " + ", ".join(
             f"{m} {n}" for m, n in sorted(counts.items())))
     loose = [r for r in rows if not isinstance(r[3], Exception)
-             and r[3].method == "integral"
              and r[3].error_estimate > 1e-8 * abs(r[3].value)]
-    print(f"integral densities with error above 1e-8 of their value "
-          f"{len(loose)}")
+    print(f"densities with error above 1e-8 of their value {len(loose)}")
+    for row in loose:
+        print(f"  at {_where(row)}: {row[3]!r}")
     for col, name in ((5, "density"), (6, "cdf")):
         slowest = max(rows, key=lambda r: r[col])
         print(f"{name} {sum(r[col] for r in rows):.1f} s, slowest "
@@ -269,8 +315,33 @@ def main():
         print(f"  at {_where(row)}: series {s.value:.10g} +- "
               f"{s.error_estimate:.2g}, integral {i.value:.10g} +- "
               f"{i.error_estimate:.2g}")
+    saddles = [(r, d) for r, d in zip(rows, direct) if isinstance(d, tuple)]
+    print(f"saddle-point contour at every point: converged {len(saddles)} "
+          f"of {len(rows)} in {direct_s:.1f} s")
+    for row, d in zip(rows, direct):
+        if d is None:
+            print(f"  not at {_where(row)}")
+    series_pairs = [(r, r[7], d) for r, d in saddles
+                    if not isinstance(r[7], Exception)]
+    series_apart = [p for p in series_pairs if _apart(*p[1:])]
+    cut_pairs = [(r, r[8], d) for r, d in saddles
+                 if not isinstance(r[8], Exception)]
+    cut_sharp = [p for p in cut_pairs
+                 if p[1].error_estimate <= 1e-8 * abs(p[1].value)]
+    cut_apart = [p for p in cut_sharp if _apart(*p[1:])]
+    cut_blunt = [p for p in cut_pairs if p not in cut_sharp
+                 and _apart(*p[1:])]
+    print(f"series/saddle pairs {len(series_pairs)}, outside their summed "
+          f"errors {len(series_apart)}; integral/saddle pairs "
+          f"{len(cut_pairs)}, with the integral within 1e-8 of its value "
+          f"{len(cut_sharp)}, of them outside their summed errors "
+          f"{len(cut_apart)}; integral beyond 1e-8 of its value and apart "
+          f"(not gated) {len(cut_blunt)}")
+    for row, form, d in series_apart + cut_apart + cut_blunt:
+        print(f"  at {_where(row)}: {form.method} {form.value:.10g} +- "
+              f"{form.error_estimate:.8g}, saddle {d[0]:.10g} +- {d[1]:.2g}")
     above = [line for line in lines if line[4] > line[5]]
-    print(f"saddle-point line values: density "
+    print(f"saddle-point contour values: density "
           f"{sum(line[0] for line in lines)}, cdf "
           f"{sum(1 - line[0] for line in lines)}; above their bound "
           f"{len(above)}")
@@ -298,8 +369,8 @@ def main():
           f"{len(ic_raised)}, bad {len(ic_bad)}")
     for beta, x, v in ic_bad:
         print(f"  at beta={beta:.6g} x={x:g}: {v!r}")
-    return 1 if (moment_bad or raised or apart or above or falls or differ
-                 or ic_bad) else 0
+    return 1 if (moment_bad or raised or apart or loose or series_apart
+                 or cut_apart or above or falls or differ or ic_bad) else 0
 
 
 if __name__ == "__main__":
