@@ -2,13 +2,16 @@
 first-passage (inverse) process.
 
 Stable increments use the Kanter construction (exact, rejection-free),
-with its sines taken from half-angle tangents; tempering is applied by
-rejection with acceptance weight exp(-lam*x). First passages are found
-a block of proposals per round: each path still below the level gets a
-run of them, and the running sum of the accepted ones shows where it
-crosses. The crossing is located on the grid of the subordinator
-skeleton and returned as the midpoint of the grid step in which it
-falls, so each sample is within half a step of its exact value.
+with its sines taken from half-angle tangents, computed in place;
+tempering is rejection with acceptance weight exp(-lam*x). First
+passages are found a block of proposals per round: each path still
+below the level gets a run of them and tempers it on one exponential
+clock, a level its running sum must stay below, so most proposals cost
+no uniform and no exp. Only the paths whose block sum reaches their
+clock or the level take partial sums. The crossing is located on the
+grid of the subordinator skeleton and returned as the midpoint of the
+grid step in which it falls, so each sample is within half a step of
+its exact value.
 """
 
 import math
@@ -78,36 +81,65 @@ def sample_stable_increment(dt, beta, rng, size=None):
     vectorizes float64 tan but not sin, so this form costs 22 ns a draw
     against 52 ns for the sines (8192 draws, 2-core AVX-512 x86), and
     it agrees with them within 3.3e-14 relative over beta 0.02-0.98.
+
+    The draw runs in place in five arrays of the output's shape, each
+    allocated on its own, and returns the last of them: carved from one
+    (5, n) block instead, at the 16384 draws of a first_passage_samples
+    round, they made a 1000-path batch 15% slower (2-core x86). U/2 is
+    taken as pi/2 times a uniform on [0, 1), which is exactly
+    0.5 * rng.uniform(0, pi), since the two differ by a power of two;
+    so an array draw is bit for bit the one of the expression above,
+    evaluated term by term. A single draw (size None) is the one-element
+    array draw, returned as a float. The outer power may overflow to inf
+    at small beta (beta 0.02 takes it to the 49th); that is a valid
+    proposal, one that tempering rejects and that crosses any level, so
+    its overflow warning is silenced.
     """
     require_beta(beta)
     require_positive("dt", dt)
-    u = rng.uniform(0.0, math.pi, size=size)
-    w = rng.standard_exponential(size=size)
-    half = 0.5 * u
-    tan_u = np.tan(half)
-    csc_u = tan_u + 1.0 / tan_u  # 2 / sin(U)
-    tan_b = np.tan(beta * half)
-    tan_c = np.tan((1.0 - beta) * half)
-    lead = tan_b / (1.0 + tan_b * tan_b) * csc_u
-    tail = tan_c / (1.0 + tan_c * tan_c) * csc_u / w
-    return dt ** (1.0 / beta) * lead * tail ** ((1.0 - beta) / beta)
+    half, w, tan_u, csc_u, lead = (
+        np.empty(1 if size is None else size) for _ in range(5))
+    rng.random(out=half)
+    half *= 0.5 * math.pi
+    rng.standard_exponential(out=w)
+    np.tan(half, out=tan_u)
+    np.divide(1.0, tan_u, out=csc_u)
+    csc_u += tan_u  # 2 / sin(U)
+    np.multiply(half, beta, out=lead)
+    np.tan(lead, out=lead)
+    np.multiply(lead, lead, out=tan_u)
+    tan_u += 1.0
+    lead /= tan_u
+    lead *= csc_u
+    tail = np.multiply(half, 1.0 - beta, out=half)
+    np.tan(tail, out=tail)
+    np.multiply(tail, tail, out=tan_u)
+    tan_u += 1.0
+    tail /= tan_u
+    tail *= csc_u
+    tail /= w
+    with np.errstate(over="ignore"):
+        tail **= (1.0 - beta) / beta
+    lead *= dt ** (1.0 / beta)
+    lead *= tail
+    return float(lead[0]) if size is None else lead
 
 
-def _propose(dt, params, rng, n):
-    """n stable proposals over dt and the mask of those that tempering
-    accepts, each with probability exp(-lam * x); all of them at lam = 0."""
-    prop = sample_stable_increment(dt, params.beta, rng, size=n)
-    if params.lam == 0.0:
-        return prop, np.ones(n, dtype=bool)
-    return prop, rng.random(n) < np.exp(-params.lam * prop)
+def _accepted(lam, prop, rng):
+    """The mask of the proposals that tempering accepts, each with
+    probability exp(-lam * x) against a uniform of its own; lam * x may
+    overflow to inf, a weight of 0."""
+    with np.errstate(over="ignore"):
+        return rng.random(prop.shape) < np.exp(-lam * prop)
 
 
 def sample_tempered_increment(dt, params, rng, size=None):
     """Draw increments of the tempered stable subordinator over time dt.
 
     Rejection from the stable proposal with acceptance probability
-    exp(-lam * x); the overall acceptance rate is exp(-lam**beta * dt),
-    so dt must satisfy lam**beta * dt <= 1 (subdivide otherwise).
+    exp(-lam * x), a uniform a proposal; the overall acceptance rate is
+    exp(-lam**beta * dt), so dt must satisfy lam**beta * dt <= 1
+    (subdivide otherwise).
     """
     beta, lam = params.beta, params.lam
     if lam == 0.0:
@@ -121,7 +153,8 @@ def sample_tempered_increment(dt, params, rng, size=None):
     out = np.empty(n)
     need = np.arange(n)
     while need.size:
-        prop, ok = _propose(dt, params, rng, need.size)
+        prop = sample_stable_increment(dt, beta, rng, size=need.size)
+        ok = _accepted(lam, prop, rng)
         out[need[ok]] = prop[ok]
         need = need[~ok]
     return float(out[0]) if size is None else out.reshape(size)
@@ -135,14 +168,44 @@ def first_passage_samples(config, params, t):
     exp(-1). The paths are walked _WINDOW at a time, in order: one that
     crosses leaves the window and the next enters. Every round gives
     each of the n paths in the window a block of b = max(1,
-    _ROUND_DRAWS // n) proposals, laid out step-major (row i holds every
-    path's i-th proposal), so that each numpy call runs along a row of n
-    paths rather than a short row of b steps. A path counts its own
-    accepted draws. Since D is increasing, a path that ends its block
-    above t crossed at its first accepted draw above t, its j-th, within
-    grid step k = (j - 1) // n_sub, and its sample is the midpoint
-    (k + 0.5)*dt. The proposals after its crossing are independent of
-    the path so far and go unused, so dropping them biases nothing.
+    _ROUND_DRAWS // n) stable proposals over dt / n_sub, laid out
+    step-major (row i holds every path's i-th proposal), so that each
+    numpy call runs along a row of n paths rather than a short row of b
+    steps.
+
+    Tempering keeps one exponential clock per path. A proposal X is
+    accepted with probability exp(-lam X), that is iff E > lam X for
+    E ~ Exp(1); given acceptance, E - lam X is again Exp(1) and
+    independent of the past, so one E serves every proposal up to the
+    first rejection. Each path therefore holds the level ring = D +
+    E / lam at which its clock runs out, and its proposals are accepted
+    while the running sum stays at or below ring. At lam = 0, ring =
+    inf and no clock is drawn, and even an infinite proposal, which the
+    power in sample_stable_increment may give at small beta, is
+    accepted and crosses.
+
+    D only grows, so a path can have an event in its block, a ring or a
+    crossing of t, only if its block sum reaches min(ring, next float
+    above t). Only those candidates, 3% of the paths a round at beta
+    0.5, lam = 1 and dt = 1e-3, take partial sums. A candidate whose
+    partial sums pass ring rejects the proposal that passes it, which
+    crosses nothing, so a ring comes first at the same index. The rest
+    of its block is tempered as sample_tempered_increment tempers, a
+    uniform against exp(-lam X) a proposal, which is a fresh clock a
+    proposal and so the same law; its partial sums are retaken with the
+    rejected draws at 0, and its next block winds a fresh clock from its
+    end. So a walk with a ring in most blocks, at lam**beta * dt / n_sub
+    near 1, pays a uniform and an exp a proposal, as it did without the
+    clock, and not a pass over its block for each rejection. The partial
+    sums decide, not the block sum: with one path in the window numpy
+    sums a column pairwise but accumulates it in order, so a path is a
+    candidate once its block sum is within b rounding units of a level,
+    and its last partial sum becomes its D. A path counts its own
+    accepted draws; one that crosses at its j-th accepted draw, the
+    first partial sum above t, crossed within grid step
+    k = (j - 1) // n_sub, and its sample is the midpoint (k + 0.5)*dt.
+    The proposals after the crossing are independent of the path so far
+    and go unused, so dropping them biases nothing.
 
     HorizonError once a path has made n_sub * ceil(horizon / dt)
     accepted draws without crossing; a crossing later than that inside a
@@ -160,31 +223,62 @@ def first_passage_samples(config, params, t):
     require_positive("t", t)
     rng = np.random.default_rng(config.seed)
     dt = config.time_step
-    n_sub = max(1, math.ceil(params.lam ** params.beta * dt - 1e-12))
+    beta, lam = params.beta, params.lam
+    n_sub = max(1, math.ceil(lam ** beta * dt - 1e-12))
     max_draws = n_sub * math.ceil(config.horizon / dt)
+    above_t = math.nextafter(t, math.inf)
+
+    def clock(d):
+        """The levels d + E / lam, E ~ Exp(1), at which tempering next
+        rejects; inf at lam = 0, and where lam is so small that E / lam
+        overflows."""
+        if lam == 0.0:
+            return np.full(d.shape, math.inf)
+        with np.errstate(over="ignore"):
+            return d + rng.standard_exponential(d.shape) / lam
+
     samples = np.empty(config.n_paths)
     active = np.arange(min(config.n_paths, _WINDOW))
     admitted = active.size
     d = np.zeros(active.size)
+    ring = clock(d)
     draws = np.zeros(active.size, dtype=np.int64)
     while active.size:
         n = active.size
         b = max(1, _ROUND_DRAWS // n)
-        prop, ok = _propose(dt / n_sub, params, rng, b * n)
-        ok = ok.reshape(b, n)
-        # np.where, not prop * ok: a rejected proposal may be inf
-        step = np.where(ok, prop.reshape(b, n), 0.0)
+        step = sample_stable_increment(dt / n_sub, beta, rng, size=(b, n))
         step[0] += d
-        d = step.sum(axis=0)
-        draws += np.count_nonzero(ok, axis=0)
-        crossed = d > t
-        # A path that crossed gives back its accepted draws above t: the
-        # first of them is its crossing draw, and the rest come after it.
-        # So draws counts the accepted draws at or below t, and a nan
-        # path, which never crosses, runs into the horizon.
-        path = np.cumsum(step[:, crossed], axis=0)
-        draws[crossed] -= np.count_nonzero(ok[:, crossed] & (path > t),
-                                           axis=0)
+        total = step.sum(axis=0)
+        # A nan path is never a candidate, so it runs into the horizon.
+        hit = np.flatnonzero(
+            total >= np.minimum(ring, above_t) * (1.0 - b * 2.0 ** -52))
+        draws += b
+        if hit.size:
+            part = step[:, hit]
+            path = np.cumsum(part, axis=0)
+            # > and not >=: at lam = 0 an infinite proposal is a crossing
+            rung = path > ring[hit]
+            rang = rung[-1]
+            below = path < above_t
+            if rang.any():
+                # The proposal that passes ring is rejected, and the rest
+                # of the block is tempered a uniform a proposal; a
+                # rejected draw counts 0 in the partial sums, or d in row 0.
+                first = np.where(rang, np.argmax(rung, axis=0), b)
+                row = np.arange(b)[:, None]
+                rejected = (row == first) | (
+                    (row > first) & ~_accepted(lam, part, rng))
+                np.copyto(part, 0.0, where=rejected)
+                np.copyto(part[0], d[hit], where=rejected[0])
+                path = np.cumsum(part, axis=0)
+                ring[hit[rang]] = clock(path[-1, rang])
+                below = (path < above_t) & ~rejected
+            # The accepted draws at or below t, of a block that crosses
+            # at its first sum above t or of one that does not.
+            draws[hit] -= b - np.count_nonzero(below, axis=0)
+            total[hit] = path[-1]
+        d = total
+        crossed = d >= above_t
         late = draws >= max_draws
         if late.any():
             raise HorizonError(
@@ -202,7 +296,9 @@ def first_passage_samples(config, params, t):
             config.n_paths, admitted + np.count_nonzero(crossed)))
         admitted += entering.size
         active = np.concatenate([active[keep], entering])
-        d = np.concatenate([d[keep], np.zeros(entering.size)])
+        fresh = np.zeros(entering.size)
+        d = np.concatenate([d[keep], fresh])
+        ring = np.concatenate([ring[keep], clock(fresh)])
         draws = np.concatenate([draws[keep],
                                 np.zeros(entering.size, np.int64)])
     return samples

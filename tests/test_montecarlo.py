@@ -184,16 +184,22 @@ def test_stable_increment_is_kanters_form():
         np.testing.assert_allclose(draws, ref, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("lam,dt", [(1.0, 1e-3), (100.0, 0.5)],
-                         ids=["one_draw_a_step", "five_draws_a_step"])
-def test_horizon_boundary_is_exact(lam, dt):
+@pytest.mark.parametrize("lam,dt,n_paths", [
+    (1.0, 1e-3, 2000), (100.0, 0.5, 2000), (1.0, 1e-3, 1), (100.0, 0.5, 1),
+    (1.0, 1e-3, 3), (100.0, 0.5, 3),
+], ids=["one_draw_a_step", "five_draws_a_step", "one_draw_a_step_1_path",
+        "five_draws_a_step_1_path", "one_draw_a_step_3_paths",
+        "five_draws_a_step_3_paths"])
+def test_horizon_boundary_is_exact(lam, dt, n_paths):
     # the blocks of draws do not depend on the horizon, so a horizon that
     # the slowest path just meets gives the same samples, and one grid
-    # step less is a HorizonError; 2000 paths run through the window
+    # step less is a HorizonError; 2000 paths run through the window, and
+    # 1 or 3 paths take blocks of 16384 or 5461 draws, whose block sums
+    # numpy takes pairwise for one path and in order for three
     params = TemperedStableParams(0.5, lam)
 
     def run(horizon):
-        config = SimConfig(n_paths=2000, time_step=dt, horizon=horizon,
+        config = SimConfig(n_paths=n_paths, time_step=dt, horizon=horizon,
                            seed=4)
         return first_passage_samples(config, params, 1.0)
 
@@ -201,6 +207,97 @@ def test_horizon_boundary_is_exact(lam, dt):
     assert np.array_equal(run(wide.max()), wide)
     with pytest.raises(HorizonError):
         run(wide.max() - dt)
+
+
+@pytest.mark.parametrize("size", [None, 7, 16384, (16, 1024), (3, 2, 5)],
+                         ids=["None", "7", "16384", "16x1024", "3x2x5"])
+@pytest.mark.parametrize("beta", [0.02, 0.3, 0.5, 0.9, 0.98])
+def test_stable_increment_is_the_tangent_expression(beta, size):
+    # the in-place kernel gives, bit for bit, the draws of the tangent
+    # expression below evaluated term by term on arrays, and its result
+    # holds only its own values; a single draw is the one-element array
+    # draw (numpy's scalar power may differ from its array power by an
+    # ulp, so the reference is taken on one element)
+    dt = 1e-2
+    got = sample_stable_increment(dt, beta, np.random.default_rng(9), size)
+    rng = np.random.default_rng(9)
+    shape = 1 if size is None else size
+    u = rng.uniform(0.0, math.pi, size=shape)
+    w = rng.standard_exponential(size=shape)
+    half = 0.5 * u
+    tan_u = np.tan(half)
+    csc_u = tan_u + 1.0 / tan_u
+    tan_b = np.tan(beta * half)
+    tan_c = np.tan((1.0 - beta) * half)
+    lead = tan_b / (1.0 + tan_b * tan_b) * csc_u
+    tail = tan_c / (1.0 + tan_c * tan_c) * csc_u / w
+    with np.errstate(over="ignore"):
+        ref = dt ** (1.0 / beta) * lead * tail ** ((1.0 - beta) / beta)
+    if size is None:
+        assert type(got) is float and got == ref[0]
+    else:
+        assert np.array_equal(got, ref)
+        assert got.base is None or got.base.size == got.size
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-310, 1.0])
+def test_small_beta_overflow_is_silent(lam):
+    # at beta 0.02 the Kanter power (a 49th power) overflows to inf, which
+    # raised "overflow encountered in power"; an infinite proposal is
+    # rejected at lam > 0 and crosses at lam = 0. At lam = 1e-310 the
+    # clock E / lam overflows as well, to no tempering. The mean may miss
+    # by a grid step more than its noise
+    params = TemperedStableParams(0.02, lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples = first_passage_samples(
+            SimConfig(2000, 1e-2, 2000.0, 1), params, 1.0)
+    assert np.all(np.isfinite(samples)) and np.all(samples > 0)
+    est, se = empirical_moment(samples, 1.0)
+    exact = moment_exact(MomentQuery(1.0, 1.0, params))
+    assert abs(est - exact) < 4 * se + 1e-2
+
+
+def _reference_walk(params, dt, t, n_paths, seed):
+    """E(t) on the grid of dt from a step-by-step walk of
+    sample_tempered_increment, n_sub tempered draws a grid step, each a
+    rejection loop of its own with a uniform per proposal."""
+    rng = np.random.default_rng(seed)
+    n_sub = max(1, math.ceil(params.lam ** params.beta * dt - 1e-12))
+    d = np.zeros(n_paths)
+    samples = np.empty(n_paths)
+    live = np.arange(n_paths)
+    k = 0
+    while live.size:
+        for _ in range(n_sub):
+            d[live] += sample_tempered_increment(dt / n_sub, params, rng,
+                                                 size=live.size)
+        crossed = d[live] > t
+        samples[live[crossed]] = (k + 0.5) * dt
+        live = live[~crossed]
+        k += 1
+    return samples
+
+
+@pytest.mark.parametrize("lam,dt", [(2.0, 0.05), (100.0, 0.5)],
+                         ids=["one_draw_a_step", "five_draws_a_step"])
+def test_clock_is_the_rejection(lam, dt):
+    # one exponential clock per path, up to its first rejection in a
+    # block and then a uniform per proposal, gives the law of a uniform
+    # per proposal throughout: a two-sample KS test against the
+    # step-by-step walk, and both means against moment_exact; at lam 2 a
+    # block of 16 rings for about two paths in three, at lam 100 for all
+    from scipy.stats import ks_2samp
+
+    params = TemperedStableParams(0.5, lam)
+    n, t = 20_000, 1.0
+    walked = first_passage_samples(SimConfig(n, dt, 400.0, 12), params, t)
+    stepped = _reference_walk(params, dt, t, n, 13)
+    assert ks_2samp(walked, stepped).pvalue > 1e-3
+    exact = moment_exact(MomentQuery(1.0, t, params))
+    for samples in (walked, stepped):
+        est, se = empirical_moment(samples, 1.0)
+        assert abs(est - exact) < 4 * se
 
 
 @pytest.mark.parametrize("beta", [0.3, 0.6])

@@ -27,16 +27,21 @@ one of its 5 x to a larger one. Each (beta, lam, t) also goes through
 `eval_density`, the one-row call: the same raise, a series row equal to
 the point in value, error and terms, and any other row with the same
 method, the same terms or panels and a value within the point's error
-estimate. Last, the PDE check's `initial_condition_check`, which is 0
-analytically, runs over 8 beta x 5 x, where it must return below 1e-8
-or raise NonConvergenceError. Exits 1 if a moment table row differs
-from `moment_exact` or has no finite error, if any density, cdf or
-direct `_saddle` call raised or warned, if a density's error is above
+estimate. Then the PDE check's `initial_condition_check`, which is 0
+analytically, runs over 8 beta x 5 x, where it must return below 1e-8 or
+raise NonConvergenceError. Last, a Monte Carlo corner pass runs
+`first_passage_samples` with 400 paths at 3 beta x 3 lam, t = 1, a grid
+step of 1/100 and a horizon of 20 times the mean E[E(1)] from
+`moment_exact`, every warning raised as an error, and prints the z-score
+of each sample mean against that mean. Exits 1 if a moment table row
+differs from `moment_exact` or has no finite error, if any density, cdf
+or direct `_saddle` call raised or warned, if a density's error is above
 1e-8 of its value, if a series/integral, series/saddle or gated
-integral/saddle pair lies outside its summed errors, if a cdf falls
-with x, if a grid row differs from its point, if an initial-condition
-value is 1e-8 or more, or if a saddle-point contour value lies above
-its bound.
+integral/saddle pair lies outside its summed errors, if a cdf falls with
+x, if a grid row differs from its point, if an initial-condition value
+is 1e-8 or more, if a saddle-point contour value lies above its bound,
+or if a Monte Carlo corner raised (a HorizonError included) or warned,
+or its sample mean lies more than 5 standard errors from `moment_exact`.
 
     PYTHONPATH=src python tools/sweep.py
 """
@@ -57,6 +62,7 @@ from itsub.its_density import (
     eval_series,
 )
 from itsub.moments import MomentQuery, moment_exact, moment_table
+from itsub.montecarlo import SimConfig, empirical_moment, first_passage_samples
 from itsub.pde_check import initial_condition_check
 from itsub.stable_family import NonConvergenceError, TemperedStableParams
 
@@ -66,6 +72,10 @@ TS = (1e-3, 1.0, 1e3)
 MEAN_MULTIPLES = (1e-3, 0.3, 1.0, 3.0, 10.0)
 IC_BETAS = (0.02, 0.05, 0.1, 0.2, 0.3, 1.0 / 3.0, 0.4, 0.5)
 IC_XS = (1e-6, 1e-3, 0.1, 1.0, 10.0)
+MC_BETAS = (0.02, 0.5, 0.98)
+MC_LAMS = (0.0, 1.0, 50.0)
+MC_PATHS = 400
+MC_Z = 5.0
 
 
 def moment_tables():
@@ -256,6 +266,29 @@ def initial_conditions():
     return out, seconds
 
 
+def monte_carlo():
+    """first_passage_samples at t = 1 over MC_BETAS x MC_LAMS, each with
+    MC_PATHS paths, a grid step of 1/100 and a horizon of 20 times the
+    mean E[E(1)] from moment_exact, every warning raised as an error: (params,
+    mean, z-score of the sample mean or the raise, seconds) per corner."""
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in MC_BETAS:
+            for lam in MC_LAMS:
+                params = TemperedStableParams(beta, lam)
+                mean = moment_exact(MomentQuery(1.0, 1.0, params))
+                config = SimConfig(MC_PATHS, mean / 100.0, 20.0 * mean)
+                samples, s = _timed(
+                    lambda: first_passage_samples(config, params, 1.0))
+                z = samples
+                if not isinstance(samples, Exception):
+                    est, se = empirical_moment(samples, 1.0)
+                    z = (est - mean) / se
+                out.append((params, mean, z, s))
+    return out
+
+
 def _where(row):
     params, t, x = row[:3]
     return f"beta={params.beta} lam={params.lam} t={t} x={x:.6g}"
@@ -369,8 +402,20 @@ def main():
           f"{len(ic_raised)}, bad {len(ic_bad)}")
     for beta, x, v in ic_bad:
         print(f"  at beta={beta:.6g} x={x:g}: {v!r}")
+    corners = monte_carlo()
+    mc_bad = [c for c in corners
+              if isinstance(c[2], Exception) or not abs(c[2]) <= MC_Z]
+    print(f"monte carlo corners {len(corners)} in "
+          f"{sum(c[3] for c in corners):.1f} s, {MC_PATHS} paths each, "
+          f"beyond {MC_Z:g} standard errors or raised {len(mc_bad)}")
+    for params, mean, z, s in corners:
+        shown = (f"{type(z).__name__}: {z}" if isinstance(z, Exception)
+                 else f"z {z:+.2f}")
+        print(f"  beta={params.beta} lam={params.lam}: mean {mean:.6g}, "
+              f"{shown}, {s:.2f} s")
     return 1 if (moment_bad or raised or apart or loose or series_apart
-                 or cut_apart or above or falls or differ or ic_bad) else 0
+                 or cut_apart or above or falls or differ or ic_bad
+                 or mc_bad) else 0
 
 
 if __name__ == "__main__":
