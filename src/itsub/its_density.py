@@ -8,9 +8,9 @@ value and every x-derivative at 0+, and the inversion of
 Psi(s)**m / s * exp(-x*Psi(s)) (m = 1 the density, m = 0 the CDF, at
 every lam) by a half-line integral on the branch cut s = -lam - y, or on
 the steepest-descent parabola through the real saddle point of
-s t - x Psi(s). Every density beyond the series comes from the parabola;
-the CDF takes the branch cut's value where it tells more than the
-parabola's closed-form bound.
+s t - x Psi(s). The density and the CDF (the density's series integrated
+term by term) share one dispatcher, _grid: the series, then the parabola.
+The branch cut is the paper's integral representation, eval_integral.
 """
 
 import cmath
@@ -33,6 +33,7 @@ from .stable_family import (
     ParameterError,
     require_finite,
     require_positive,
+    _pow1pm1,
     sum_series_rows,
 )
 
@@ -108,7 +109,9 @@ def _line(m, x, t, params):
     r >= k1 a**2 + k2 (y**beta - a**beta). So J <= a sqrt(pi) erf(q) / (2q)
     + (a/beta) e**(u - q**2) g(1/beta, u), q**2 = x k1 a**2, u = x k2 a**beta,
     k1 = beta (1-beta) 2**(beta/2) a**(beta-2) / 4, k2 = 2**((beta-1)/2)
-    sin((1-beta) pi/4), g(b, u) = Gamma(b, u) u**-b."""
+    sin((1-beta) pi/4), g(b, u) = Gamma(b, u) u**-b. Psi(c) is the direct
+    (c + lam)**beta - lam**beta where |c| >= lam / eps and c / lam can
+    overflow."""
     beta, lam = params.beta, params.lam
     la = min(max(math.log(x * beta / t) / (1.0 - beta), -700.0), 700.0)
     c = max(math.exp(la), 1e-15 * lam) - lam
@@ -117,8 +120,8 @@ def _line(m, x, t, params):
                  - math.log(x * beta * (1 - beta)) / 2)
     if m == 0 and abs(c) < w:
         c = 2.0 * w
-    psi = (lam ** beta * math.expm1(beta * math.log1p(c / lam)) if lam
-           else c ** beta)
+    psi = (lam ** beta * math.expm1(beta * math.log1p(c / lam))
+           if abs(c) < lam / 2.2e-16 else (c + lam) ** beta - lam ** beta)
     phi = c * t - x * psi
     at_c = 1.0 / c if m == 0 else psi / c if c else beta * lam ** (beta - 1)
     if m == 0 or phi == -math.inf:
@@ -159,14 +162,11 @@ def _saddle(m, xs, t, params, lines):
     def integrand(k, v):
         """Re[e**(phi(s) - phi(c)) Psi(s)**m / s ds/(i dy)] / at_c at
         y = w v, rows k: s - c = a (b + i u) with u = y / a, b = -g a u**2,
-        and Psi(s) - Psi(c) = a**beta expm1(beta log1p(b + i u))."""
+        and Psi(s) - Psi(c) = a**beta ((1 + b + i u)**beta - 1)."""
         k = np.asarray(k, dtype=np.intp)
         u = w[k] * v / a[k]
         b = -ga * u * u
-        p = 0.5 * beta * np.log1p(b * (2.0 + b) + u * u)
-        q = beta * np.arctan2(u, 1.0 + b)
-        e = a[k] ** beta * (np.expm1(p) * np.cos(q) - 2 * np.sin(q / 2) ** 2
-                            + 1j * np.exp(p) * np.sin(q))
+        e = a[k] ** beta * _pow1pm1(b, u, beta)
         zeta = a[k] * (b + 1j * u)
         z = np.exp(zeta * t - x[k] * e) * (1 + 2j * ga * u) / (c[k] + zeta)
         return (z * (at_c[k] * c[k] + e) if m else z).real / at_c[k]
@@ -223,16 +223,19 @@ def eval_integral(p, params):
     return DensityResult(res[0], res[1], "integral", res[2])
 
 
-def _series(xs, t, params):
-    """eval_series at every x of xs, one row each of sum_series_rows: per
-    x its DensityResult, or None where the sum did not converge. An A_j
-    that underflowed at large lam * t gets log scale +inf, which ends
-    the row unconverged."""
+def _series(m, xs, t, params):
+    """The series at every x of xs, one row each of sum_series_rows: per x
+    a DensityResult, or None where the sum did not converge. m = 1 sums h
+    (eval_series), m = 0 its integral from 0, the CDF: the j-th term of h
+    is the x-derivative of (-1)**(j-1) A_j e**(lam**beta x) x**j / (j! pi).
+    An A_j that underflowed at large lam * t gets log scale +inf, which
+    ends the row unconverged."""
     beta, lam = params.beta, params.lam
     lb = lam ** beta
     # rel: the gamma's bound (0 where A_j is exact) plus eps times the parts
-    # of the log scale, which cancel: |lw| + 2 lgamma(j) for lw, |la|
-    # + 2 (lgamma(j) + log j + j beta |log t|) for la, log j <= lgamma(j) + 1
+    # of the log scale, which cancel: |lw| + 2 lg for lw, lg = lgamma(j+1-m),
+    # |la| + 2 (lgamma(j+1) + j beta |log t|) for la; 6 lg covers 4 lg at
+    # m = 0, and at m = 1 lgamma(j+1) = lg + log j, log j <= lg + 1
     rel, lt = GAMMA_REL_ERROR if lam > 0 else 0.0, 2 * beta * abs(math.log(t))
     x = np.asarray(xs, dtype=float)[:, None]
     lpref = lb * x - math.log(math.pi)
@@ -240,10 +243,10 @@ def _series(xs, t, params):
     def block(js, rows):
         la, sign = _coefficients(int(js[0]), int(js[-1]) + 1, t, params)
         la = np.where((la == -np.inf) & (sign != 0.0), np.inf, la)
-        lg = sp.gammaln(js)
+        lg = sp.gammaln(js + (1 - m))
         xr, lp = x[rows], lpref[rows]
-        lw = sp.xlogy(js - 1.0, xr) - lg  # x**(j-1)/(j-1)!, 0**0 = 1
-        ls = lp + la + lw + np.log1p(lb * xr / js)
+        lw = sp.xlogy(js - m, xr) - lg  # x**(j-m)/(j-m)!, 0**0 = 1
+        ls = lp + la + lw + (np.log1p(lb * xr / js) if m else 0.0)
         parts = np.abs(lp) + np.abs(la) + np.abs(lw) + (6.0 * lg + js * lt)
         return ls, np.where(js % 2, sign, -sign), rel + 2.2e-16 * parts
 
@@ -260,7 +263,7 @@ def eval_series(p, params):
     error is h's; NonConvergenceError when it is above max(1e-13/pi, BAR*|h|),
     and the ParameterError that A_j raised.
     """
-    res, = _series([p.x], p.t, params)
+    res, = _series(1, [p.x], p.t, params)
     if res is None:
         raise NonConvergenceError(f"density series at x={p.x}, t={p.t}, "
                                   f"beta={params.beta}, lam={params.lam}")
@@ -286,17 +289,16 @@ def eval(p, params):
     return res
 
 
-def eval_density_grid(xs, t, params):
-    """Density h(x, t) at every x of xs, t and params shared: per x a
-    DensityResult, or the ParameterError or NonConvergenceError raised
-    there. x = 0 gives A_1 / pi (_boundary); else the series where
-    x * lam**beta <= _SERIES_MAX_X_LAM_BETA and it converges, its rows
-    summed together, and every other row from the steepest-descent
-    parabola through the saddle point, s = c + i y - g y**2 with
-    g = (2 - beta) / (6 (c + lam)) and the factor ds/(i dy) = 1 + 2 i g y
-    (_saddle at m = 1, method saddle; 0 with error 0 where its bound is
-    below double range), its rows in lockstep. Each meets the bar
-    BAR * max(1, |value|) itself or raises NonConvergenceError."""
+def _grid(m, xs, t, params):
+    """The density (m = 1) or the CDF (m = 0) at every x of xs, t and
+    params shared: per x a DensityResult, or the ParameterError or
+    NonConvergenceError raised there. x = 0 gives A_1 / pi (_boundary) at
+    m = 1, 0 at m = 0; else _series where x * lam**beta <= 2 and it
+    converges, its rows summed together, and every other row from _saddle's
+    parabola through the saddle point c (method saddle; a tail of 0 with
+    error 0 where its bound is below double range; 1 - cdf at m = 0 and
+    c > 0), its rows in lockstep. Each meets BAR * max(1, |value|) or
+    raises NonConvergenceError."""
     out = [None] * len(xs)
     lb = params.lam ** params.beta
     series, rest = [], []
@@ -304,7 +306,8 @@ def eval_density_grid(xs, t, params):
         try:
             EvalPoint(x, t)
             if x == 0:
-                out[i] = _boundary(t, params)
+                out[i] = (_boundary(t, params) if m
+                          else DensityResult(0.0, 0.0, "boundary", 0))
             elif x * lb <= _SERIES_MAX_X_LAM_BETA:
                 series.append(i)
             else:
@@ -313,20 +316,30 @@ def eval_density_grid(xs, t, params):
             out[i] = e
     if series:
         try:
-            done = _series([xs[i] for i in series], t, params)
+            done = _series(m, [xs[i] for i in series], t, params)
         except ParameterError as e:
             done = [e] * len(series)
         for i, res in zip(series, done):
             out[i] = res
         rest += [i for i, res in zip(series, done) if res is None]
-    lines = [_line(1, xs[i], t, params) for i in rest]
-    for i, res in zip(rest, _saddle(1, [xs[i] for i in rest], t, params,
-                                    lines)):
-        out[i] = NonConvergenceError(
-            f"saddle-point contour at x={xs[i]}, t={t}, beta={params.beta}, "
-            f"lam={params.lam} did not converge") if res is None else (
-            DensityResult(math.exp(res[0]), res[1], "saddle", res[2]))
+    lines = [_line(m, xs[i], t, params) for i in rest]
+    for i, ln, res in zip(rest, lines, _saddle(m, [xs[i] for i in rest], t,
+                                               params, lines)):
+        if res is None:
+            out[i] = NonConvergenceError(
+                f"{'' if m else 'cdf '}saddle-point contour at x={xs[i]}, "
+                f"t={t}, beta={params.beta}, lam={params.lam} did not "
+                f"converge")
+        else:
+            tail = math.exp(res[0])
+            out[i] = DensityResult(1.0 - tail if not m and ln[0] > 0
+                                   else tail, res[1], "saddle", res[2])
     return out
+
+
+def eval_density_grid(xs, t, params):
+    """h(x, t) at every x of xs, t and params shared: _grid at m = 1."""
+    return _grid(1, xs, t, params)
 
 
 def boundary_value(t, params):
@@ -364,37 +377,18 @@ def derivative_at_zero(k, t, params):
 
 
 def cdf(x, t, params):
-    """P(E(t) <= x) = P(D(x) > t) at every lam >= 0, the inversion at
-    m = 0. A converged branch-cut value stands where it tells more than
-    _line's bound B on the tail on the contour's side, P(E(t) > x) for
-    c > 0 and P(E(t) <= x) else, with B <= 1 there: where its error is at
-    most B and that tail lies within it of [0, B]. Else _saddle's
-    parabola. NonConvergenceError where neither meets the bar or at a
-    value outside [-err, 1 + err]; the clamp to [0, 1] trims only an
-    overshoot within it.
-    """
+    """P(E(t) <= x) = P(D(x) > t) at every lam >= 0, 0 at x <= 0: the
+    one-row m = 0 call of _grid, the density's series integrated term by
+    term, then the parabola. NonConvergenceError where neither meets the
+    bar or at a value outside [-err, 1 + err]; the clamp to [0, 1] trims
+    only an overshoot within it."""
     require_finite("x", x)
-    require_positive("t", t)
-    if x <= 0:
-        return 0.0
-    beta, lam = params.beta, params.lam
-    line = _line(0, x, t, params)
-    flip = line[0] > 0  # the contour's tail is 1 - cdf
-    bound = math.exp(min(line[4], 0.0))
-    res = _branch_cut(0, x, t, params)
-    if res is not None:
-        value, err, _ = res
-        tail = 1.0 - value if flip else value
-    if res is None or not (err <= bound and -err <= tail <= bound + err):
-        res, = _saddle(0, [x], t, params, [line])
-        if res is None:
-            raise NonConvergenceError(
-                f"cdf at x={x}, t={t}, beta={beta}, lam={lam}: neither the "
-                f"branch cut nor the saddle-point contour met the bar")
-        tail, err = math.exp(res[0]), res[1]
-        value = 1.0 - tail if flip else tail
+    res, = _grid(0, [max(x, 0.0)], t, params)
+    if isinstance(res, Exception):
+        raise res
+    value, err = res.value, res.error_estimate
     if not -err <= value <= 1.0 + err:
         raise NonConvergenceError(
-            f"cdf at x={x}, t={t}, beta={beta}, lam={lam} gave {value:.3g} "
-            f"with error {err:.3g}, outside [-err, 1 + err]")
+            f"cdf at x={x}, t={t}, beta={params.beta}, lam={params.lam} gave "
+            f"{value:.3g} with error {err:.3g}, outside [-err, 1 + err]")
     return min(max(value, 0.0), 1.0)

@@ -25,6 +25,7 @@ from scipy import special as sp
 from .stable_family import (
     ParameterError,
     TemperedStableParams,
+    _pow1pm1,
     require_finite,
     require_positive,
 )
@@ -127,11 +128,7 @@ def _laplace_symbol_array(s, beta, lam):
         out[near] = _laplace_symbol_array(s[near], beta, lam)
         return out
     u = s / lam
-    x, y = u.real, u.imag
-    a = 0.5 * beta * np.log1p(x * (2.0 + x) + y * y)  # beta log|1 + u|
-    b = beta * np.arctan2(y, 1.0 + x)                  # beta arg(1 + u)
-    return lam ** beta * (np.expm1(a) * np.cos(b) - 2.0 * np.sin(0.5 * b) ** 2
-                          + 1j * np.exp(a) * np.sin(b))
+    return lam ** beta * _pow1pm1(u.real, u.imag, beta)
 
 
 def moment_table(q, ts, params):

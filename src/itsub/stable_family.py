@@ -68,6 +68,15 @@ class TemperedStableParams:
         return (s + self.lam) ** self.beta - self.lam ** self.beta
 
 
+def _pow1pm1(x, y, beta):
+    """(1 + x + i y)**beta - 1 on arrays of real x, y, through real log1p
+    and expm1, so that |x + i y| << 1 loses nothing to the cancellation."""
+    p = 0.5 * beta * np.log1p(x * (2.0 + x) + y * y)  # beta log|1 + x + iy|
+    q = beta * np.arctan2(y, 1.0 + x)                  # beta arg(1 + x + iy)
+    return (np.expm1(p) * np.cos(q) - 2.0 * np.sin(q / 2) ** 2
+            + 1j * np.exp(p) * np.sin(q))
+
+
 class SeriesEval(NamedTuple):
     value: float
     error_estimate: float

@@ -206,6 +206,32 @@ def test_untempered_reference_values():
         assert abs(res.value - ref) <= res.error_estimate
 
 
+@pytest.mark.parametrize("lam", (1e-300, 3e-308))
+def test_tiny_lam_is_the_half_gaussian(lam):
+    # beta 1/2 at lam -> 0: h = e**(-x**2/4) / sqrt(pi) and cdf = erf(x/2)
+    # at t = 1. At lam 3e-308, c / lam overflowed in the saddle point's
+    # Psi(c) = lam**beta expm1(beta log1p(c / lam)), so phi(c) was -inf and
+    # the bound certified h = 0 at x = 12 and 40
+    params = TemperedStableParams(0.5, lam)
+    for x in (0.5, 3.0, 12.0, 40.0):
+        ref = math.exp(-x * x / 4.0) / math.sqrt(math.pi)
+        res = eval_density(EvalPoint(x, 1.0), params)
+        assert res.value == pytest.approx(ref, rel=1e-9)
+        assert cdf(x, 1.0, params) == pytest.approx(math.erf(x / 2.0),
+                                                    abs=1e-12)
+
+
+def test_subnormal_lam_is_a_parameter_error():
+    # lam * t below the least normal double is outside the incomplete
+    # gamma's domain, for the density and the cdf alike (the cdf used to
+    # return 1.0 at x = 0.5, where erf(1/4) = 0.276)
+    params = TemperedStableParams(0.5, 5e-324)
+    with pytest.raises(ParameterError):
+        eval_density(EvalPoint(0.5, 1.0), params)
+    with pytest.raises(ParameterError):
+        cdf(0.5, 1.0, params)
+
+
 def test_untempered_far_tail_falls_back_to_the_saddle_line():
     # neither form meets the bar this far in the tail at lam = 0; the
     # reference is Kanter's integral in mpmath at 40 digits
@@ -521,19 +547,21 @@ def test_cdf_keeps_the_mass_on_both_sides_of_the_mean():
 
 
 def test_cdf_refuses_a_value_outside_its_error(monkeypatch):
-    # a probability of -0.5 with an error of 1e-9 is garbage, not 0: from
-    # the branch cut it goes on to the saddle-point line, and from the
-    # line (a tail of 2, so a cdf of -1 at c > 0) it raises
+    # a probability of -0.5 with an error of 1e-9 is garbage, not 0, from
+    # the series (x lam**beta = 2) as from the saddle-point line
+    # (x lam**beta = 3, a tail of 2, so a cdf of -1 at c > 0): both raise
     params = TemperedStableParams(0.5, 1.0)
-    monkeypatch.setattr(its_density, "_branch_cut",
-                        lambda *args: (-0.5, 1e-9, 1))
     assert cdf(2.0, 1.0, params) == pytest.approx(0.37230216184474713,
                                                   abs=1e-10)
-    monkeypatch.setattr(its_density, "_saddle",
-                        lambda *args: [(math.log(2.0), 1e-9, 1)])
-    assert its_density._line(0, 2.0, 1.0, params)[0] > 0
+    monkeypatch.setattr(its_density, "_series", lambda m, xs, *args: [
+        DensityResult(-0.5, 1e-9, "series", 3)] * len(xs))
     with pytest.raises(NonConvergenceError):
         cdf(2.0, 1.0, params)
+    monkeypatch.setattr(its_density, "_saddle",
+                        lambda *args: [(math.log(2.0), 1e-9, 1)])
+    assert its_density._line(0, 3.0, 1.0, params)[0] > 0
+    with pytest.raises(NonConvergenceError):
+        cdf(3.0, 1.0, params)
 
 
 def test_cdf_reference_values():
@@ -542,10 +570,10 @@ def test_cdf_reference_values():
         assert cdf(x, 1.0, params) == pytest.approx(ref, abs=1e-7)
 
 
-# (x, t, lam) -> P(E(t) <= x) at beta = 1/2. At the first four the
-# branch cut's rounding floor is above the bar, so its quadrature stops
-# and cdf takes the saddle-point line; the last two take the branch
-# cut. D(x) is inverse Gaussian, so
+# (x, t, lam) -> P(E(t) <= x) at beta = 1/2, each beyond the series
+# (x lam**beta > 2), so cdf takes the saddle-point parabola; at the first
+# four the branch cut's rounding floor is above the bar, and its
+# quadrature stops. D(x) is inverse Gaussian, so
 # P(D(x) <= t) = Phi(r (s - 1)) + exp(2 x sqrt(lam)) Phi(-r (s + 1)) with
 # r = x / sqrt(2 t), s = 2 sqrt(lam) t / x, summed by mpmath at 50 digits.
 _CDF_TAIL_REFERENCE = [
@@ -585,11 +613,15 @@ def test_cdf_at_tiny_t_meets_chernoffs_bound():
 def test_cdf_takes_the_line_where_the_cut_leaves_the_unit_interval():
     # the m = 0 branch cut gives 1.00088 +- 1.6e-10 here, and cdf raised;
     # the line gives P(E(t) > x) = P(D(x) < t), which mpmath's Talbot
-    # inversion of e**(-x Psi(s)) / s gives at 40 and 60 digits
+    # inversion of e**(-x Psi(s)) / s gives at 40 and 60 digits. cdf now
+    # sums the series here (x lam**beta = 0.0013), and agrees
     params = TemperedStableParams(0.13, 0.01)
-    assert its_density._branch_cut(0, 0.0024, 1e-27, params)[0] > 1.0
-    assert cdf(0.0024, 1e-27, params) == pytest.approx(
-        1.0 - 4.362028466358751e-4, abs=1e-12)
+    x, t, tail = 0.0024, 1e-27, 4.362028466358751e-4
+    assert its_density._branch_cut(0, x, t, params)[0] > 1.0
+    line = its_density._line(0, x, t, params)
+    (log_tail, err, _), = its_density._saddle(0, [x], t, params, [line])
+    assert line[0] > 0 and abs(math.exp(log_tail) - tail) <= err
+    assert cdf(x, t, params) == pytest.approx(1.0 - tail, abs=1e-12)
 
 
 def test_untempered_cdf_is_the_stable_survival_function():
@@ -613,7 +645,7 @@ _UNTEMPERED_CDF_REFERENCE = [
 
 
 def test_untempered_cdf_reference_values():
-    # the branch cut with m = 0 at lam = 0, as at lam > 0
+    # the cdf series at lam = 0, where every x goes to the series first
     for beta, x, ref in _UNTEMPERED_CDF_REFERENCE:
         assert cdf(x, 1.0, TemperedStableParams(beta, 0.0)) == pytest.approx(
             ref, abs=1e-11)
@@ -650,6 +682,59 @@ def test_untempered_cdf_far_tail():
     # 2.8e4 +- 5.9e5 here
     assert cdf(10.0, 1.0, TemperedStableParams(0.7, 0.0)) == pytest.approx(
         1.0, abs=1e-12)
+
+
+# the 6 sweep points at the pole (beta 0.9 and 0.98, lam 0, x = 1e-3 x
+# mean, t 1e-3, 1 and 1e3), where the line's saddle point lies within a
+# width of the pole at 0 and the line gave 0.5: P(E(t) <= x) depends on
+# x t**-beta alone, the same at each t, from mpmath's Talbot inversion of
+# (1 - e**(-x s**beta)) / s at 40 and 60 digits
+_CDF_POLE_REFERENCE = [(0.9, 1.0938667456946548166e-4),
+                       (0.98, 2.0414709817154499496e-5)]
+
+
+@pytest.mark.parametrize("t", (1e-3, 1.0, 1e3))
+@pytest.mark.parametrize("beta,ref", _CDF_POLE_REFERENCE)
+def test_cdf_at_the_pole_points(beta, ref, t):
+    params = TemperedStableParams(beta, 0.0)
+    x = 1e-3 * moment_exact(MomentQuery(1.0, t, params))
+    res, = its_density._grid(0, [x], t, params)
+    assert res.method == "series"
+    assert cdf(x, t, params) == pytest.approx(ref, rel=1e-12)
+
+
+def test_cdf_at_tiny_t_meets_the_reference():
+    # the m = 0 branch cut gave 0.99999905 +- 1.3e-10 here, inside the
+    # Chernoff range that cdf checked it against; the series is within
+    # its error of mpmath's Talbot inversion at 40 and 60 digits
+    params = TemperedStableParams(0.28, 25.0)
+    x, t, ref = 6.35e-6, 1e-22, 0.99998341170110108691
+    res, = its_density._grid(0, [x], t, params)
+    assert res.method == "series"
+    assert abs(res.value - ref) <= res.error_estimate <= 1e-8
+    assert cdf(x, t, params) == res.value
+
+
+@pytest.mark.parametrize("beta,lam,t,x", [(0.5, 1.0, 1.0, 0.3),
+                                          (0.5, 1.0, 1.0, 1.8),
+                                          (0.3, 5.0, 0.5, 0.9),
+                                          (0.7, 0.5, 2.0, 1.2)])
+def test_cdf_series_differentiates_to_the_density(beta, lam, t, x):
+    # the cdf series is the density's integrated term by term: its central
+    # difference D(d) misses h by d**2 / 6 times h's second derivative,
+    # + O(d**4), so the miss falls 4-fold as d halves, and Richardson's
+    # (4 D(d/2) - D(d)) / 3 meets h
+    params = TemperedStableParams(beta, lam)
+    h = eval_density(EvalPoint(x, t), params).value
+
+    def central(d):
+        lo, hi = its_density._grid(0, [x - d, x + d], t, params)
+        assert lo.method == hi.method == "series"
+        return (hi.value - lo.value) / (2.0 * d)
+
+    wide, narrow = central(1e-2), central(5e-3)
+    assert (wide - h) / (narrow - h) == pytest.approx(4.0, rel=1e-3)
+    assert (4.0 * narrow - wide) / 3.0 == pytest.approx(h, rel=1e-8)
 
 
 def test_cdf_limits_and_monotonicity():

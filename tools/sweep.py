@@ -5,10 +5,10 @@ points, with x = {1e-3, 0.3, 1, 3, 10} times the mean E[E(t)] from
 `moment_exact`, and every warning raised as an error. Each (beta, lam)
 first makes one `moment_table` call over its 3 t, whose rows must equal
 `moment_exact`, the one-row call, and carry a finite error estimate.
-Prints the density and cdf methods (the cdf's at every lam from the
-branch cut or the saddle-point contour, the latter counted by its m = 0
-`_saddle` calls), the raises, the seconds spent in each function, the
-slowest point of each, the number of quadrature calls, their integrand
+Prints the density and cdf methods (the cdf's as its m = 0 call of the
+shared dispatcher `_grid` returned them: boundary, series or saddle),
+the raises, the seconds spent in each function, the slowest point of
+each, the number of quadrature calls, their integrand
 rounds (calls of `_gk15_rows`), their total panels and the largest
 panel count of any one integral (per-point calls only). No density, of
 any method, may carry an error above 1e-8 of its value. Wherever both
@@ -18,7 +18,10 @@ every point, whatever `eval_density` chose there, outside the panel
 counter: wherever it and the series converge, they must agree within
 their summed errors, and so must it and the integral wherever the
 integral's error is within 1e-8 of its value; the integral rows beyond
-that bar which lie apart are listed without a gate. Every value of the
+that bar which lie apart are listed without a gate. The m = 0 branch
+cut, the paper's integral for the cdf, runs at every point outside the
+panel counter too: wherever its error is within 1e-8 of its value, it
+and the cdf must agree within their summed errors. Every value of the
 saddle-point contour, a `saddle` density, a cdf tail or a direct
 `_saddle` value, must lie at or below the closed-form bound of its
 line. The cdf of each (beta, lam, t) must not fall, beyond 1e-8, from
@@ -34,10 +37,11 @@ raise NonConvergenceError. Last, a Monte Carlo corner pass runs
 step of 1/100 and a horizon of 20 times the mean E[E(1)] from
 `moment_exact`, every warning raised as an error, and prints the z-score
 of each sample mean against that mean. Exits 1 if a moment table row
-differs from `moment_exact` or has no finite error, if any density, cdf
-or direct `_saddle` call raised or warned, if a density's error is above
-1e-8 of its value, if a series/integral, series/saddle or gated
-integral/saddle pair lies outside its summed errors, if a cdf falls with
+differs from `moment_exact` or has no finite error, if any density,
+cdf, direct `_saddle` or m = 0 branch-cut call raised or warned, if a
+density's error is above 1e-8 of its value, if a series/integral,
+series/saddle, gated integral/saddle or gated cdf/branch-cut pair lies
+outside its summed errors, if a cdf falls with
 x, if a grid row differs from its point, if an initial-condition value
 is 1e-8 or more, if a saddle-point contour value lies above its bound,
 or if a Monte Carlo corner raised (a HorizonError included) or warned,
@@ -117,14 +121,14 @@ def sweep(tables):
     result), where a raise stands in for its result; the panel count of every
     quadrature call; the number of integrand rounds of those calls;
     (m, params, t, x, log |I|, log bound) for every value of the
-    saddle-point contour, the bound from its _line; and the method of every
-    cdf: saddle where it called _saddle, integral where it did not, raised
-    where it raised."""
-    panels, lines, cdf_methods = [], [], []
+    saddle-point contour, the bound from its _line; and per row the cdf's
+    DensityResult from its m = 0 _grid call, before the clamp, or the
+    raise."""
+    panels, lines, dispatched = [], [], []
     rounds = 0
     lockstep, saddle = quadrature._lockstep, its_density._saddle
     gk15_rows = quadrature._gk15_rows
-    cdf_saddles = []
+    grid = its_density._grid
 
     def counted(*args):
         results = lockstep(*args)
@@ -141,26 +145,28 @@ def sweep(tables):
         lines.extend((m, params, t, x, res[0], ln[-1])
                      for x, res, ln in zip(xs, results, line)
                      if res is not None)
+        return results
+
+    def recorded(m, xs, t, params):
+        results = grid(m, xs, t, params)
         if m == 0:
-            cdf_saddles.append(xs)
+            dispatched.extend(results)
         return results
 
     quadrature._lockstep = counted
     quadrature._gk15_rows = evaluated
     its_density._saddle = bounded
-    rows = []
+    its_density._grid = recorded
+    rows, cdf_results = [], []
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for params, t, x in points(tables):
                 p = EvalPoint(x, t)
                 h, h_s = _timed(lambda: eval_density(p, params))
-                called = len(cdf_saddles)
                 c, c_s = _timed(lambda: cdf(x, t, params))
-                cdf_methods.append(
-                    "raised" if isinstance(c, Exception)
-                    else "saddle" if len(cdf_saddles) > called
-                    else "integral")
+                cdf_results.append(c if isinstance(c, Exception)
+                                   else dispatched[-1])
                 forms = [_timed(lambda: f(p, params))[0]
                          for f in (eval_series, eval_integral)]
                 rows.append((params, t, x, h, c, h_s, c_s, *forms))
@@ -168,7 +174,8 @@ def sweep(tables):
         quadrature._lockstep = lockstep
         quadrature._gk15_rows = gk15_rows
         its_density._saddle = saddle
-    return rows, panels, rounds, lines, cdf_methods
+        its_density._grid = grid
+    return rows, panels, rounds, lines, cdf_results
 
 
 def cdf_falls(rows):
@@ -230,6 +237,20 @@ def saddle_rows(rows):
                     res = (math.exp(res[0]), *res[1:])
                 out.append(res)
     return out, bounds, seconds
+
+
+def cut_rows(rows):
+    """The m = 0 branch cut, the paper's integral for the cdf, at every
+    point, outside the panel counter: per row (value, error, panels), None
+    where it did not converge, or the raise; and the seconds taken."""
+    out, seconds = [], 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params, t, x in (r[:3] for r in rows):
+            got, s = _timed(lambda: its_density._branch_cut(0, x, t, params))
+            out.append(got)
+            seconds += s
+    return out, seconds
 
 
 def _apart(form, saddle):
@@ -304,7 +325,7 @@ def main():
     for params, t, row, mean in moment_bad:
         print(f"  at beta={params.beta} lam={params.lam} t={t}: table "
               f"{row!r}, moment_exact {mean!r}")
-    rows, panels, rounds, lines, cdf_methods = sweep(tables)
+    rows, panels, rounds, lines, cdf_results = sweep(tables)
     direct, direct_bounds, direct_s = saddle_rows(rows)
     lines += direct_bounds
     methods = collections.Counter(
@@ -323,7 +344,9 @@ def main():
              > r[7].error_estimate + r[8].error_estimate]
     print(f"points {len(rows)}")
     for name, counts in (("density", methods),
-                         ("cdf", collections.Counter(cdf_methods))):
+                         ("cdf", collections.Counter(
+                             "raised" if isinstance(c, Exception) else c.method
+                             for c in cdf_results))):
         print(f"{name} methods: " + ", ".join(
             f"{m} {n}" for m, n in sorted(counts.items())))
     loose = [r for r in rows if not isinstance(r[3], Exception)
@@ -373,6 +396,21 @@ def main():
     for row, form, d in series_apart + cut_apart + cut_blunt:
         print(f"  at {_where(row)}: {form.method} {form.value:.10g} +- "
               f"{form.error_estimate:.8g}, saddle {d[0]:.10g} +- {d[1]:.2g}")
+    cuts, cut_s = cut_rows(rows)
+    raised += [(r, "cut", e) for r, e in zip(rows, cuts)
+               if isinstance(e, Exception)]
+    cdf_pairs = [(r, c, k) for r, c, k in zip(rows, cdf_results, cuts)
+                 if isinstance(k, tuple) and not isinstance(c, Exception)]
+    cdf_sharp = [p for p in cdf_pairs if p[2][1] <= 1e-8 * abs(p[2][0])]
+    cdf_apart = [p for p in cdf_sharp if _apart(*p[1:])]
+    sharp_methods = collections.Counter(p[1].method for p in cdf_sharp)
+    print(f"cdf/branch-cut pairs {len(cdf_pairs)} (cut in {cut_s:.1f} s), "
+          f"with the cut within 1e-8 of its value {len(cdf_sharp)} ("
+          + ", ".join(f"{m} {n}" for m, n in sorted(sharp_methods.items()))
+          + f"), of them outside their summed errors {len(cdf_apart)}")
+    for row, c, k in cdf_apart:
+        print(f"  at {_where(row)}: cdf {c.method} {c.value!r} +- "
+              f"{c.error_estimate:.2g}, cut {k[0]!r} +- {k[1]:.2g}")
     above = [line for line in lines if line[4] > line[5]]
     print(f"saddle-point contour values: density "
           f"{sum(line[0] for line in lines)}, cdf "
@@ -414,8 +452,8 @@ def main():
         print(f"  beta={params.beta} lam={params.lam}: mean {mean:.6g}, "
               f"{shown}, {s:.2f} s")
     return 1 if (moment_bad or raised or apart or loose or series_apart
-                 or cut_apart or above or falls or differ or ic_bad
-                 or mc_bad) else 0
+                 or cut_apart or cdf_apart or above or falls or differ
+                 or ic_bad or mc_bad) else 0
 
 
 if __name__ == "__main__":
