@@ -185,26 +185,35 @@ def _saddle(m, xs, t, params, lines):
 
 
 @functools.lru_cache(maxsize=256)
-def _coefficients(j0, j1, t, params):
-    """(log|A_j|, sign) for j0 <= j < j1 as a read-only (2 x j) array, for
+def _coefficients(t, params):
+    """(log|A_j|, sign) for j = 1, 2, ... at (t, params), by a function of
+    j1 that returns a read-only (2 x n) array, n >= j1 - 1, for
     A_j = Gamma(1+beta*j) * lam**(beta*j) * Gamma(-beta*j, lam*t)
     * sin(j*beta*pi), with lam**(beta*j) * Gamma(-beta*j, u)
     = t**(-beta*j) * g(-beta*j, u) from the scaled gamma g. The sine,
     taken at j*beta less its nearest integer, is exactly 0 at integer
     j*beta, and then no g is computed; an A_j that underflows at large
-    lam * t is (-inf, its sign). Each g is an incomplete gamma call, so a
-    block is kept for the next point at the same (beta, lam, t)."""
-    jb = np.arange(j0, j1) * params.beta
-    n = np.round(jb)
-    sn = np.where(n % 2, -1.0, 1.0) * np.sin(math.pi * (jb - n))
-    g = [upper_incomplete_gamma_scaled(-a, params.lam * t) if s else 0.0
-         for a, s in zip(jb.tolist(), sn.tolist())]
-    with np.errstate(divide="ignore"):
-        la = (sp.gammaln(1.0 + jb) - jb * math.log(t) + np.log(np.abs(sn))
-              + np.log(g))
-    block = np.array([la, np.sign(sn)])
-    block.setflags(write=False)
-    return block
+    lam * t is (-inf, its sign). Each g is an incomplete gamma call, so
+    the array is kept for the next point at the same (beta, lam, t) and
+    extended by exactly the j < j1 it lacks (j1 = 1: none)."""
+    held = [np.empty((2, 0))]
+
+    def upto(j1):
+        have = held[0]
+        if j1 - 1 > have.shape[1]:
+            jb = np.arange(have.shape[1] + 1, j1) * params.beta
+            n = np.round(jb)
+            sn = np.where(n % 2, -1.0, 1.0) * np.sin(math.pi * (jb - n))
+            g = [upper_incomplete_gamma_scaled(-a, params.lam * t) if s
+                 else 0.0 for a, s in zip(jb.tolist(), sn.tolist())]
+            with np.errstate(divide="ignore"):
+                la = (sp.gammaln(1.0 + jb) - jb * math.log(t)
+                      + np.log(np.abs(sn)) + np.log(g))
+            held[0] = have = np.hstack([have, [la, np.sign(sn)]])
+            have.setflags(write=False)
+        return have
+
+    return upto
 
 
 def eval_integral(p, params):
@@ -241,7 +250,7 @@ def _series(m, xs, t, params):
     lpref = lb * x - math.log(math.pi)
 
     def block(js, rows):
-        la, sign = _coefficients(int(js[0]), int(js[-1]) + 1, t, params)
+        la, sign = _coefficients(t, params)(js[-1] + 1)[:, js[0] - 1:js[-1]]
         la = np.where((la == -np.inf) & (sign != 0.0), np.inf, la)
         lg = sp.gammaln(js + (1 - m))
         xr, lp = x[rows], lpref[rows]
@@ -250,7 +259,8 @@ def _series(m, xs, t, params):
         parts = np.abs(lp) + np.abs(la) + np.abs(lw) + (6.0 * lg + js * lt)
         return ls, np.where(js % 2, sign, -sign), rel + 2.2e-16 * parts
 
-    rows = sum_series_rows(block, len(xs), 400, 1e-13 / math.pi, BAR)
+    rows = sum_series_rows(block, len(xs), 400, 1e-13 / math.pi, BAR,
+                           _coefficients(t, params)(1).shape[1])
     return [DensityResult(r.value, r.error_estimate, "series", r.terms)
             if r.converged else None for r in rows]
 
@@ -273,7 +283,7 @@ def eval_series(p, params):
 def _boundary(t, params):
     """h(0+, t) = A_1 / pi, with the gamma's bound plus the rounding of
     exp(log A_1) as its error."""
-    la = float(_coefficients(1, 2, t, params)[0, 0])
+    la = float(_coefficients(t, params)(2)[0, 0])
     value = math.exp(la) / math.pi
     rel = GAMMA_REL_ERROR + 2.2e-16 * (abs(la) + 4.0) if value else 0.0
     return DensityResult(value, value * rel, "boundary", 0)
@@ -362,7 +372,7 @@ def derivative_at_zero(k, t, params):
     require_positive("t", t)
     k = int(k)
     lb = params.lam ** params.beta
-    terms = zip(range(1, k + 2), *_coefficients(1, k + 2, t, params).tolist())
+    terms = zip(range(1, k + 2), *_coefficients(t, params)(k + 2).tolist())
     try:
         value = sum((-1.0) ** (m - 1) * math.comb(k + 1, m)
                     * lb ** (k + 1 - m) * sign * math.exp(la)

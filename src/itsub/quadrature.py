@@ -2,8 +2,8 @@
 integrands, and on finite intervals; one integral or a family of them in
 lockstep.
 
-The half line starts from six panels, the last [16 * scale, inf) mapped
-onto [0, 1] as in QUADPACK's QAGI, a finite interval from one panel
+The half line starts from seven panels, the last [16 * scale, inf)
+mapped onto [0, 1] as in QUADPACK's QAGI, a finite interval from one panel
 between each pair of given edges; one loop then bisects, each round, the
 panels of largest error estimate until those it leaves whole are within
 the target (the batching of scipy's quad_vec). Each panel uses the
@@ -202,7 +202,7 @@ def integrate_semi_infinite(f, scale=1.0, power_singularity=None):
 
     f must be vectorized and finite on (0, inf), with its mass within
     double range. `scale` locates the interesting region: the first
-    panels are [0, scale] .. [8 scale, 16 scale], doubling, and
+    panels are [0, 1], [1, 2], [2, 4], [4, 6], [6, 8], [8, 16] scale, and
     [16 scale, inf) as [0, 1] in u = 16 scale / y, where a node whose
     |dy/du| overflows adds 0. `power_singularity` = s flags an integrable
     f ~ y**(s-1) at 0, handled by a power substitution on the first panel.
@@ -236,12 +236,14 @@ def integrate_semi_infinite_rows(f, xs, scale=1.0, power_singularity=None):
 
 def _half_line(g, n, scale, s):
     """_lockstep over (0, inf) for rows 0 .. n-1 of g: each starts with
-    [0, scale], in y**s at a power singularity s, four doubling panels and
-    the far tail, u in [0, 1]."""
+    [0, scale], in y**s at a power singularity s, panels at most 2 scale
+    wide out to 8 scale, where e**(-(y / scale)**2 / 2) is down to
+    e**-32, [8, 16] scale and the far tail, u in [0, 1]."""
     scale = float(scale) if 0.0 < scale < math.inf else 1.0
     power = s is not None and s != 1.0
     first = [(0, 0.0, scale ** float(s)) if power else (2, 0.0, scale),
              (1, 0.0, 1.0)]
-    first += [(2, a * scale, 2.0 * a * scale) for a in (1.0, 2.0, 4.0, 8.0)]
+    edges = (1.0, 2.0, 4.0, 6.0, 8.0, 16.0)
+    first += [(2, a * scale, b * scale) for a, b in zip(edges, edges[1:])]
     return _lockstep(g, [(i, *p) for i in range(n) for p in first], n,
                      1.0 / float(s) if power else 1.0, 16.0 * scale)

@@ -71,7 +71,13 @@ class TemperedStableParams:
 def _pow1pm1(x, y, beta):
     """(1 + x + i y)**beta - 1 on arrays of real x, y, through real log1p
     and expm1, so that |x + i y| << 1 loses nothing to the cancellation."""
-    p = 0.5 * beta * np.log1p(x * (2.0 + x) + y * y)  # beta log|1 + x + iy|
+    try:  # p = beta log|1 + x + iy|, from hypot where the sum overflows
+        with np.errstate(over="raise"):
+            p = 0.5 * beta * np.log1p(x * (2.0 + x) + y * y)
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            p = 0.5 * beta * np.log1p(x * (2.0 + x) + y * y)
+        p = np.where(p < np.inf, p, beta * np.log(np.hypot(1.0 + x, y)))
     q = beta * np.arctan2(y, 1.0 + x)                  # beta arg(1 + x + iy)
     return (np.expm1(p) * np.cos(q) - 2.0 * np.sin(q / 2) ** 2
             + 1j * np.exp(p) * np.sin(q))
@@ -87,18 +93,19 @@ class SeriesEval(NamedTuple):
 _SERIES_BLOCK = 32  # terms per round of sum_series_rows
 
 
-def sum_series_rows(block, n_rows, max_terms, floor, rel):
+def sum_series_rows(block, n_rows, max_terms, floor, rel, known=0):
     """Sum n_rows series term(1) + term(2) + ..., _SERIES_BLOCK terms a
-    round, and return each row's SeriesEval. block(js, rows) gives
-    (log_scale, mantissa, rel_j) of the terms mantissa * exp(log_scale)
-    at the j of js in the rows still summing (indices rows): log_scale
-    (rows x j), the others broadcasting to it, and rel_j a term's error
-    before the exp, which keeps terms of overflowing coefficients
-    representable. A row stops after three terms in a row below 1e-15 of
-    its sum (zero terms recur for rational beta). Its error is the last
-    term plus the sum of (rel_j + eps (|log_scale| + 4)) |term|, each
-    term's error and the rounding of its exp and its addition (Higham
-    2002, ch. 4); it has converged when that is within max(floor,
+    round, the first over the `known` terms block has at hand (at most
+    max_terms over all rows), and return each row's SeriesEval. block(js,
+    rows) gives (log_scale, mantissa, rel_j) of the terms mantissa *
+    exp(log_scale) at the j of js in the rows still summing (indices
+    rows): log_scale (rows x j), the others broadcasting to it, and rel_j
+    a term's error before the exp, which keeps terms of overflowing
+    coefficients representable. A row stops after three terms in a row
+    below 1e-15 of its sum (zero terms recur for rational beta). Its error
+    is the last term plus the sum of (rel_j + eps (|log_scale| + 4))
+    |term|, each term's error and the rounding of its exp and its addition
+    (Higham 2002, ch. 4); it has converged when that is within max(floor,
     rel * |sum|). max_terms terms end a row unconverged, as does a
     log_scale above 700, with the sum before it as value and error. A
     row's sums run along that row alone."""
@@ -106,10 +113,9 @@ def sum_series_rows(block, n_rows, max_terms, floor, rel):
     live = np.arange(n_rows)  # the rows still summing,
     acc = np.zeros((2, n_rows, 1))  # their sum and rounding so far
     last = np.zeros((n_rows, 2), dtype=bool)  # and last two small flags
-    for j0 in range(1, max_terms + 1, _SERIES_BLOCK):
-        if not len(live):
-            break
-        js = np.arange(j0, min(j0 + _SERIES_BLOCK, max_terms + 1))
+    j0, step = 1, max(_SERIES_BLOCK, min(known, max_terms // max(n_rows, 1)))
+    while len(live) and j0 <= max_terms:
+        js = np.arange(j0, min(j0 + step, max_terms + 1))
         log_scale, mantissa, rel_j = block(js, live)
         with np.errstate(over="ignore", invalid="ignore"):
             big = log_scale > 700.0
@@ -133,6 +139,7 @@ def sum_series_rows(block, n_rows, max_terms, floor, rel):
                            (k + j0).tolist(), ok.tolist()):
             out[i] = SeriesEval(*res)
         live, acc, last = live[~done], acc[:, ~done, -1:], small[~done, -2:]
+        j0, step = j0 + step, _SERIES_BLOCK
     return out
 
 

@@ -43,12 +43,11 @@ from itsub.stable_family import TemperedStableParams
 HERE = os.path.dirname(os.path.abspath(__file__))
 TABLE = os.path.join(HERE, "density_oracle.json")
 
-# (beta, lam, t, x); bulk points take x as a multiple of E[E(t)].
+# (beta, lam, t): bulk points at 0.3, 1 and 3 times E[E(t)]
 _BULK = [(0.5, 1.0, 50.0), (0.3, 50.0, 1.0),
          (0.5, 1.0, 1000.0), (0.9, 50.0, 20.0)]
-POINTS = [(b, lam, t, k * moment_exact(
-              MomentQuery(1.0, t, TemperedStableParams(b, lam))))
-          for b, lam, t in _BULK for k in (0.3, 1.0, 3.0)] + [
+# (beta, lam, t, x)
+_FIXED = [
     (0.5, 2.0, 1.0, 15.0),
     (0.5, 2.0, 1.0, 25.0),
     (0.5, 2.0, 1.0, 40.0),
@@ -67,12 +66,11 @@ POINTS = [(b, lam, t, k * moment_exact(
     # near the mean of E(1e3): the branch cut's rounding floor is above
     # the bar, and the saddle-point line gives h
     (0.7, 1.0, 1e3, 1428.79),
-] + [(b, lam, t, k * moment_exact(
-          MomentQuery(1.0, t, TemperedStableParams(b, lam))))
-     for b, lam, t, k in [
-    # (beta, lam, t, x / E[E(t)]): the north-star sweep points where eval
-    # once took the branch cut with an error above 1e-8 of h, but for
-    # (0.3, 50, 1, 0.3), which is in _BULK
+]
+# (beta, lam, t, x / E[E(t)]): the north-star sweep points where eval
+# once took the branch cut with an error above 1e-8 of h, but for
+# (0.3, 50, 1, 0.3), which is in _BULK
+_SWEEP = [
     (0.02, 1e-3, 1e-3, 10.0), (0.02, 1e-3, 1.0, 10.0),
     (0.02, 1.0, 1e-3, 10.0), (0.02, 50.0, 1.0, 1e-3),
     (0.1, 1e-3, 1.0, 10.0), (0.1, 1.0, 1e-3, 10.0), (0.1, 50.0, 1e-3, 10.0),
@@ -84,7 +82,28 @@ POINTS = [(b, lam, t, k * moment_exact(
     (0.7, 0.0, 1e3, 3.0), (0.7, 1e-3, 1e3, 3.0), (0.7, 1.0, 1.0, 3.0),
     (0.7, 50.0, 1.0, 0.3),
     (0.9, 1.0, 1e3, 0.3), (0.9, 50.0, 1.0, 0.3),
-    (0.98, 1.0, 1e3, 0.3), (0.98, 50.0, 1.0, 0.3)]]
+    (0.98, 1.0, 1e3, 0.3), (0.98, 50.0, 1.0, 0.3)]
+
+
+def points(frozen):
+    """(beta, lam, t, x) of the branch-cut rows, in table order. A point
+    at x = k E[E(t)] takes the x of the row of frozen, the rows already
+    written, at its (beta, lam, t) within 1e-9 of k E[E(t)]: moment_exact
+    has moved in the 12th digit since those rows were frozen, and a rerun
+    must reproduce them at their own x. A new point takes k E[E(t)]."""
+    def at_mean(beta, lam, t, k):
+        x = k * moment_exact(
+            MomentQuery(1.0, t, TemperedStableParams(beta, lam)))
+        return beta, lam, t, next(
+            (row["x"] for row in frozen
+             if (row["beta"], row["lam"], row["t"]) == (beta, lam, t)
+             and abs(row["x"] - x) <= 1e-9 * x), x)
+
+    return ([at_mean(b, lam, t, k) for b, lam, t in _BULK
+             for k in (0.3, 1.0, 3.0)]
+            + _FIXED + [at_mean(*point) for point in _SWEEP])
+
+
 # (beta, lam = 0, t, x): north-star sweep points at 10 x mean, where the
 # series cancels, and a README density grid point
 WRIGHT_POINTS = [
@@ -186,8 +205,12 @@ def oracle(beta, lam, t, x):
 
 
 def main():
+    frozen = []
+    if os.path.exists(TABLE):
+        with open(TABLE) as f:
+            frozen = json.load(f)
     rows = []
-    for beta, lam, t, x in POINTS:
+    for beta, lam, t, x in points(frozen):
         h, how = oracle(beta, lam, t, x)
         print(beta, lam, t, x, h, how, file=sys.stderr)
         rows.append({"beta": beta, "lam": lam, "t": t, "x": x, "h": h,

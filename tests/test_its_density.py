@@ -793,6 +793,37 @@ def test_series_computes_each_coefficient_block_once(monkeypatch):
     assert calls == []
 
 
+def test_series_rows_are_the_same_cold_and_warm(monkeypatch):
+    # a warm call's first round spans every A_j already cached, so a
+    # one-row call that took four rounds cold takes one; it adds the same
+    # terms in the same order, so every series row of eval, cdf and
+    # eval_density_grid is the same to the last bit, cold or warm
+    params = TemperedStableParams(0.6, 0.0)
+    xs = [0.5, 2.0, 4.0]
+    calls = ([lambda x=x: eval_density(EvalPoint(x, 1.0), params)
+              for x in xs] + [lambda x=x: cdf(x, 1.0, params) for x in xs]
+             + [lambda: its_density.eval_density_grid(xs, 1.0, params)])
+    cold = []
+    for call in calls:
+        its_density._coefficients.cache_clear()
+        cold.append(repr(call()))
+    assert [repr(call()) for call in calls] == cold
+    assert "saddle" not in "".join(cold)
+    blocks = []
+    sum_rows = its_density.sum_series_rows
+
+    def counted(block, *args):
+        def one(js, rows):
+            blocks.append(len(js))
+            return block(js, rows)
+        return sum_rows(one, *args)
+
+    monkeypatch.setattr(its_density, "sum_series_rows", counted)
+    res = eval_density(EvalPoint(4.0, 1.0), params)
+    assert res.method == "series" and res.terms_or_panels > 3 * 32
+    assert len(blocks) == 1
+
+
 def test_unconverged_forms_fall_back_below_double_range(monkeypatch):
     # the series does not converge at beta = 0.95, t = 1e-3, where log h
     # is about -1.8e49: the saddle contour's bound gives 0 with error 0,
@@ -833,6 +864,32 @@ def test_bulk_density_takes_the_parabola_in_few_panels(monkeypatch):
     res = eval_density(EvalPoint(1428.79, 1e3), TemperedStableParams(0.7, 1.0))
     assert res.method == "saddle"
     assert len(panels) == 1 and panels[0] <= 15
+
+
+@pytest.mark.parametrize("beta,lam,t", [(0.6, 1.0, 1.0), (0.8, 1.0, 1.0),
+                                        (0.4, 2.0, 0.5), (0.5, 1.0, 1.0)])
+def test_bulk_parabola_converges_on_its_first_integrand_call(monkeypatch,
+                                                             beta, lam, t):
+    # at twice the mean in the four normalization cases the integrand is
+    # a Gaussian core of one saddle width times a slowly varying factor:
+    # the first seven panels, at most two widths wide out to eight, meet
+    # the target at once, in one integrand call, with no bisection
+    calls = []
+    integrate = its_density.integrate_semi_infinite_rows
+
+    def counted(f, *args):
+        def g(rows, v):
+            calls.append(v.size)
+            return f(rows, v)
+        return integrate(g, *args)
+
+    monkeypatch.setattr(its_density, "integrate_semi_infinite_rows", counted)
+    params = TemperedStableParams(beta, lam)
+    x = 2.0 * moment_exact(MomentQuery(1.0, t, params))
+    line = its_density._line(1, x, t, params)
+    res, = its_density._saddle(1, [x], t, params, [line])
+    assert res is not None and res[2] == 7
+    assert calls == [7 * 15]
 
 
 def test_series_raises_where_its_own_error_misses_the_bar():
@@ -966,6 +1023,22 @@ def test_the_parabola_converges_where_the_vertical_line_did_not(point):
     beta, lam, t, x = point
     value, err = _parabola(x, t, TemperedStableParams(beta, lam))
     assert abs(value - ref) <= 1e-8 * ref
+
+
+@pytest.mark.parametrize("t", (1e-3, 1.0, 1e3))
+def test_the_parabola_converges_at_the_pole_points(t):
+    # beta 0.98, lam 0, x = 1e-3 x mean: c + lam is about 1e-148, so
+    # u = y / (c + lam) reaches 1e76 on the first panels, where
+    # b (2 + b) + u**2 overflowed and ended the row; |1 + b + iu| from
+    # hypot there keeps it, and it meets the series within their errors
+    params = TemperedStableParams(0.98, 0.0)
+    x = 1e-3 * moment_exact(MomentQuery(1.0, t, params))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, err = _parabola(x, t, params)
+    series = eval_series(EvalPoint(x, t), params)
+    assert abs(value - series.value) <= err + series.error_estimate
+    assert err <= 1e-8 * value
 
 
 def test_sweep_returns_a_value_or_a_typed_error():

@@ -162,9 +162,9 @@ def test_one_row_half_line_batches_its_first_round():
         return f(0.8, y)
 
     r = integrate_semi_infinite(counted, 1.0, 0.4)
-    assert r.converged and r.subdivisions_used == 9
+    assert r.converged and r.subdivisions_used == 10
     assert len(calls) <= 7
-    assert calls[0] == 6 * 15
+    assert calls[0] == 7 * 15
     assert all(n == 2 * 15 for n in calls[1:])
 
 

@@ -9,16 +9,18 @@ Prints the density and cdf methods (the cdf's as its m = 0 call of the
 shared dispatcher `_grid` returned them: boundary, series or saddle),
 the raises, the seconds spent in each function, the slowest point of
 each, the number of quadrature calls, their integrand
-rounds (calls of `_gk15_rows`), their total panels and the largest
+rounds (calls of `_gk15_rows`), the series rounds (calls of a
+`sum_series_rows` block), the quadratures' total panels and the largest
 panel count of any one integral (per-point calls only). No density, of
 any method, may carry an error above 1e-8 of its value. Wherever both
 `eval_series` and `eval_integral` converge, their values must agree
 within the sum of their error estimates. `_saddle` at m = 1 then runs at
 every point, whatever `eval_density` chose there, outside the panel
-counter: wherever it and the series converge, they must agree within
-their summed errors, and so must it and the integral wherever the
-integral's error is within 1e-8 of its value; the integral rows beyond
-that bar which lie apart are listed without a gate. The m = 0 branch
+counter, and must converge at each: wherever the series converges too,
+they must agree within their summed errors, and so must it and the
+integral wherever the integral's error is within 1e-8 of its value;
+the integral rows beyond that bar which lie apart are listed without a
+gate. The m = 0 branch
 cut, the paper's integral for the cdf, runs at every point outside the
 panel counter too: wherever its error is within 1e-8 of its value, it
 and the cdf must agree within their summed errors. Every value of the
@@ -39,6 +41,7 @@ step of 1/100 and a horizon of 20 times the mean E[E(1)] from
 of each sample mean against that mean. Exits 1 if a moment table row
 differs from `moment_exact` or has no finite error, if any density,
 cdf, direct `_saddle` or m = 0 branch-cut call raised or warned, if a
+direct `_saddle` call did not converge, if a
 density's error is above 1e-8 of its value, if a series/integral,
 series/saddle, gated integral/saddle or gated cdf/branch-cut pair lies
 outside its summed errors, if a cdf falls with
@@ -119,15 +122,16 @@ def sweep(tables):
     """One row per point of points(tables), (params, t, x, density result,
     cdf value, density seconds, cdf seconds, series result, integral
     result), where a raise stands in for its result; the panel count of every
-    quadrature call; the number of integrand rounds of those calls;
+    quadrature call; the number of integrand rounds of those calls and of
+    series rounds;
     (m, params, t, x, log |I|, log bound) for every value of the
     saddle-point contour, the bound from its _line; and per row the cdf's
     DensityResult from its m = 0 _grid call, before the clamp, or the
     raise."""
     panels, lines, dispatched = [], [], []
-    rounds = 0
+    rounds = collections.Counter()
     lockstep, saddle = quadrature._lockstep, its_density._saddle
-    gk15_rows = quadrature._gk15_rows
+    gk15_rows, sum_rows = quadrature._gk15_rows, its_density.sum_series_rows
     grid = its_density._grid
 
     def counted(*args):
@@ -136,9 +140,14 @@ def sweep(tables):
         return results
 
     def evaluated(*args):
-        nonlocal rounds
-        rounds += 1
+        rounds["integrand"] += 1
         return gk15_rows(*args)
+
+    def summed(block, *args):
+        def counted_block(js, rows):
+            rounds["series"] += 1
+            return block(js, rows)
+        return sum_rows(counted_block, *args)
 
     def bounded(m, xs, t, params, line):
         results = saddle(m, xs, t, params, line)
@@ -155,6 +164,7 @@ def sweep(tables):
 
     quadrature._lockstep = counted
     quadrature._gk15_rows = evaluated
+    its_density.sum_series_rows = summed
     its_density._saddle = bounded
     its_density._grid = recorded
     rows, cdf_results = [], []
@@ -173,6 +183,7 @@ def sweep(tables):
     finally:
         quadrature._lockstep = lockstep
         quadrature._gk15_rows = gk15_rows
+        its_density.sum_series_rows = sum_rows
         its_density._saddle = saddle
         its_density._grid = grid
     return rows, panels, rounds, lines, cdf_results
@@ -358,7 +369,8 @@ def main():
         slowest = max(rows, key=lambda r: r[col])
         print(f"{name} {sum(r[col] for r in rows):.1f} s, slowest "
               f"{slowest[col]:.3f} s at {_where(slowest)}")
-    print(f"quadrature calls {len(panels)}, integrand rounds {rounds}, "
+    print(f"quadrature calls {len(panels)}, integrand rounds "
+          f"{rounds['integrand']}, series rounds {rounds['series']}, "
           f"panels {sum(panels)}, largest panel count "
           f"{max(panels, default=0)}")
     print(f"raised {len(raised)}")
@@ -372,11 +384,11 @@ def main():
               f"{s.error_estimate:.2g}, integral {i.value:.10g} +- "
               f"{i.error_estimate:.2g}")
     saddles = [(r, d) for r, d in zip(rows, direct) if isinstance(d, tuple)]
+    missed = [r for r, d in zip(rows, direct) if d is None]
     print(f"saddle-point contour at every point: converged {len(saddles)} "
-          f"of {len(rows)} in {direct_s:.1f} s")
-    for row, d in zip(rows, direct):
-        if d is None:
-            print(f"  not at {_where(row)}")
+          f"of {len(rows)} in {direct_s:.1f} s, not converged {len(missed)}")
+    for row in missed:
+        print(f"  not at {_where(row)}")
     series_pairs = [(r, r[7], d) for r, d in saddles
                     if not isinstance(r[7], Exception)]
     series_apart = [p for p in series_pairs if _apart(*p[1:])]
@@ -451,8 +463,8 @@ def main():
                  else f"z {z:+.2f}")
         print(f"  beta={params.beta} lam={params.lam}: mean {mean:.6g}, "
               f"{shown}, {s:.2f} s")
-    return 1 if (moment_bad or raised or apart or loose or series_apart
-                 or cut_apart or cdf_apart or above or falls or differ
+    return 1 if (moment_bad or raised or apart or loose or missed
+                 or series_apart or cut_apart or cdf_apart or above or falls or differ
                  or ic_bad or mc_bad) else 0
 
 
