@@ -29,6 +29,7 @@ from .quadrature import (
 from .special_fn import GAMMA_REL_ERROR, upper_incomplete_gamma_scaled
 from .special_fn import _log_upper_gamma_scaled_pos
 from .stable_family import (
+    _LOG_TINY,
     NonConvergenceError,
     ParameterError,
     require_finite,
@@ -63,8 +64,6 @@ class DensityResult:
 
 # The series runs first where x * lam**beta is at most this.
 _SERIES_MAX_X_LAM_BETA = 2.0
-# The log of the least subnormal double: a bound below it certifies a 0.
-_LOG_TINY = math.log(5e-324)
 
 
 def _cut_integrand(m, t, params):
@@ -135,7 +134,7 @@ def _line(m, x, t, params):
     return c, w, phi, at_c, float(phi + math.log(at_c / math.pi) + log_j)
 
 
-def _saddle(m, xs, t, params, lines):
+def _saddle(m, xs, t, params, lines, floor=_LOG_TINY):
     """The twin of _branch_cut through the saddle points c that _line gave
     at each x of xs (Daniels 1954, Ann. Math. Stat. 25; Lugannani & Rice
     1980, Adv. Appl. Probab. 12), on the steepest-descent parabola
@@ -146,12 +145,27 @@ def _saddle(m, xs, t, params, lines):
     m = 1, 1 - cdf at m = 0 and c > 0, and -cdf at c < 0. Each x is a row
     of one integrate_semi_infinite_rows call in y / w, with e**phi(c) and
     the value at y = 0 taken out. Per x (log |I|, error of I, panels);
-    (-inf, 0, 0) with no panel run where _line's bound is below the least
-    subnormal; None where the quadrature did not converge to a positive
-    integral or its error, with the rounding of phi(c) and of the phase
-    w t, is above BAR * max(1, |I|)."""
-    out = [(-math.inf, 0.0, 0) if ln[4] < _LOG_TINY else None for ln in lines]
-    run = [i for i, res in enumerate(out) if res is None]
+    with no panel run, (-inf, 0, 0) where _line's bound is below floor (by
+    default the least subnormal), and Laplace's term, the integral in
+    y / w taken as sqrt(pi / 2), where the rounding of the exponent,
+    eps (|c t| + |c t - phi(c)|), passes 1 and hides the integrand from
+    any quadrature, with that rounding as its relative error; None at
+    m = 0 and lam = 0 where _line moved c to 2 w, right of a pole that is
+    also the branch point, and where the quadrature did not converge to a
+    positive integral or its error, with the rounding of phi(c) and of the
+    phase w t, is above BAR * max(1, |I|)."""
+    out, run = [None] * len(lines), []
+    for i, (c, w, phi, at_c, log_b) in enumerate(lines):
+        noise = 2.2e-16 * (abs(c * t) + abs(c * t - phi))
+        if log_b < floor:
+            out[i] = (-math.inf, 0.0, 0)
+        elif m == 0 and params.lam == 0 and c == 2.0 * w:
+            continue
+        elif noise > 1.0:
+            log_i = phi + math.log(abs(at_c) * w / math.sqrt(2 * math.pi))
+            out[i] = (log_i, math.exp(log_i) * noise, 0)
+        else:
+            run.append(i)
     if not run:
         return out
     x = np.array([xs[i] for i in run])
@@ -232,9 +246,10 @@ def eval_integral(p, params):
     return DensityResult(res[0], res[1], "integral", res[2])
 
 
-def _series(m, xs, t, params):
+def _series(m, xs, t, params, floor=1e-13 / math.pi, bar=BAR):
     """The series at every x of xs, one row each of sum_series_rows: per x
-    a DensityResult, or None where the sum did not converge. m = 1 sums h
+    a DensityResult, or None where the sum's error is above max(floor,
+    bar * |sum|) or it did not converge otherwise. m = 1 sums h
     (eval_series), m = 0 its integral from 0, the CDF: the j-th term of h
     is the x-derivative of (-1)**(j-1) A_j e**(lam**beta x) x**j / (j! pi).
     An A_j that underflowed at large lam * t gets log scale +inf, which
@@ -259,7 +274,7 @@ def _series(m, xs, t, params):
         parts = np.abs(lp) + np.abs(la) + np.abs(lw) + (6.0 * lg + js * lt)
         return ls, np.where(js % 2, sign, -sign), rel + 2.2e-16 * parts
 
-    rows = sum_series_rows(block, len(xs), 400, 1e-13 / math.pi, BAR,
+    rows = sum_series_rows(block, len(xs), 400, floor, bar,
                            _coefficients(t, params)(1).shape[1])
     return [DensityResult(r.value, r.error_estimate, "series", r.terms)
             if r.converged else None for r in rows]
@@ -350,6 +365,23 @@ def _grid(m, xs, t, params):
 def eval_density_grid(xs, t, params):
     """h(x, t) at every x of xs, t and params shared: _grid at m = 1."""
     return _grid(1, xs, t, params)
+
+
+def _log_density(x, t, params, floor):
+    """log h(x, t) at x, t > 0 by _grid's series, then its parabola, in
+    logs: the series where x * lam**beta <= 2 and its error is within
+    1e-12 of its positive sum, with no absolute floor, else log |I| from
+    _saddle, -inf where _line's bound is below floor. NonConvergenceError
+    where neither converged."""
+    if x * params.lam ** params.beta <= _SERIES_MAX_X_LAM_BETA:
+        res, = _series(1, [x], t, params, 0.0, 1e-12)
+        if res is not None and res.value > 0.0:
+            return math.log(res.value)
+    res, = _saddle(1, [x], t, params, [_line(1, x, t, params)], floor)
+    if res is None:
+        raise NonConvergenceError(
+            f"log density at x={x}, t={t}, {params} did not converge")
+    return res[0]
 
 
 def boundary_value(t, params):

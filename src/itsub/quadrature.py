@@ -1,18 +1,17 @@
 """Adaptive quadrature on (0, inf) for decaying, possibly oscillatory
-integrands, and on finite intervals; one integral or a family of them in
-lockstep.
+integrands; one integral or a family of them in lockstep.
 
 The half line starts from seven panels, the last [16 * scale, inf)
-mapped onto [0, 1] as in QUADPACK's QAGI, a finite interval from one panel
-between each pair of given edges; one loop then bisects, each round, the
-panels of largest error estimate until those it leaves whole are within
-the target (the batching of scipy's quad_vec). Each panel uses the
-nested Gauss7/Kronrod15 pair, with the error taken as the difference of
-the two orders. An error within the rounding floor 50 * eps * int |f|
-has converged, and a floor above the bar BAR * max(1, |value|) gives up
-at once, since no bisection brings cancelling noise under it (the
-roundoff tests of QUADPACK's QAG/QAGI, Piessens et al. 1983, section
-3.4). Integrands must accept and return numpy arrays.
+mapped onto [0, 1] as in QUADPACK's QAGI; one loop then bisects, each
+round, the panels of largest error estimate until those it leaves whole
+are within the target (the batching of scipy's quad_vec). Each panel
+uses the nested Gauss7/Kronrod15 pair, with the error taken as the
+difference of the two orders. An error within the rounding floor
+50 * eps * int |f| has converged, and a floor above the bar
+BAR * max(1, |value|) gives up at once, since no bisection brings
+cancelling noise under it (the roundoff tests of QUADPACK's QAG/QAGI,
+Piessens et al. 1983, section 3.4). Integrands must accept and return
+numpy arrays.
 """
 
 import math
@@ -185,16 +184,6 @@ def _lockstep(g, new, n, inv=1.0, reach=0.0):
 def _one_row(f):
     """f of a 1-d y as the integrand g(rows, y) of one row."""
     return lambda rows, y: f(y.ravel()).reshape(y.shape)
-
-
-def integrate_interval(f, edges):
-    """Integrate f over [edges[0], edges[-1]], starting from one panel
-    between each pair of consecutive edges; edges at the integrand's
-    peaks keep them visible to the first pass. f must be vectorized and
-    finite inside the interval; the rest is as integrate_semi_infinite.
-    """
-    new = [(0, 2, a, b) for a, b in zip(edges, edges[1:])]
-    return _lockstep(_one_row(f), new, 1)[0]
 
 
 def integrate_semi_infinite(f, scale=1.0, power_singularity=None):

@@ -1,13 +1,15 @@
 """Densities of the one-sided stable subordinator, its exponentially
 tempered version, and the inverse stable subordinator.
 
-The stable density f(x, t) (Laplace transform exp(-t s**beta)) comes
-from Kanter's integral, whose integrand is positive on (0, pi) (Kanter
-1975, Ann. Probab. 3; Nolan 1997, Stoch. Models 13), summed in logs; the
-inverse stable density, the tests' lam = 0 reference,
-has a power series in x with a fallback to f through the first-passage
-identity. All densities vanish for x <= 0 by convention. Every series
-in the package, this one and the density series of its_density, is
+All three come from its_density's dispatcher at lam = 0: the inverse
+stable density is h(x, t) there, and the stable density f(x, t), Laplace
+transform exp(-t s**beta), is beta t / x h(t, x) by the first-passage
+identity, taken in logs, so that it stays accurate far below double
+range; the tempered density adds -lam x + lam**beta t to log f (Rosinski
+2007, Stoch. Proc. Appl. 117). inverse_stable_density_series, the Wright
+series on coefficients of its own, is the tests' independent lam = 0
+reference. All densities vanish for x <= 0 by convention. Every series
+in the package, that one and the density series of its_density, is
 summed by sum_series_rows, a block of terms at a time for many rows.
 """
 
@@ -18,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special as sp
 
-from .quadrature import integrate_interval
 from .quadrature import integrate_semi_infinite  # not called; bench/spans.py wraps this name
 
 
@@ -91,6 +92,8 @@ class SeriesEval(NamedTuple):
 
 
 _SERIES_BLOCK = 32  # terms per round of sum_series_rows
+# The log of the least subnormal double: a bound below it certifies a 0.
+_LOG_TINY = math.log(5e-324)
 
 
 def sum_series_rows(block, n_rows, max_terms, floor, rel, known=0):
@@ -143,109 +146,41 @@ def sum_series_rows(block, n_rows, max_terms, floor, rel, known=0):
     return out
 
 
-# log(sin(v) / v) = -sum_n zeta(2n) (v/pi)**(2n) / n, as a polynomial in
-# v**2 with n = 10..1, highest first: full precision below v = 0.5.
-_LOG_SINC = [-sp.zeta(2 * n) / (n * math.pi ** (2 * n))
-             for n in range(10, 0, -1)]
+def _stable_log_density(x, t, beta, tilt=0.0, floor=-math.inf):
+    """log f(x, t) + tilt for x > 0 by the first-passage identity
+    f(x; t) = beta t / x h(t, x) at lam = 0, with log h from its_density's
+    series, then its parabola, in logs: accurate far below double range,
+    and -inf where the bound of log h lies below floor less the log
+    prefactor log(beta t / x) + tilt. NonConvergenceError where neither
+    converged."""
+    from .its_density import _log_density  # its_density imports this module
 
-
-def _stable_log_density(x, t, beta):
-    """log f(x, t) for x > 0 by Kanter's integral, summed in logs with
-    e**(-a(0) z) factored out; -inf below every double.
-    NonConvergenceError when the quadrature fails.
-
-    With s = x t**(-1/beta), z = s**-kappa, kappa = beta/(1-beta) and
-    a(u) = sin(beta u)**kappa sin((1-beta) u) / sin(u)**(1/(1-beta)),
-    f(x, t) = t**(-1/beta) (kappa/pi) s**(-kappa-1) int_0^pi a e**(-a z) du.
-    It is taken in y at r(y) = log(a(u) / a(0)), q = log(a(0) z), over
-    first panel edges set by the width of the peak of a z e**(-a z). For
-    q >= 0 that peak is at u = 0 and y = u; else it is where a z = 1, at
-    v* = pi - u ~ sin(beta pi) z**(1-beta), and y = v = pi - u.
-    """
     require_positive("t", t)
-    require_beta(beta)
-    log_s = math.log(x) - math.log(t) / beta
-    kappa = beta / (1.0 - beta)
-    log_a0 = kappa * math.log(beta) + math.log1p(-beta)
-    q = log_a0 - kappa * log_s
-    if q > 700.0:
-        return -math.inf
-    if q >= 0.0:
-        # Gaussian in u, of width (beta (e**q - 1))**-1/2 when that is small
-        log_width = math.log(math.pi) - 0.5 * math.log1p(
-            beta * math.expm1(q) * math.pi ** 2)
-        edges = [k * math.exp(log_width) for k in (0.0, 1.0, 3.0, 9.0)]
-    else:
-        # e**(w - e**w) in w = log(a z) ~ log(v*/v) / (1-beta), and a
-        # power tail (v*/v)**(1/(1-beta)) beyond, whose mass past V is a
-        # share (v*/V)**kappa / beta: edges e**3 apart until that is tiny
-        log_v = math.log(math.sin(beta * math.pi)) + (1.0 - beta) * (q - log_a0)
-        log_width = math.log1p(-beta) + log_v
-        logs = [log_v + (1.0 - beta) * w for w in (-4.0, -1.0, 2.0, 5.0)]
-        while logs[-1] - log_v < 45.0 / kappa and logs[-1] < math.log(math.pi):
-            logs.append(logs[-1] + 3.0)
-        edges = [0.0] + [math.exp(e) for e in logs]
-    edges = [e for e in edges if e < math.pi] + [math.pi]
-
-    def r(y):
-        # With sin(c u) = c u sinc(c u) the powers of u cancel. Each
-        # log-sinc term is its Taylor series below 0.5, so r keeps its
-        # relative accuracy as u -> 0; sin(u) = sin(v) keeps it as u -> pi.
-        u, v = (y, math.pi - y) if q >= 0.0 else (math.pi - y, y)
-        arg = np.multiply.outer((beta, 1.0 - beta, 1.0), u)
-        sines = np.sin(arg)
-        sines[2] = np.sin(v)
-        w = arg * arg
-        series = _LOG_SINC[0]
-        for c in _LOG_SINC[1:]:
-            series = series * w + c
-        log_sinc = np.where(arg < 0.5, series * w, np.log(sines / arg))
-        return np.array([kappa, 1.0, -1.0 / (1.0 - beta)]) @ log_sinc
-
-    ez = math.exp(q)
-    # Dividing a z e**(-z (a - a(0))) by its peak, e**q at u = 0 or
-    # e**(e**q - 1) where a z = 1, times the peak's width keeps the
-    # integral near 1, where the absolute tolerance is harmless.
-    shift = (q if q >= 0.0 else math.expm1(q)) + log_width
-
-    def integrand(y):
-        # z (a - a(0)): expm1 keeps it accurate as u -> 0 at large e**q;
-        # at q < 0 the plain difference does too and survives e**q = 0
-        ry = r(y)
-        za = ez * np.expm1(ry) if q >= 0.0 else np.exp(q + ry) - ez
-        return np.exp(q + ry - za - shift)
-
-    res = integrate_interval(integrand, edges)
-    if not (res.converged and res.value > 0.0):
-        raise NonConvergenceError(
-            f"stable density at x={x}, t={t}, beta={beta} did not converge")
-    # (kappa/pi) s**(-kappa-1) / z = kappa / (pi s)
-    return (math.log(kappa / math.pi) - log_s - ez + shift
-            + math.log(res.value) - math.log(t) / beta)
+    params = TemperedStableParams(beta)
+    pref = math.log(beta) + math.log(t) - math.log(x) + tilt
+    return pref + _log_density(t, x, params, floor - pref)
 
 
 def stable_density(x, t, beta):
-    """Stable density f(x, t), Laplace transform exp(-t s**beta), by
-    Kanter's integral; 0 below double range."""
-    require_finite("x", x)
-    if x <= 0:
-        return 0.0
-    return math.exp(_stable_log_density(x, t, beta))
+    """Stable density f(x, t), Laplace transform exp(-t s**beta), by the
+    first-passage identity; 0 below double range."""
+    return tempered_density(x, t, TemperedStableParams(beta))
 
 
 def tempered_density(x, t, params):
-    """Tempered stable density exp(-lam*x + lam**beta * t) * f(x, t)."""
+    """Tempered stable density exp(-lam*x + lam**beta * t) * f(x, t), the
+    tilt added to log f; 0 below double range."""
     require_finite("x", x)
     if x <= 0:
         return 0.0
-    log_f = _stable_log_density(x, t, params.beta)
-    return math.exp(log_f - params.lam * x + params.lam ** params.beta * t)
+    tilt = params.lam ** params.beta * t - params.lam * x
+    return math.exp(_stable_log_density(x, t, params.beta, tilt, _LOG_TINY))
 
 
 def inverse_stable_density_series(x, t, beta):
     """Inverse stable density as a SeriesEval by its power series in x,
     sum_k Gamma(k beta) sin(k beta pi) (-x)**(k-1) / (k-1)!
-    * t**(-k beta) / pi."""
+    * t**(-k beta) / pi, on coefficients of its own."""
     require_finite("x", x)
     require_positive("t", t)
     require_beta(beta)
@@ -266,14 +201,11 @@ def inverse_stable_density_series(x, t, beta):
 
 
 def inverse_stable_density(x, t, beta):
-    """Inverse stable density, series with automatic fallback.
+    """Inverse stable density h(x, t) at lam = 0, 0 at x < 0: the one-row
+    call of its_density's dispatcher, the Wright series, then the
+    steepest-descent parabola."""
+    from .its_density import EvalPoint, eval as eval_density
 
-    When the power series cancels too badly (large x * t**(-beta)) the
-    density is recovered from the first-passage identity
-    l(x, t) = t / (beta * x) * f(t; time x), with f from Kanter's
-    integral.
-    """
-    res = inverse_stable_density_series(x, t, beta)  # 0 at x < 0
-    if res.converged:
-        return res.value
-    return t / (beta * x) * stable_density(t, x, beta)
+    require_finite("x", x)
+    res = eval_density(EvalPoint(max(x, 0.0), t), TemperedStableParams(beta))
+    return res.value if x >= 0 else 0.0

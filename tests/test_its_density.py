@@ -603,6 +603,21 @@ def test_cdf_near_the_median_takes_the_shifted_line():
         assert c == 2.0 * w
 
 
+@pytest.mark.parametrize("beta, value", [(0.9, 1.0938667456946555e-4),
+                                         (0.98, 2.041470981715448e-5)])
+@pytest.mark.parametrize("t", [1e-3, 1.0, 1e3])
+def test_untempered_cdf_refuses_the_pole_line(beta, value, t):
+    # at lam = 0 the pole at 0 is also the branch point; the line two
+    # widths right of it gave 3.65e-12 +- 5.9e-12 at beta 0.9 against
+    # 1.09e-4, so _saddle refuses it, and cdf keeps the series' value
+    params = TemperedStableParams(beta, 0.0)
+    x = 1e-3 * moment_exact(MomentQuery(1.0, t, params))
+    line = its_density._line(0, x, t, params)
+    assert line[0] == 2.0 * line[1]
+    assert its_density._saddle(0, [x], t, params, [line]) == [None]
+    assert cdf(x, t, params) == value
+
+
 def test_cdf_at_tiny_t_meets_chernoffs_bound():
     # the m = 0 branch cut converged to 0 +- 0 here, but P(E(t) > 1) is
     # at most e**phi(s*), phi(s*) = -1.56e8 and -2.5e49, so the cdf is 1

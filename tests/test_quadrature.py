@@ -9,11 +9,19 @@ from itsub.quadrature import (
     BAR,
     MAX_SUBDIVISIONS,
     REL_TOL,
-    integrate_interval,
+    _lockstep,
+    _one_row,
     integrate_semi_infinite,
     integrate_semi_infinite_rows,
 )
 from itsub.stable_family import TemperedStableParams
+
+
+def _interval(f, edges):
+    """_lockstep's one-row integral of f over [edges[0], edges[-1]], from
+    one panel in y between each pair of consecutive edges."""
+    return _lockstep(_one_row(f),
+                     [(0, 2, a, b) for a, b in zip(edges, edges[1:])], 1)[0]
 
 
 def _check(result, expected, tol=1e-10):
@@ -102,7 +110,7 @@ def test_subdivision_budget_reported():
     # sign(sin(1/y)) flips infinitely often towards 0, and
     # sin(y) / (1 + y)**0.01 barely decays: neither converges, and a round
     # that bisects many panels at once must still stop at the budget
-    lambda: integrate_interval(lambda y: np.sign(np.sin(1.0 / y)),
+    lambda: _interval(lambda y: np.sign(np.sin(1.0 / y)),
                                [1e-9, 1.0]),
     lambda: integrate_semi_infinite(lambda y: np.sin(y) / (1.0 + y) ** 0.01),
 ], ids=["sign_sin_inverse", "slow_oscillation"])
@@ -115,8 +123,8 @@ def test_batched_bisection_keeps_the_panel_budget(integrate):
 def test_interval_closed_form_over_given_edges():
     # int_0^pi sin = 2 from three first panels; |y - 1| is linear on each
     # side of its edge at 1, so both of its panels are exact at once
-    _check(integrate_interval(np.sin, [0.0, 1.0, 2.0, math.pi]), 2.0)
-    r = integrate_interval(lambda y: np.abs(y - 1.0), [0.0, 1.0, 2.0])
+    _check(_interval(np.sin, [0.0, 1.0, 2.0, math.pi]), 2.0)
+    r = _interval(lambda y: np.abs(y - 1.0), [0.0, 1.0, 2.0])
     _check(r, 1.0)
     assert r.subdivisions_used == 2
 
@@ -126,7 +134,7 @@ def test_non_finite_panel_ends_the_interval_unconverged():
     # stops there, keeps no panel after it and warns of nothing
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        r = integrate_interval(lambda y: 1.0 / (y - 1.5), [0.0, 1.0, 2.0, 3.0])
+        r = _interval(lambda y: 1.0 / (y - 1.5), [0.0, 1.0, 2.0, 3.0])
     assert not r.converged
     assert r.error_estimate == math.inf
     assert r.subdivisions_used == 2
@@ -143,7 +151,7 @@ def test_each_round_bisects_every_panel_the_target_needs():
         calls.append(y.size)
         return np.abs(y - 0.3) + np.abs(y - 2.7)
 
-    r = integrate_interval(f, [0.0, 1.0, 2.0, 3.0])
+    r = _interval(f, [0.0, 1.0, 2.0, 3.0])
     assert r.converged
     assert abs(r.value - 7.38) <= r.error_estimate
     assert r.subdivisions_used == 23

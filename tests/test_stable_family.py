@@ -182,6 +182,21 @@ def test_tempered_density_far_from_the_tilt():
         pytest.approx(1.0020694744338194, rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("lam, t", [(50.0, 1e3), (10.0, 300.0), (1.0, 1e3),
+                                    (50.0, 1.0)])
+def test_tempered_density_beyond_double_range_of_f(lam, t):
+    # beta = 1/2: log f(x, t) = log(t / (2 sqrt(pi))) - 1.5 log x
+    # - t**2 / (4x), tilted in logs by -lam x + sqrt(lam) t. At (50, 1e3)
+    # and x = beta lam**(beta-1) t, log f is about -3535 and only the
+    # tilted density is a double.
+    for k in (0.2, 0.5, 1.0, 2.0, 5.0):
+        x = k * 0.5 * lam ** -0.5 * t
+        log_ref = (math.log(t / (2.0 * math.sqrt(math.pi))) - 1.5 * math.log(x)
+                   - t * t / (4.0 * x) - lam * x + math.sqrt(lam) * t)
+        assert tempered_density(x, t, TemperedStableParams(0.5, lam)) == \
+            pytest.approx(math.exp(log_ref), rel=1e-8, abs=0.0)
+
+
 def test_tempered_density_normalizes():
     params = TemperedStableParams(0.5, 1.0)
     val, err = quad(lambda x: tempered_density(x, 1.0, params),

@@ -34,7 +34,12 @@ the point in value, error and terms, and any other row with the same
 method, the same terms or panels and a value within the point's error
 estimate. Then the PDE check's `initial_condition_check`, which is 0
 analytically, runs over 8 beta x 5 x, where it must return below 1e-8 or
-raise NonConvergenceError. Last, a Monte Carlo corner pass runs
+raise NonConvergenceError. A stable-family pass runs
+`tempered_density`, the first-passage identity over the same dispatcher
+in logs, at each (beta, lam, t) and x = {1e-2, 0.3, 1, 3, 30} times
+beta lam**(beta-1) t, or t**(1/beta) at lam = 0, every warning raised as
+an error, and prints the count of each path its log density took
+(series, saddle, laplace, bound). Last, a Monte Carlo corner pass runs
 `first_passage_samples` with 400 paths at 3 beta x 3 lam, t = 1, a grid
 step of 1/100 and a horizon of 20 times the mean E[E(1)] from
 `moment_exact`, every warning raised as an error, and prints the z-score
@@ -47,8 +52,11 @@ series/saddle, gated integral/saddle or gated cdf/branch-cut pair lies
 outside its summed errors, if a cdf falls with
 x, if a grid row differs from its point, if an initial-condition value
 is 1e-8 or more, if a saddle-point contour value lies above its bound,
-or if a Monte Carlo corner raised (a HorizonError included) or warned,
-or its sample mean lies more than 5 standard errors from `moment_exact`.
+if a stable-family point gives neither a finite value >= 0 nor a
+ParameterError or NonConvergenceError, or at beta 1/2 lies beyond 1e-8
+of Levy's closed form where that is above 1e-300, or if a Monte Carlo
+corner raised (a HorizonError included) or warned, or its sample mean
+lies more than 5 standard errors from `moment_exact`.
 
     PYTHONPATH=src python tools/sweep.py
 """
@@ -71,7 +79,12 @@ from itsub.its_density import (
 from itsub.moments import MomentQuery, moment_exact, moment_table
 from itsub.montecarlo import SimConfig, empirical_moment, first_passage_samples
 from itsub.pde_check import initial_condition_check
-from itsub.stable_family import NonConvergenceError, TemperedStableParams
+from itsub.stable_family import (
+    NonConvergenceError,
+    ParameterError,
+    TemperedStableParams,
+    tempered_density,
+)
 
 BETAS = (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98)
 LAMS = (0.0, 1e-3, 1.0, 50.0)
@@ -83,6 +96,7 @@ MC_BETAS = (0.02, 0.5, 0.98)
 MC_LAMS = (0.0, 1.0, 50.0)
 MC_PATHS = 400
 MC_Z = 5.0
+STABLE_MULTIPLES = (1e-2, 0.3, 1.0, 3.0, 30.0)
 
 
 def moment_tables():
@@ -321,6 +335,53 @@ def monte_carlo():
     return out
 
 
+def stable_family_pass(tables):
+    """tempered_density at each (beta, lam, t) of tables and x =
+    STABLE_MULTIPLES times its scale, beta lam**(beta-1) t, or t**(1/beta)
+    at lam = 0, every warning raised as an error: (params, t, x, value or
+    the raise, method) per point, and the seconds taken. The method is the
+    path its log density took: series, saddle (the parabola's quadrature),
+    laplace (Laplace's term, no panel) or bound (a certified 0)."""
+    out, taken = [], []
+    saddle = its_density._saddle
+
+    def traced(*args):
+        results = saddle(*args)
+        taken.append(results[0])
+        return results
+
+    its_density._saddle = traced
+    start = time.perf_counter()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for params, t, _, _ in tables:
+                beta, lam = params.beta, params.lam
+                scale = beta * lam ** (beta - 1) * t if lam else t ** (1 / beta)
+                for k in STABLE_MULTIPLES:
+                    taken.clear()
+                    value = _timed(lambda: tempered_density(k * scale, t,
+                                                            params))[0]
+                    res = taken[-1] if taken else None
+                    method = ("raised" if isinstance(value, Exception)
+                              else "series" if res is None
+                              else "bound" if res[0] == -math.inf
+                              else "laplace" if res[2] == 0 else "saddle")
+                    out.append((params, t, k * scale, value, method))
+    finally:
+        its_density._saddle = saddle
+    return out, time.perf_counter() - start
+
+
+def _half_closed_form(params, t, x):
+    """The tempered density at beta = 1/2 from Levy's closed form, its
+    tilt taken in logs."""
+    lam = params.lam
+    return math.exp(math.log(t / (2.0 * math.sqrt(math.pi)))
+                    - 1.5 * math.log(x) - t * t / (4.0 * x) - lam * x
+                    + math.sqrt(lam) * t)
+
+
 def _where(row):
     params, t, x = row[:3]
     return f"beta={params.beta} lam={params.lam} t={t} x={x:.6g}"
@@ -452,6 +513,27 @@ def main():
           f"{len(ic_raised)}, bad {len(ic_bad)}")
     for beta, x, v in ic_bad:
         print(f"  at beta={beta:.6g} x={x:g}: {v!r}")
+    stable, stable_s = stable_family_pass(tables)
+    stable_bad = [r for r in stable if not (
+        isinstance(r[3], (ParameterError, NonConvergenceError))
+        or (isinstance(r[3], float) and 0.0 <= r[3] < math.inf))]
+    stable_half = [(r, _half_closed_form(*r[:3])) for r in stable
+                   if r[0].beta == 0.5 and isinstance(r[3], float)]
+    stable_half = [(r, ref, abs(r[3] - ref) / ref) for r, ref in stable_half
+                   if ref > 1e-300]
+    stable_off = [p for p in stable_half if p[2] > 1e-8]
+    print(f"stable family: tempered_density at {len(stable)} points in "
+          f"{stable_s:.2f} s, methods " + ", ".join(
+              f"{m} {n}" for m, n in sorted(collections.Counter(
+                  r[4] for r in stable).items()))
+          + f"; neither a finite value >= 0 nor a typed error "
+          f"{len(stable_bad)}; at beta 1/2 beyond 1e-8 of the closed form "
+          f"{len(stable_off)} of {len(stable_half)}, worst "
+          f"{max((p[2] for p in stable_half), default=0.0):.2g}")
+    for r in stable_bad:
+        print(f"  at {_where(r)}: {r[3]!r}")
+    for r, ref, err in stable_off:
+        print(f"  at {_where(r)}: {r[3]!r} against {ref!r}")
     corners = monte_carlo()
     mc_bad = [c for c in corners
               if isinstance(c[2], Exception) or not abs(c[2]) <= MC_Z]
@@ -465,7 +547,7 @@ def main():
               f"{shown}, {s:.2f} s")
     return 1 if (moment_bad or raised or apart or loose or missed
                  or series_apart or cut_apart or cdf_apart or above or falls or differ
-                 or ic_bad or mc_bad) else 0
+                 or ic_bad or stable_bad or stable_off or mc_bad) else 0
 
 
 if __name__ == "__main__":
