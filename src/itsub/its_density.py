@@ -86,8 +86,9 @@ def _branch_cut(m, x, t, params):
     h(x, t), m = 0 the CDF, and m = k+1 at x = 0 the k-th x-derivative at
     0+. (value, error, panels), or None where the quadrature did not
     converge."""
-    r, = integrate_semi_infinite_rows(_cut_integrand(m, t, params), [x],
-                                      1.0 / t, params.beta)
+    f = _cut_integrand(m, t, params)
+    r, = integrate_semi_infinite_rows(lambda k, y: f(x, y), 1, 1.0 / t,
+                                      params.beta)
     return (r.value / math.pi, r.error_estimate / math.pi,
             r.subdivisions_used) if r.converged else None
 
@@ -108,9 +109,7 @@ def _line(m, x, t, params):
     r >= k1 a**2 + k2 (y**beta - a**beta). So J <= a sqrt(pi) erf(q) / (2q)
     + (a/beta) e**(u - q**2) g(1/beta, u), q**2 = x k1 a**2, u = x k2 a**beta,
     k1 = beta (1-beta) 2**(beta/2) a**(beta-2) / 4, k2 = 2**((beta-1)/2)
-    sin((1-beta) pi/4), g(b, u) = Gamma(b, u) u**-b. Psi(c) is the direct
-    (c + lam)**beta - lam**beta where |c| >= lam / eps and c / lam can
-    overflow."""
+    sin((1-beta) pi/4), g(b, u) = Gamma(b, u) u**-b."""
     beta, lam = params.beta, params.lam
     la = min(max(math.log(x * beta / t) / (1.0 - beta), -700.0), 700.0)
     c = max(math.exp(la), 1e-15 * lam) - lam
@@ -119,8 +118,7 @@ def _line(m, x, t, params):
                  - math.log(x * beta * (1 - beta)) / 2)
     if m == 0 and abs(c) < w:
         c = 2.0 * w
-    psi = (lam ** beta * math.expm1(beta * math.log1p(c / lam))
-           if abs(c) < lam / 2.2e-16 else (c + lam) ** beta - lam ** beta)
+    psi = params.laplace_symbol(c)
     phi = c * t - x * psi
     at_c = 1.0 / c if m == 0 else psi / c if c else beta * lam ** (beta - 1)
     if m == 0 or phi == -math.inf:
@@ -143,7 +141,8 @@ def _saddle(m, xs, t, params, lines, floor=_LOG_TINY):
     Im phi(s) constant to second order. I = (1/pi) int_0^inf Re[e**phi(s)
     Psi(s)**m / s ds/(i dy)] dy, ds/(i dy) = 1 + 2 i g y, is h(x, t) at
     m = 1, 1 - cdf at m = 0 and c > 0, and -cdf at c < 0. Each x is a row
-    of one integrate_semi_infinite_rows call in y / w, with e**phi(c) and
+    k of one integrate_semi_infinite_rows call in y / w, whose integrand
+    takes c, w, phi(c) and x at its panels' rows k, with e**phi(c) and
     the value at y = 0 taken out. Per x (log |I|, error of I, panels);
     with no panel run, (-inf, 0, 0) where _line's bound is below floor (by
     default the least subnormal), and Laplace's term, the integral in
@@ -177,7 +176,6 @@ def _saddle(m, xs, t, params, lines, floor=_LOG_TINY):
         """Re[e**(phi(s) - phi(c)) Psi(s)**m / s ds/(i dy)] / at_c at
         y = w v, rows k: s - c = a (b + i u) with u = y / a, b = -g a u**2,
         and Psi(s) - Psi(c) = a**beta ((1 + b + i u)**beta - 1)."""
-        k = np.asarray(k, dtype=np.intp)
         u = w[k] * v / a[k]
         b = -ga * u * u
         e = a[k] ** beta * _pow1pm1(b, u, beta)
@@ -185,7 +183,7 @@ def _saddle(m, xs, t, params, lines, floor=_LOG_TINY):
         z = np.exp(zeta * t - x[k] * e) * (1 + 2j * ga * u) / (c[k] + zeta)
         return (z * (at_c[k] * c[k] + e) if m else z).real / at_c[k]
 
-    quads = integrate_semi_infinite_rows(integrand, range(len(run)), 1.0)
+    quads = integrate_semi_infinite_rows(integrand, len(run), 1.0)
     for j, (i, res) in enumerate(zip(run, quads)):
         if res.converged and res.value > 0.0:
             log_i = float(phi[j] + math.log(abs(at_c[j]) * w[j] / math.pi)

@@ -23,15 +23,14 @@ import numpy as np
 from scipy import special as sp
 
 from .stable_family import (
+    _EPS,
     ParameterError,
     TemperedStableParams,
-    _pow1pm1,
     require_finite,
     require_positive,
 )
 
 _MAX_Q = 50.0
-_EPS = np.finfo(float).eps
 
 
 class InversionError(RuntimeError):
@@ -65,7 +64,8 @@ class MomentResult(NamedTuple):
 
 
 def moment_lt(q, s, params):
-    """Laplace transform of M_q: Gamma(1+q) / (s * Psi(s)**q).
+    """Laplace transform of M_q: Gamma(1+q) / (s * Psi(s)**q), Psi(s)
+    from params.laplace_symbol.
 
     s may be complex and must be finite; real s must be positive.
     """
@@ -116,21 +116,6 @@ _TALBOT_TS = np.concatenate([0.4 * len(z) * z for z, _ in _TALBOT_RULES])
 _TALBOT_W = np.concatenate([w for _, w in _TALBOT_RULES])
 
 
-def _laplace_symbol_array(s, beta, lam):
-    """Psi(s) on an array of complex s at lam > 0. Where |s| < lam / eps
-    it is lam**beta * expm1(beta * log1p(s / lam)), taken through real
-    log1p and expm1, so that |s| << lam loses nothing to the cancellation
-    of (s+lam)**beta - lam**beta; farther out s / lam can overflow, and
-    there the direct form has nothing left to cancel."""
-    near = np.abs(s) < lam / _EPS
-    if not near.all():
-        out = (s + lam) ** beta - lam ** beta
-        out[near] = _laplace_symbol_array(s[near], beta, lam)
-        return out
-    u = s / lam
-    return lam ** beta * _pow1pm1(u.real, u.imag, beta)
-
-
 def moment_table(q, ts, params):
     """M_q(t) at every t of ts in one numpy pass: per t a MomentResult of
     Python floats, or the InversionError raised there.
@@ -164,8 +149,7 @@ def moment_table(q, ts, params):
             rounding = (q * beta * np.abs(np.log(t)) + 8.0) * _EPS * value
         else:
             s = _TALBOT_TS / t[:, None]
-            exponent = _TALBOT_TS - q * np.log(_laplace_symbol_array(
-                s, beta, lam))
+            exponent = _TALBOT_TS - q * np.log(params.laplace_symbol(s))
             terms = _TALBOT_W * np.exp(exponent) / s
             scale = 0.4 * sp.gamma(1.0 + q) / t
             v24 = scale * terms[:, :_TALBOT_CHECK].real.sum(axis=1)

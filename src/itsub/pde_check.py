@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .its_density import derivative_at_zero, eval_density_grid
+from .its_density import _cut_integrand, derivative_at_zero, eval_density_grid
 from .its_density import eval as eval_density  # not called; bench/spans.py wraps this name
 from .quadrature import integrate_semi_infinite
 from .stable_family import (
@@ -37,8 +37,9 @@ _STENCILS = {
 
 @dataclass(frozen=True)
 class PdeCase:
-    """One PDE verification setup: beta = 1/m, tempering lam, and the
-    interior lattice of stencil centers with spacings (hx, ht)."""
+    """One PDE verification setup: beta = 1/m, m = 2, 3 or 4 (the orders
+    the stencils cover), tempering lam, and the interior lattice of
+    stencil centers with spacings (hx, ht)."""
 
     m: int
     lam: float
@@ -49,14 +50,15 @@ class PdeCase:
 
     def __post_init__(self):
         m = self.m
-        if not isinstance(m, numbers.Integral) or isinstance(m, bool) or m < 2:
-            raise ParameterError(f"require integer m >= 2, got {m!r}")
+        if (not isinstance(m, numbers.Integral) or isinstance(m, bool)
+                or not 2 <= m <= 4):
+            raise ParameterError(f"require integer 2 <= m <= 4, got {m!r}")
         if not (len(self.x_points) and len(self.t_points)):
             raise ParameterError("x_points and t_points must be non-empty")
         TemperedStableParams(self.beta, self.lam)  # checks 0 <= lam < inf
         require_positive("hx", self.hx)
         require_positive("ht", self.ht)
-        widest = max(abs(o) for o in _STENCILS[min(self.m, 4)][0])
+        widest = max(abs(o) for o in _STENCILS[m][0])
         if min(self.x_points) - widest * self.hx <= 0:
             raise ParameterError("x stencils must stay inside x > 0")
         if min(self.t_points) - self.ht <= 0:
@@ -106,8 +108,6 @@ def pde_residual(case, beta=None):
     NOT vanish). The stencils' densities come from one eval_density_grid
     call per distinct t.
     """
-    if case.m not in _STENCILS:
-        raise ParameterError(f"stencils available for m <= 4, got {case.m}")
     params = TemperedStableParams(case.beta if beta is None else beta, case.lam)
 
     # A first pass over the lattice collects the stencil points by t.
@@ -149,7 +149,8 @@ def boundary_derivative_check(m, t=1.0):
 
 def initial_condition_check(beta, x):
     """|h_0(x, 0)| at fixed x > 0 via the t = 0 limit of the integral
-    representation; equals 0 analytically for 0 < beta <= 1/2.
+    representation, its_density's branch-cut integrand at m = 1, lam = 0
+    and t = t_reg; equals 0 analytically for 0 < beta <= 1/2.
 
     At beta = 1/2 the undamped integrand is only conditionally
     convergent, so a vanishing regulator exp(-t_reg * y) with
@@ -163,14 +164,8 @@ def initial_condition_check(beta, x):
         raise ParameterError(f"require 0 < beta <= 1/2, got {beta}")
     require_positive("x", x)
     c = math.cos(beta * math.pi)
-    s = math.sin(beta * math.pi)
     t_reg = 0.0 if beta < 0.5 else x * x / 120.0
-
-    def integrand(y):
-        yb = y ** beta
-        return (np.exp(-t_reg * y - x * yb * c) * yb / y
-                * np.sin(beta * math.pi - x * yb * s))
-
+    f = _cut_integrand(1, t_reg, TemperedStableParams(beta))
     try:
         scale = (1.0 / (x * max(c, 1e-2))) ** (1.0 / beta)
         # the damping e**(-x c y**beta) is below the least double past
@@ -181,7 +176,7 @@ def initial_condition_check(beta, x):
         raise NonConvergenceError(
             f"initial-condition integral at beta={beta}, x={x}: its scale "
             "or the end of its mass overflows a double") from None
-    res = integrate_semi_infinite(integrand, scale=scale,
+    res = integrate_semi_infinite(lambda y: f(x, y), scale=scale,
                                   power_singularity=beta)
     if not res.converged:
         raise NonConvergenceError(

@@ -11,7 +11,8 @@ difference of the two orders. An error within the rounding floor
 BAR * max(1, |value|) gives up at once, since no bisection brings
 cancelling noise under it (the roundoff tests of QUADPACK's QAG/QAGI,
 Piessens et al. 1983, section 3.4). Integrands must accept and return
-numpy arrays.
+numpy arrays; a family of n integrals is one integrand g(k, y) of the
+row indices k of its panels and a 2-d y of their nodes.
 """
 
 import math
@@ -71,10 +72,11 @@ class QuadratureResult:
 
 def _gk15_rows(g, new, inv, reach):
     """Gauss7/Kronrod15 panels (row, kind, a, b) of new, in one call
-    g(rows, y), y with one row of nodes per panel: lists of value, error
-    and rounding floor, one entry per panel. The floor, 50 * eps * int |f|
-    over the panel, is the error below which the Gauss/Kronrod difference
-    measures only rounding noise. new is ordered by kind: 0 lies in
+    g(rows, y), rows the tuple of their row indices and y with one row of
+    nodes per panel: lists of value, error and rounding floor, one entry
+    per panel. The floor, 50 * eps * int |f| over the panel, is the
+    error below which the Gauss/Kronrod difference measures only
+    rounding noise. new is ordered by kind: 0 lies in
     v = y**(1/inv), which flattens an f ~ y**(s-1) endpoint singularity at
     inv = 1/s, 1 in u = reach/y, where a node whose |dy/du| = y/u
     overflows adds 0, and 2 in y."""
@@ -181,11 +183,6 @@ def _lockstep(g, new, n, inv=1.0, reach=0.0):
         return results
 
 
-def _one_row(f):
-    """f of a 1-d y as the integrand g(rows, y) of one row."""
-    return lambda rows, y: f(y.ravel()).reshape(y.shape)
-
-
 def integrate_semi_infinite(f, scale=1.0, power_singularity=None):
     """Integrate f over (0, inf).
 
@@ -202,37 +199,33 @@ def integrate_semi_infinite(f, scale=1.0, power_singularity=None):
     Non-convergence (a floor above that bar, the panel budget spent, or a
     non-finite panel) is reported through the `converged` flag.
     """
-    return _half_line(_one_row(f), 1, scale, power_singularity)[0]
+    return integrate_semi_infinite_rows(
+        lambda k, y: f(y.ravel()).reshape(y.shape), 1, scale,
+        power_singularity)[0]
 
 
-def integrate_semi_infinite_rows(f, xs, scale=1.0, power_singularity=None):
-    """integrate_semi_infinite of y -> f(x, y) for every x in xs, in
-    lockstep; f takes a column of x and a 2-d y with one row per x, where
-    one x comes as a float, which spares the row index and the broadcast.
+def integrate_semi_infinite_rows(g, n, scale=1.0, power_singularity=None):
+    """integrate_semi_infinite of y -> g(k, y) for every row k = 0 .. n-1,
+    in lockstep; g takes the rows of its panels, a column of row indices,
+    or the int 0 when n = 1, which spares the broadcast, and a 2-d y with
+    one row of nodes per panel.
 
-    Each x gets the panels and the stop rule that integrate_semi_infinite
-    gives it alone, and one call of f per round evaluates the new panels
-    of every unfinished x. Returns one QuadratureResult per x, which
-    agrees with the single integral's to rounding.
+    Each row gets the panels and the stop rule that
+    integrate_semi_infinite gives it alone: [0, scale], in y**s at a
+    power singularity s, panels at most 2 scale wide out to 8 scale,
+    where e**(-(y / scale)**2 / 2) is down to e**-32, [8, 16] scale and
+    the far tail, u in [0, 1]. One call of g per round evaluates the new
+    panels of every unfinished row. Returns one QuadratureResult per row,
+    which agrees with the single integral's to rounding.
     """
-    col = np.asarray(xs, dtype=float)[:, None]
-    if len(col) == 1:
-        x = float(col[0, 0])
-        return _half_line(lambda rows, y: f(x, y), 1, scale, power_singularity)
-    return _half_line(lambda rows, y: f(col.take(rows, axis=0), y), len(col),
-                      scale, power_singularity)
-
-
-def _half_line(g, n, scale, s):
-    """_lockstep over (0, inf) for rows 0 .. n-1 of g: each starts with
-    [0, scale], in y**s at a power singularity s, panels at most 2 scale
-    wide out to 8 scale, where e**(-(y / scale)**2 / 2) is down to
-    e**-32, [8, 16] scale and the far tail, u in [0, 1]."""
     scale = float(scale) if 0.0 < scale < math.inf else 1.0
+    s = power_singularity
     power = s is not None and s != 1.0
     first = [(0, 0.0, scale ** float(s)) if power else (2, 0.0, scale),
              (1, 0.0, 1.0)]
     edges = (1.0, 2.0, 4.0, 6.0, 8.0, 16.0)
     first += [(2, a * scale, b * scale) for a, b in zip(edges, edges[1:])]
-    return _lockstep(g, [(i, *p) for i in range(n) for p in first], n,
+    by_row = ((lambda rows, y: g(np.array(rows)[:, None], y)) if n > 1
+              else lambda rows, y: g(0, y))
+    return _lockstep(by_row, [(i, *p) for i in range(n) for p in first], n,
                      1.0 / float(s) if power else 1.0, 16.0 * scale)

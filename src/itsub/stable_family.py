@@ -14,6 +14,7 @@ summed by sum_series_rows, a block of terms at a time for many rows.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,6 +22,9 @@ import numpy as np
 from scipy import special as sp
 
 from .quadrature import integrate_semi_infinite  # not called; bench/spans.py wraps this name
+
+
+_EPS = sys.float_info.epsilon
 
 
 class ParameterError(ValueError):
@@ -54,7 +58,7 @@ class TemperedStableParams:
     """Stability index beta in (0, 1) and tempering rate lam >= 0.
 
     lam = 0 denotes the untempered stable case. The Laplace symbol of
-    the subordinator is (s + lam)**beta - lam**beta.
+    the subordinator is (s + lam)**beta - lam**beta (laplace_symbol).
     """
 
     beta: float
@@ -66,11 +70,31 @@ class TemperedStableParams:
             raise ParameterError(f"require 0 <= lam < inf, got {self.lam}")
 
     def laplace_symbol(self, s):
-        return (s + self.lam) ** self.beta - self.lam ** self.beta
+        """Psi(s) = (s + lam)**beta - lam**beta at a real or complex s, or
+        an array of them. Where |s| < lam / eps it is lam**beta
+        ((1 + s / lam)**beta - 1) through log1p and expm1, math's for a
+        float or int s > -lam and _pow1pm1 otherwise (the real part for a
+        real array, whose s must lie right of -lam), so that |s| << lam
+        loses nothing to the cancellation; farther out s / lam can
+        overflow, and there the direct form has nothing left to cancel."""
+        beta, lam = self.beta, self.lam
+        if isinstance(s, (float, int)):
+            return (lam ** beta * math.expm1(beta * math.log1p(s / lam))
+                    if -lam < s < lam / _EPS else
+                    (s + lam) ** beta - lam ** beta)
+        near = np.abs(s) < lam / _EPS
+        if not near.all():
+            out = (s + lam) ** beta - lam ** beta
+            if near.any():
+                out[near] = self.laplace_symbol(s[near])
+            return out
+        u = s / lam
+        out = lam ** beta * _pow1pm1(u.real, u.imag, beta)
+        return out.real if np.isrealobj(s) else out
 
 
 def _pow1pm1(x, y, beta):
-    """(1 + x + i y)**beta - 1 on arrays of real x, y, through real log1p
+    """(1 + x + i y)**beta - 1 at real x, y or arrays of them, through log1p
     and expm1, so that |x + i y| << 1 loses nothing to the cancellation."""
     try:  # p = beta log|1 + x + iy|, from hypot where the sum overflows
         with np.errstate(over="raise"):

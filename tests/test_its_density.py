@@ -892,11 +892,11 @@ def test_bulk_parabola_converges_on_its_first_integrand_call(monkeypatch,
     calls = []
     integrate = its_density.integrate_semi_infinite_rows
 
-    def counted(f, *args):
-        def g(rows, v):
+    def counted(g, n, *args):
+        def counted_g(k, v):
             calls.append(v.size)
-            return f(rows, v)
-        return integrate(g, *args)
+            return g(k, v)
+        return integrate(counted_g, n, *args)
 
     monkeypatch.setattr(its_density, "integrate_semi_infinite_rows", counted)
     params = TemperedStableParams(beta, lam)

@@ -192,6 +192,93 @@ def test_laplace_symbol_at_the_least_lambdas(lam, beta, refs):
         assert row.value == pytest.approx(ref, rel=1e-9)
 
 
+# (beta, lam, s, Psi(s), Gamma(3) / (s * Psi(s)**2)) from mpmath at 50
+# digits, s at lam * {1e-12, 1e-9, 1e-6} (1 * them at lam = 0), real and
+# at arg s = atan(4/3).
+_SMALL_S = [
+    (0.5, 1.0, 1e-12, 4.99999999999875e-13, 8.000000000004e+36),
+    (0.5, 1.0, complex(6e-13, 8e-13),
+     complex(3.0000000000003497e-13, 3.9999999999988e-13),
+     complex(-7.48800000000112e+36, -2.816000000003839e+36)),
+    (0.5, 1.0, 1e-09, 4.99999999875e-10, 8.000000003999998e+27),
+    (0.5, 1.0, complex(6e-10, 8.000000000000001e-10),
+     complex(3.00000000035e-10, 3.9999999988000004e-10),
+     complex(-7.488000001119998e+27, -2.816000003839997e+27)),
+    (0.5, 1.0, 1e-06, 4.999998750000625e-07, 8.000003999999501e+18),
+    (0.5, 1.0, complex(6e-07, 8e-07),
+     complex(3.000000349999415e-07, 3.99999880000022e-07),
+     complex(-7.488001120000301e+18, -2.8160038399996e+18)),
+    (0.3, 2.5, 2.5e-12, 3.9491466130013297e-13, 5.129599665451463e+36),
+    (0.3, 2.5, complex(1.4999999999999999e-12, 2e-12),
+     complex(2.369487967802014e-13, 3.159317290400843e-13),
+     complex(-4.8013052868602134e+36, -1.8056190822410975e+36)),
+    (0.3, 2.5, 2.5e-09, 3.949146611620511e-10, 5.12959966903859e+27),
+    (0.3, 2.5, complex(1.5e-09, 2e-09),
+     complex(2.3694879681886434e-10, 3.159317289075257e-10),
+     complex(-4.8013052878646085e+27, -1.805619085684741e+27)),
+    (0.3, 2.5, 2.4999999999999998e-06, 3.94914523080218e-07,
+     5.129603256167489e+18),
+    (0.3, 2.5, complex(1.4999999999999998e-06, 2e-06),
+     complex(2.369488354817262e-07, 3.159315963489183e-07),
+     complex(-4.801306292260832e+18, -1.8056225293285059e+18)),
+    (0.7, 0.0, 1e-12, 3.981071705534977e-09, 1.2619146889603834e+29),
+    (0.7, 0.0, complex(6e-13, 8e-13),
+     complex(3.171417754084856e-09, 2.406458259286153e-09),
+     complex(-7.684189432561201e+28, -1.0009800247053529e+29)),
+    (0.7, 0.0, 1e-06, 6.309573444801936e-05, 502377286301915.44),
+    (0.7, 0.0, complex(6e-07, 8e-07),
+     complex(5.0263584088993985e-05, 3.813979313084443e-05),
+     complex(-305913091299402.7, -398497325416018.4)),
+]
+
+
+@pytest.mark.parametrize("beta, lam, s, psi, lt", _SMALL_S)
+def test_symbol_and_transform_at_small_s(beta, lam, s, psi, lt):
+    # (s + lam)**beta - lam**beta cancels where |s| << lam: moment_lt's
+    # direct form was off by 1.8e-4 relative at s = 1e-12, beta 1/2, lam 1
+    params = TemperedStableParams(beta, lam)
+    assert abs(params.laplace_symbol(s) - psi) <= 1e-13 * abs(psi)
+    assert abs(moment_lt(2.0, s, params) - lt) <= 1e-13 * abs(lt)
+
+
+# Psi(s) from mpmath at 50 digits on lam * _SPLIT (1 * _SPLIT at lam = 0),
+# real and times 0.6 + 0.8i: |s| on both sides of lam / eps, where the
+# log1p form hands over to the direct one.
+_EPS = np.finfo(float).eps
+_SPLIT = np.array([1e-12, 1e-6, 1.0, 0.999 / _EPS, 1.001 / _EPS, 1e3 / _EPS])
+
+
+@pytest.mark.parametrize("beta, lam, real, cplx", [
+    (0.5, 1.0,
+     [4.99999999999875e-13, 4.999998750000625e-07, 0.41421356237309503,
+      67075300.17519508, 67142409.04758368, 2122168613.2647798],
+     [complex(3.0000000000003497e-13, 3.9999999999988e-13),
+      complex(3.000000349999415e-07, 3.99999880000022e-07),
+      complex(0.30170165206928884, 0.30729007631213195),
+      complex(59993972.21560309, 29996986.60780154),
+      complex(60053996.215824805, 30026998.6079124),
+      complex(1898125311.4850311, 949062656.2425156)]),
+    (0.7, 0.0,
+     [3.981071705534977e-09, 6.309573444801936e-05, 1.0,
+      90612410527.00468, 90739356785.70445, 11415418615806.867],
+     [complex(3.171417754084856e-09, 2.406458259286153e-09),
+      complex(5.0263584088993985e-05, 3.813979313084443e-05),
+      complex(0.7966241225134326, 0.6044749849495044),
+      complex(72184032024.90202, 54772935489.54947),
+      complex(72285160476.8451, 54849671327.3664),
+      complex(9093797837940.648, 6900334995982.148)]),
+])
+def test_symbol_on_an_array_across_the_near_far_split(beta, lam, real, cplx):
+    params = TemperedStableParams(beta, lam)
+    s = (lam or 1.0) * _SPLIT
+    for z, ref in ((s, real), (s * (0.6 + 0.8j), cplx)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = params.laplace_symbol(z)
+        assert out.dtype == z.dtype
+        np.testing.assert_allclose(out, ref, rtol=1e-13, atol=0.0)
+
+
 with open(os.path.join(os.path.dirname(__file__), "moment_oracle.json")) as _f:
     _ORACLE = json.load(_f)
 

@@ -22,9 +22,10 @@ def test_case_validation():
     with pytest.raises(ParameterError):
         PdeCase(2, 0.0, (1.0,), (0.0005,))
     # an empty lattice gave a raw ValueError from min(), a fractional m a
-    # KeyError; a bool is not an order, a numpy integer is
+    # KeyError; a bool is not an order, a numpy integer is; m = 5 has no
+    # stencil for its fifth derivative and is refused when built
     for m, xs, ts in ((2, (), (1.0,)), (2, (1.0,), ()), (2.5, (1.0,), (1.0,)),
-                      (True, (1.0,), (1.0,))):
+                      (True, (1.0,), (1.0,)), (5, (1.0,), (1.0,))):
         with pytest.raises(ParameterError):
             PdeCase(m, 1.0, xs, ts)
     assert PdeCase(np.int64(3), 0.0, (1.0,), (1.0,)).beta == 1.0 / 3.0

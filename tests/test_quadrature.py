@@ -10,7 +10,6 @@ from itsub.quadrature import (
     MAX_SUBDIVISIONS,
     REL_TOL,
     _lockstep,
-    _one_row,
     integrate_semi_infinite,
     integrate_semi_infinite_rows,
 )
@@ -19,8 +18,9 @@ from itsub.stable_family import TemperedStableParams
 
 def _interval(f, edges):
     """_lockstep's one-row integral of f over [edges[0], edges[-1]], from
-    one panel in y between each pair of consecutive edges."""
-    return _lockstep(_one_row(f),
+    one panel in y between each pair of consecutive edges; f takes the
+    2-d y of the row's panels."""
+    return _lockstep(lambda k, y: f(y),
                      [(0, 2, a, b) for a, b in zip(edges, edges[1:])], 1)[0]
 
 
@@ -178,17 +178,30 @@ def test_one_row_half_line_batches_its_first_round():
 
 def test_rows_in_lockstep_equal_their_single_integrals():
     # each x of the branch cut at beta 0.4, lam 1, t 1 takes its own
-    # panels whether it runs alone, as a one-row call (x as a float) or
-    # among others (x as a column); 40 is doomed by its rounding floor
+    # panels whether it runs alone, as a one-row call (row index the int
+    # 0) or among others (row indices a column); 40 is doomed by its
+    # rounding floor
     f = _cut_integrand(1, 1.0, TemperedStableParams(0.4, 1.0))
     xs = [0.8, 3.0, 40.0, 0.05]
     singles = [integrate_semi_infinite(lambda y: f(x, y), 1.0, 0.4)
                for x in xs]
-    assert integrate_semi_infinite_rows(f, xs, 1.0, 0.4) == singles
+    col = np.array(xs)
+    assert integrate_semi_infinite_rows(lambda k, y: f(col[k], y), len(xs),
+                                        1.0, 0.4) == singles
+    rows = set()
+
+    def one_row(x):
+        def g(k, y):
+            rows.add(k)  # a column would be unhashable
+            return f(x, y)
+        return g
+
     for x, single in zip(xs, singles):
-        assert integrate_semi_infinite_rows(f, [x], 1.0, 0.4) == [single]
+        assert integrate_semi_infinite_rows(one_row(x), 1, 1.0,
+                                            0.4) == [single]
+    assert rows == {0}
     assert [r.converged for r in singles] == [True, True, False, True]
-    assert integrate_semi_infinite_rows(f, [], 1.0, 0.4) == []
+    assert integrate_semi_infinite_rows(f, 0, 1.0, 0.4) == []
 
 
 @pytest.mark.parametrize("k", [4, 10])

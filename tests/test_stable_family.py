@@ -47,6 +47,9 @@ def test_params_validation():
 def test_laplace_symbol():
     p = TemperedStableParams(0.5, 1.0)
     assert p.laplace_symbol(3.0) == pytest.approx(2.0 - 1.0, rel=1e-14)
+    # left of the branch point the principal branch, not math.log1p's
+    # domain error
+    assert p.laplace_symbol(-2.0) == pytest.approx(1j - 1.0, rel=1e-14)
     p0 = TemperedStableParams(0.4)
     assert p0.laplace_symbol(2.0) == pytest.approx(2.0 ** 0.4, rel=1e-14)
 
