@@ -69,50 +69,32 @@ class PdeCase:
         return 1.0 / self.m
 
 
-def _spatial_operator(h_fn, x, t, case):
-    """sum_j (-1)**j C(m,j) lam**(1-j/m) * (j-th x-derivative) at (x, t)."""
-    m, lam, hx = case.m, case.lam, case.hx
-    total = 0.0
-    for j in range(1, m + 1):
-        expo = 1.0 - j / case.m
-        coef = (-1.0) ** j * math.comb(m, j) * (
-            1.0 if expo == 0.0 else lam ** expo)
-        if coef == 0.0:
-            continue
-        offs, wts = _STENCILS[j]
-        deriv = sum(w * h_fn(x + o * hx, t) for o, w in zip(offs, wts))
-        total += coef * deriv / hx ** j
-    return total
-
-
-def _lattice(h_fn, case):
-    """(|spatial operator - dh/dt|, |dh/dt|) per lattice point, from
-    h_fn(x, t)."""
-    shape = (len(case.x_points), len(case.t_points))
-    residuals, dhdts = np.empty(shape), np.empty(shape)
-    for i, x in enumerate(case.x_points):
-        for k, t in enumerate(case.t_points):
-            dhdt = (h_fn(x, t + case.ht) - h_fn(x, t - case.ht)) / (2 * case.ht)
-            lhs = _spatial_operator(h_fn, x, t, case)
-            residuals[i, k] = abs(lhs - dhdt)
-            dhdts[i, k] = abs(dhdt)
-    return residuals, dhdts
-
-
 def pde_residual(case, beta=None):
     """Relative PDE residuals on the case lattice.
 
     Returns |spatial operator - dh/dt| / max|dh/dt| per lattice point.
     Passing beta overrides the reciprocal-integer default 1/m (used for
     the negative control at non-reciprocal beta, where the residual must
-    NOT vanish). The stencils' densities come from one eval_density_grid
-    call per distinct t.
+    NOT vanish). The operator's nonzero terms name the stencil points;
+    their densities come from one eval_density_grid call per distinct t,
+    and the lattice is then walked once.
     """
     params = TemperedStableParams(case.beta if beta is None else beta, case.lam)
-
-    # A first pass over the lattice collects the stencil points by t.
-    wanted = {}
-    _lattice(lambda x, t: wanted.setdefault(t, set()).add(x) or 0.0, case)
+    m, hx, ht = case.m, case.hx, case.ht
+    # (j, (-1)**j C(m,j) lam**(1-j/m)), the operator's nonzero terms
+    terms = []
+    for j in range(1, m + 1):
+        coef = (-1.0) ** j * math.comb(m, j) * (
+            1.0 if j == m else case.lam ** (1.0 - j / m))
+        if coef != 0.0:
+            terms.append((j, coef))
+    offsets = {o for j, _ in terms for o in _STENCILS[j][0]}
+    wanted = {}  # t -> the x at which h is needed there
+    for t in case.t_points:
+        for s in (t + ht, t - ht):
+            wanted.setdefault(s, set()).update(case.x_points)
+        wanted.setdefault(t, set()).update(
+            x + o * hx for x in case.x_points for o in offsets)
     h = {}
     for t, xs in wanted.items():
         xs = sorted(xs)
@@ -120,7 +102,18 @@ def pde_residual(case, beta=None):
             if isinstance(res, Exception):
                 raise res
             h[x, t] = res.value
-    residuals, dhdts = _lattice(lambda x, t: h[x, t], case)
+    shape = (len(case.x_points), len(case.t_points))
+    residuals, dhdts = np.empty(shape), np.empty(shape)
+    for i, x in enumerate(case.x_points):
+        for k, t in enumerate(case.t_points):
+            dhdt = (h[x, t + ht] - h[x, t - ht]) / (2 * ht)
+            lhs = 0.0
+            for j, coef in terms:
+                offs, wts = _STENCILS[j]
+                deriv = sum(w * h[x + o * hx, t] for o, w in zip(offs, wts))
+                lhs += coef * deriv / hx ** j
+            residuals[i, k] = abs(lhs - dhdt)
+            dhdts[i, k] = abs(dhdt)
     dt_scale = float(np.max(dhdts))
     if dt_scale == 0.0:
         raise NonConvergenceError("dh/dt vanished on the whole lattice")

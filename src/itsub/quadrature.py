@@ -126,9 +126,9 @@ def _lockstep(g, new, n, inv=1.0, reach=0.0):
     first panels (row, kind, a, b) in new, kinds as in _gk15_rows. Each
     round evaluates the new panels of every unfinished row in one call of
     g; then, until _verdict stops it, each row bisects its worst panels,
-    largest error first and tie-broken on width, until the panels it
-    leaves whole carry no more error than its target, and at most as many
-    as the budget leaves room for. A row keeps no panel after its first
+    largest error first, ties in list order, until the panels it leaves
+    whole carry no more error than its target, and at most as many as the
+    budget leaves room for. A row keeps no panel after its first
     non-finite one."""
     # Per row, its panels as parallel lists: (row, kind, left end, right
     # end), value, error and rounding floor.
@@ -154,24 +154,14 @@ def _lockstep(g, new, n, inv=1.0, reach=0.0):
                                               sum(floors), len(errors))
                 if results[i] is not None:
                     continue
-                worst = max(errors)
-                if worst >= excess:  # the worst panel alone is enough
-                    k = errors.index(worst)
-                    if errors.count(worst) > 1:
-                        k = max((j for j, e in enumerate(errors)
-                                 if e == worst),
-                                key=lambda j: ends[j][3] - ends[j][2])
-                    cut = [k]
-                else:
-                    order = sorted(range(len(errors)), reverse=True,
-                                   key=lambda j: (errors[j],
-                                                  ends[j][3] - ends[j][2]))
-                    cut, covered = [], 0.0
-                    for k in order[:MAX_SUBDIVISIONS - len(errors)]:
-                        cut.append(k)
-                        covered += errors[k]
-                        if covered >= excess:
-                            break
+                order = sorted(range(len(errors)), key=errors.__getitem__,
+                               reverse=True)
+                cut, covered = [], 0.0
+                for k in order[:MAX_SUBDIVISIONS - len(errors)]:
+                    cut.append(k)
+                    covered += errors[k]
+                    if covered >= excess:
+                        break
                 for k in cut:
                     _, kind, lo, hi = ends[k]
                     mid = 0.5 * (lo + hi)

@@ -231,5 +231,5 @@ def inverse_stable_density(x, t, beta):
     from .its_density import EvalPoint, eval as eval_density
 
     require_finite("x", x)
-    res = eval_density(EvalPoint(max(x, 0.0), t), TemperedStableParams(beta))
-    return res.value if x >= 0 else 0.0
+    p, params = EvalPoint(max(x, 0.0), t), TemperedStableParams(beta)
+    return eval_density(p, params).value if x >= 0 else 0.0

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from itsub import its_density
+from itsub import its_density, pde_check
 from itsub.cli import build_parser, main, parse_grid
 from itsub.stable_family import NonConvergenceError, TemperedStableParams
 
@@ -339,6 +339,19 @@ def test_pde_check_zero_tol_fails(capsys):
                         "--tol", "0")
     assert code == 3
     assert len(_rows(out)) == 16
+
+
+def test_pde_check_numerical_failure(capsys, monkeypatch):
+    # a density row that fails ends the run with exit 3, the error on
+    # stderr and no table
+    monkeypatch.setattr(
+        pde_check, "eval_density_grid",
+        lambda xs, t, params: [NonConvergenceError("no density")] * len(xs))
+    code, out, err = _run(capsys, "pde-check", "--beta", "0.5", "--lambda",
+                          "1")
+    assert code == 3
+    assert out == ""
+    assert err == "numerical failure: no density\n"
 
 
 def test_moments_untempered_has_no_large_t_form(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -993,6 +994,19 @@ def test_density_matches_the_frozen_oracle(row):
     res = eval_density(EvalPoint(row["x"], row["t"]),
                        TemperedStableParams(row["beta"], row["lam"]))
     assert abs(res.value - ref) <= res.error_estimate <= 1e-8 * abs(ref)
+
+
+def test_oracle_generator_lists_the_frozen_rows():
+    # a rerun of make_density_oracle.py, which grows the table, recomputes
+    # h at these points: they must be the frozen rows' own, in order
+    pytest.importorskip("mpmath")
+    spec = importlib.util.spec_from_file_location(
+        "make_density_oracle",
+        os.path.join(os.path.dirname(__file__), "make_density_oracle.py"))
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    assert gen.points(_ORACLE) + gen.WRIGHT_POINTS == [
+        (r["beta"], r["lam"], r["t"], r["x"]) for r in _ORACLE]
 
 
 @pytest.mark.parametrize("row", _ORACLE,

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from itsub import pde_check
+from itsub.its_density import DensityResult
 from itsub.pde_check import (
     PdeCase,
     boundary_derivative_check,
@@ -64,6 +66,30 @@ def test_negative_control_non_reciprocal_beta():
     good = float(np.max(pde_residual(case)))
     bad = float(np.max(pde_residual(case, beta=0.45)))
     assert bad > 10.0 * good
+
+
+def test_residual_reraises_a_rows_typed_error(monkeypatch):
+    # a stencil point whose density failed fails the whole residual with
+    # that row's own error
+    failure = NonConvergenceError("row failed")
+
+    def grid(xs, t, params):
+        return [failure] + [DensityResult(1.0, 0.0, "series", 1)] * (
+            len(xs) - 1)
+
+    monkeypatch.setattr(pde_check, "eval_density_grid", grid)
+    with pytest.raises(NonConvergenceError) as info:
+        pde_residual(PdeCase(2, 1.0, (1.0, 1.5), (1.0, 1.5)))
+    assert info.value is failure
+
+
+def test_residual_raises_where_dhdt_vanishes_everywhere(monkeypatch):
+    # a density constant in t leaves nothing to scale the residual by
+    monkeypatch.setattr(
+        pde_check, "eval_density_grid",
+        lambda xs, t, params: [DensityResult(0.5, 0.0, "series", 1)] * len(xs))
+    with pytest.raises(NonConvergenceError, match="vanished"):
+        pde_residual(PdeCase(2, 1.0, (1.0, 1.5), (1.0, 1.5)))
 
 
 def test_boundary_derivative_vanishes():

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as G
 
+from itsub import its_density
 from itsub.stable_family import (
     ParameterError,
     TemperedStableParams,
@@ -293,6 +294,21 @@ def test_argument_validation():
         stable_density(1.0, -1.0, 0.5)
     with pytest.raises(ParameterError):
         inverse_stable_density(0.5, -1.0, 0.5)
+
+
+def test_inverse_stable_is_zero_off_the_support_without_a_density_call(
+        monkeypatch):
+    # t and beta are checked first, so a bad one still raises at x < 0;
+    # then x < 0 returns 0 without evaluating h at x = 0
+    for t, beta in ((0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5), (1.0, 1.5)):
+        with pytest.raises(ParameterError):
+            inverse_stable_density(-0.5, t, beta)
+
+    def no_call(p, params):
+        raise AssertionError(f"density evaluated at {p}")
+
+    monkeypatch.setattr(its_density, "eval", no_call)
+    assert inverse_stable_density(-0.5, 1.0, 0.5) == 0.0
 
 
 def test_inverse_stable_refuses_beta_outside_the_unit_interval():
