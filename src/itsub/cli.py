@@ -36,11 +36,6 @@ _EXIT_USAGE = 2
 _EXIT_NUMERIC = 3
 
 
-def _fmt(v):
-    """Locale-independent float with 17 significant digits."""
-    return format(float(v), ".17g")
-
-
 def parse_grid(text, name="grid"):
     """Parse 'start:stop:step' (inclusive endpoints) or a single float.
 
@@ -63,23 +58,25 @@ def parse_grid(text, name="grid"):
         raise ParameterError(f"{name}: start must be <= stop")
     if start == stop:
         return []
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    if count > 1e7:
+    span = (stop - start) / step + 1e-9  # inf where it overflows
+    if span >= 1e7:
         raise ParameterError(f"{name}: more than 1e7 points")
-    return [start + i * step for i in range(count)]
+    return [start + i * step for i in range(int(span) + 1)]
 
 
 def _write(out, fmt, fields, rows):
-    """Write rows under the header fields: CSV lines through _fmt, one
-    row at a time, or one JSON list of objects."""
+    """Write rows under the header fields: CSV lines, each through the
+    first row's %-format (%s for a str, else %.17g), or one JSON list."""
     if fmt == "json":
         json.dump([dict(zip(fields, r)) for r in rows], out, indent=1)
         out.write("\n")
         return
     out.write(",".join(fields) + "\n")
+    line = None
     for r in rows:
-        out.write(",".join(v if isinstance(v, str) else _fmt(v) for v in r)
-                  + "\n")
+        line = line or ",".join(
+            ["%s" if isinstance(v, str) else "%.17g" for v in r]) + "\n"
+        out.write(line % tuple(r))
 
 
 def cmd_density(args, out):
@@ -136,8 +133,8 @@ def cmd_simulate(args, out):
     analytic = np.array([its_density.cdf(x, t, params) for x in xs])
     emp = np.searchsorted(np.sort(samples), xs, side="right") / len(samples)
     ks = float(np.max(np.abs(analytic - emp)))
-    print(f"# n={len(samples)} mean={_fmt(mean)} se={_fmt(se)} "
-          f"var={_fmt(var)} ks={_fmt(ks)}", file=sys.stderr)
+    print("# n=%d mean=%.17g se=%.17g var=%.17g ks=%.17g"
+          % (len(samples), mean, se, var, ks), file=sys.stderr)
     return _EXIT_OK
 
 

@@ -168,29 +168,30 @@ def _saddle(m, xs, t, params, lines, floor=_LOG_TINY):
     if not run:
         return out
     x = np.array([xs[i] for i in run])
-    c, w, phi, at_c, _ = np.array([lines[i] for i in run]).T
-    beta, a = params.beta, c + params.lam
-    ga = (2.0 - beta) / 6.0  # g a
+    cs, ws, _, at_cs, _ = map(np.array, zip(*(lines[i] for i in run)))
+    beta, a = params.beta, cs + params.lam
+    ga, psi = (2.0 - beta) / 6.0, at_cs * cs  # g a
 
     def integrand(k, v):
         """Re[e**(phi(s) - phi(c)) Psi(s)**m / s ds/(i dy)] / at_c at
         y = w v, rows k: s - c = a (b + i u) with u = y / a, b = -g a u**2,
         and Psi(s) - Psi(c) = a**beta ((1 + b + i u)**beta - 1)."""
-        u = w[k] * v / a[k]
+        u = ws[k] * v / a[k]
         b = -ga * u * u
         e = a[k] ** beta * _pow1pm1(b, u, beta)
         zeta = a[k] * (b + 1j * u)
-        z = np.exp(zeta * t - x[k] * e) * (1 + 2j * ga * u) / (c[k] + zeta)
-        return (z * (at_c[k] * c[k] + e) if m else z).real / at_c[k]
+        z = np.exp(zeta * t - x[k] * e) * (1 + 2j * ga * u) / (cs[k] + zeta)
+        return (z * (psi[k] + e) if m else z).real / at_cs[k]
 
     quads = integrate_semi_infinite_rows(integrand, len(run), 1.0)
-    for j, (i, res) in enumerate(zip(run, quads)):
+    for i, res in zip(run, quads):
+        c, w, phi, at_c, _ = lines[i]
         if res.converged and res.value > 0.0:
-            log_i = float(phi[j] + math.log(abs(at_c[j]) * w[j] / math.pi)
+            log_i = float(phi + math.log(abs(at_c) * w / math.pi)
                           + math.log(res.value))
-            value, ct = math.exp(log_i), c[j] * t
+            value, ct = math.exp(log_i), c * t
             err = float(value * (res.error_estimate / res.value + 2.2e-16 * (
-                abs(ct) + abs(ct - phi[j]) + w[j] * t + abs(log_i) + 4.0)))
+                abs(ct) + abs(ct - phi) + w * t + abs(log_i) + 4.0)))
             if err <= BAR * max(1.0, value):
                 out[i] = (log_i, err, res.subdivisions_used)
     return out
@@ -199,29 +200,36 @@ def _saddle(m, xs, t, params, lines, floor=_LOG_TINY):
 @functools.lru_cache(maxsize=256)
 def _coefficients(t, params):
     """(log|A_j|, sign) for j = 1, 2, ... at (t, params), by a function of
-    j1 that returns a read-only (2 x n) array, n >= j1 - 1, for
+    j1 that returns a read-only (8 x n) array, n >= j1 - 1, for
     A_j = Gamma(1+beta*j) * lam**(beta*j) * Gamma(-beta*j, lam*t)
     * sin(j*beta*pi), with lam**(beta*j) * Gamma(-beta*j, u)
-    = t**(-beta*j) * g(-beta*j, u) from the scaled gamma g. The sine,
-    taken at j*beta less its nearest integer, is exactly 0 at integer
-    j*beta, and then no g is computed; an A_j that underflows at large
-    lam * t is (-inf, its sign). Each g is an incomplete gamma call, so
-    the array is kept for the next point at the same (beta, lam, t) and
-    extended by exactly the j < j1 it lacks (j1 = 1: none)."""
-    held = [np.empty((2, 0))]
+    = t**(-beta*j) * g(-beta*j, u) from the scaled gamma g; the sign is
+    times (-1)**(j-1), and the parts of _series' terms that depend on j
+    alone follow: the log scale, +inf where A_j underflowed at large
+    lam * t though its sine is not 0, its abs, then lgamma(j+1-m) and
+    6 lgamma(j+1-m) + 2 j beta |log t| at m = 0 and 1. The sine, taken at
+    j*beta less its nearest integer, is 0 at integer j*beta, and then no g
+    is computed. The incomplete gamma calls are kept for the next point at
+    the same (beta, lam, t): the array grows by just the j < j1 it lacks."""
+    held = [np.empty((8, 0))]
 
     def upto(j1):
         have = held[0]
         if j1 - 1 > have.shape[1]:
-            jb = np.arange(have.shape[1] + 1, j1) * params.beta
+            js = np.arange(have.shape[1] + 1, j1)
+            jb = js * params.beta
             n = np.round(jb)
-            sn = np.where(n % 2, -1.0, 1.0) * np.sin(math.pi * (jb - n))
+            sn = np.where((n + js) % 2, 1.0, -1.0) * np.sin(np.pi * (jb - n))
             g = [upper_incomplete_gamma_scaled(-a, params.lam * t) if s
                  else 0.0 for a, s in zip(jb.tolist(), sn.tolist())]
             with np.errstate(divide="ignore"):
                 la = (sp.gammaln(1.0 + jb) - jb * math.log(t)
                       + np.log(np.abs(sn)) + np.log(g))
-            held[0] = have = np.hstack([have, [la, np.sign(sn)]])
+            scale = np.where((la == -np.inf) & (sn != 0.0), np.inf, la)
+            lg = sp.gammaln([js + 1, js])
+            lr = 6.0 * lg + js * (2 * params.beta * abs(math.log(t)))
+            held[0] = have = np.hstack(
+                [have, [la, np.sign(sn), scale, abs(scale), *lg, *lr]])
             have.setflags(write=False)
         return have
 
@@ -250,27 +258,25 @@ def _series(m, xs, t, params, floor=1e-13 / math.pi, bar=BAR):
     bar * |sum|) or it did not converge otherwise. m = 1 sums h
     (eval_series), m = 0 its integral from 0, the CDF: the j-th term of h
     is the x-derivative of (-1)**(j-1) A_j e**(lam**beta x) x**j / (j! pi).
-    An A_j that underflowed at large lam * t gets log scale +inf, which
-    ends the row unconverged."""
-    beta, lam = params.beta, params.lam
-    lb = lam ** beta
+    Its j-only parts come from _coefficients, where an A_j that underflowed
+    at large lam * t has log scale +inf, which ends the row unconverged."""
     # rel: the gamma's bound (0 where A_j is exact) plus eps times the parts
     # of the log scale, which cancel: |lw| + 2 lg for lw, lg = lgamma(j+1-m),
     # |la| + 2 (lgamma(j+1) + j beta |log t|) for la; 6 lg covers 4 lg at
     # m = 0, and at m = 1 lgamma(j+1) = lg + log j, log j <= lg + 1
-    rel, lt = GAMMA_REL_ERROR if lam > 0 else 0.0, 2 * beta * abs(math.log(t))
+    rel = GAMMA_REL_ERROR if params.lam > 0 else 0.0
     x = np.asarray(xs, dtype=float)[:, None]
-    lpref = lb * x - math.log(math.pi)
+    lbx = params.lam ** params.beta * x
+    lpref = lbx - math.log(math.pi)
 
     def block(js, rows):
-        la, sign = _coefficients(t, params)(js[-1] + 1)[:, js[0] - 1:js[-1]]
-        la = np.where((la == -np.inf) & (sign != 0.0), np.inf, la)
-        lg = sp.gammaln(js + (1 - m))
-        xr, lp = x[rows], lpref[rows]
-        lw = sp.xlogy(js - m, xr) - lg  # x**(j-m)/(j-m)!, 0**0 = 1
-        ls = lp + la + lw + (np.log1p(lb * xr / js) if m else 0.0)
-        parts = np.abs(lp) + np.abs(la) + np.abs(lw) + (6.0 * lg + js * lt)
-        return ls, np.where(js % 2, sign, -sign), rel + 2.2e-16 * parts
+        la, abs_la, sign, lg, lr = _coefficients(t, params)(js[-1] + 1)[
+            [2, 3, 1, 4 + m, 6 + m], js[0] - 1:js[-1]]
+        lp = lpref[rows]
+        lw = sp.xlogy(js - m, x[rows]) - lg  # x**(j-m)/(j-m)!, 0**0 = 1
+        ls = lp + la + lw + (np.log1p(lbx[rows] / js) if m else 0.0)
+        return ls, sign, rel + 2.2e-16 * (np.abs(lp) + abs_la + np.abs(lw)
+                                          + lr)
 
     rows = sum_series_rows(block, len(xs), 400, floor, bar,
                            _coefficients(t, params)(1).shape[1])
@@ -403,10 +409,9 @@ def derivative_at_zero(k, t, params):
     k = int(k)
     lb = params.lam ** params.beta
     terms = zip(range(1, k + 2), *_coefficients(t, params)(k + 2).tolist())
-    try:
-        value = sum((-1.0) ** (m - 1) * math.comb(k + 1, m)
-                    * lb ** (k + 1 - m) * sign * math.exp(la)
-                    for m, la, sign in terms) / math.pi
+    try:  # sign: (-1)**(m-1) sign(A_m)
+        value = sum(math.comb(k + 1, m) * lb ** (k + 1 - m) * sign
+                    * math.exp(la) for m, la, sign, *_ in terms) / math.pi
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):

@@ -15,6 +15,7 @@ numpy arrays; a family of n integrals is one integrand g(k, y) of the
 row indices k of its panels and a 2-d y of their nodes.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -70,36 +71,43 @@ class QuadratureResult:
     converged: bool
 
 
-def _gk15_rows(g, new, inv, reach):
-    """Gauss7/Kronrod15 panels (row, kind, a, b) of new, in one call
-    g(rows, y), rows the tuple of their row indices and y with one row of
-    nodes per panel: lists of value, error and rounding floor, one entry
-    per panel. The floor, 50 * eps * int |f| over the panel, is the
-    error below which the Gauss/Kronrod difference measures only
-    rounding noise. new is ordered by kind: 0 lies in
-    v = y**(1/inv), which flattens an f ~ y**(s-1) endpoint singularity at
-    inv = 1/s, 1 in u = reach/y, where a node whose |dy/du| = y/u
-    overflows adds 0, and 2 in y."""
-    rows, kinds, a, b = zip(*new)
+def _layout(panels, inv=1.0, reach=0.0):
+    """Gauss7/Kronrod15 panels (row, kind, a, b) laid out for _gk15_rows:
+    (the panels ordered by kind, y with one row of nodes per panel, dy over
+    the panel's variable there, their half widths h, 50 eps |h|, inv,
+    reach). Kind 0 lies in v = y**(1/inv), which flattens an f ~ y**(s-1)
+    endpoint singularity at inv = 1/s, 1 in u = reach/y, where a node whose
+    |dy/du| = y/u overflows adds 0 (dy 0, y moved to reach), and 2 in y."""
+    panels = sorted(panels, key=lambda p: p[1])  # each kind one slice
+    _, kinds, a, b = zip(*panels)
     a, b = np.array((a, b))
     h = 0.5 * (b - a)
     v = (0.5 * (a + b))[:, None] + h[:, None] * _XK
     n, m = kinds.count(0), len(kinds) - kinds.count(2)
-    y = v.copy() if m else v
+    y, dy = v.copy(), np.ones_like(v)
     if n:
         y[:n] **= inv
+        dy[:n] = inv * y[:n] / v[:n]
     if m > n:
         y[n:m] = reach / v[n:m]
-    fy = np.asarray(g(rows, y), dtype=float)
-    if n:
-        fy[:n] = fy[:n] * inv * y[:n] / v[:n]
-    if m > n:
-        dy = y[n:m] / v[n:m]
-        fy[n:m] *= dy
-        fy[n:m][np.isinf(dy)] = 0.0
+        dy[n:m] = y[n:m] / v[n:m]
+        dead = np.isinf(dy)
+        y[dead], dy[dead] = reach, 0.0
+    return panels, y, dy, h, _ROUNDING * np.abs(h), inv, reach
+
+
+def _gk15_rows(g, layout, n):
+    """The panels of a _layout of n rows in one call g(k, y), k as
+    integrate_semi_infinite_rows gives it: lists of value, error and
+    rounding floor, one entry per panel. The floor, 50 * eps * int |f| over
+    the panel, is the error below which the Gauss/Kronrod difference
+    measures only rounding noise. Each round is laid out anew, but the
+    first one once per scale and power singularity (_first_round)."""
+    panels, y, dy, h, rounding, _, _ = layout
+    fy = g(np.array([[p[0]] for p in panels]) if n > 1 else 0, y) * dy
     vk, vg = _RULES @ fy.T
     return ((h * vk).tolist(), np.abs(h * (vk - vg)).tolist(),
-            (_ROUNDING * np.abs(h) * (np.abs(fy) @ _WK)).tolist())
+            (rounding * (np.abs(fy) @ _WK)).tolist())
 
 
 def _verdict(value, error, floor, n):
@@ -121,15 +129,14 @@ def _verdict(value, error, floor, n):
     return result, error - target
 
 
-def _lockstep(g, new, n, inv=1.0, reach=0.0):
-    """One QuadratureResult per row 0 .. n-1, refined together from the
-    first panels (row, kind, a, b) in new, kinds as in _gk15_rows. Each
-    round evaluates the new panels of every unfinished row in one call of
-    g; then, until _verdict stops it, each row bisects its worst panels,
-    largest error first, ties in list order, until the panels it leaves
-    whole carry no more error than its target, and at most as many as the
-    budget leaves room for. A row keeps no panel after its first
-    non-finite one."""
+def _lockstep(g, layout, n):
+    """One QuadratureResult per row 0 .. n-1 of g, refined together from
+    the first panels, as _layout laid them out. Each round evaluates the
+    new panels of every unfinished row in one call of g; then, until
+    _verdict stops it, each row bisects its worst panels, largest error
+    first, ties in list order, until the panels it leaves whole carry no
+    more error than its target, and at most as many as the budget leaves
+    room for. A row keeps no panel after its first non-finite one."""
     # Per row, its panels as parallel lists: (row, kind, left end, right
     # end), value, error and rounding floor.
     panels = [([], [], [], []) for _ in range(n)]
@@ -139,9 +146,7 @@ def _lockstep(g, new, n, inv=1.0, reach=0.0):
     # invalid-value and division warnings would only repeat that.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while live:
-            new.sort(key=lambda p: p[1])  # each kind one slice
-            done = _gk15_rows(g, new, inv, reach) if new else []
-            for p, v, e, fl in zip(new, *done):
+            for p, v, e, fl in zip(layout[0], *_gk15_rows(g, layout, n)):
                 row = panels[p[0]]
                 if row[2] and not math.isfinite(row[2][-1]):
                     continue
@@ -170,18 +175,20 @@ def _lockstep(g, new, n, inv=1.0, reach=0.0):
                     for col in panels[i]:
                         del col[k]
             live = [i for i in live if results[i] is None]
+            if live:
+                layout = _layout(new, *layout[5:])
         return results
 
 
 def integrate_semi_infinite(f, scale=1.0, power_singularity=None):
     """Integrate f over (0, inf).
 
-    f must be vectorized and finite on (0, inf), with its mass within
-    double range. `scale` locates the interesting region: the first
-    panels are [0, 1], [1, 2], [2, 4], [4, 6], [6, 8], [8, 16] scale, and
-    [16 scale, inf) as [0, 1] in u = 16 scale / y, where a node whose
-    |dy/du| overflows adds 0. `power_singularity` = s flags an integrable
-    f ~ y**(s-1) at 0, handled by a power substitution on the first panel.
+    f must be vectorized, finite on (0, inf) and leave its argument as is,
+    with its mass within double range. `scale` locates the interesting
+    region: the first panels are [0, 1], [1, 2], [2, 4], [4, 6], [6, 8],
+    [8, 16] scale, and [16 scale, inf) as [0, 1] in u = 16 scale / y, where
+    a node whose |dy/du| overflows adds 0. `power_singularity` = s flags an
+    integrable f ~ y**(s-1) at 0, handled by a power substitution there.
 
     The integral has converged once the summed error is within ABS_TOL,
     REL_TOL * |value| or the summed rounding floor, and that floor within
@@ -209,13 +216,24 @@ def integrate_semi_infinite_rows(g, n, scale=1.0, power_singularity=None):
     which agrees with the single integral's to rounding.
     """
     scale = float(scale) if 0.0 < scale < math.inf else 1.0
-    s = power_singularity
-    power = s is not None and s != 1.0
-    first = [(0, 0.0, scale ** float(s)) if power else (2, 0.0, scale),
-             (1, 0.0, 1.0)]
-    edges = (1.0, 2.0, 4.0, 6.0, 8.0, 16.0)
-    first += [(2, a * scale, b * scale) for a, b in zip(edges, edges[1:])]
-    by_row = ((lambda rows, y: g(np.array(rows)[:, None], y)) if n > 1
-              else lambda rows, y: g(0, y))
-    return _lockstep(by_row, [(i, *p) for i in range(n) for p in first], n,
-                     1.0 / float(s) if power else 1.0, 16.0 * scale)
+    layout = _first_round(scale, power_singularity)
+    if n > 1:  # the one row's panels for every row, row after row
+        layout = ([(i, *p[1:]) for i in range(n) for p in layout[0]], *(
+            np.concatenate([a] * n) for a in layout[1:5]), *layout[5:])
+    return _lockstep(g, layout, n)
+
+
+@functools.lru_cache(maxsize=64)
+def _first_round(scale, s):
+    """The _layout, read-only, of one row's first panels in
+    integrate_semi_infinite_rows at scale and power singularity s."""
+    inv = 1.0 if s is None else 1.0 / float(s)
+    edges = (0, 1, 2, 4, 6, 8, 16)
+    first = [(0, 2, a * scale, b * scale) for a, b in zip(edges, edges[1:])]
+    if inv != 1.0:
+        first[0] = (0, 0, 0.0, scale ** float(s))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        layout = _layout(first + [(0, 1, 0.0, 1.0)], inv, 16.0 * scale)
+    for a in layout[1:5]:
+        a.flags.writeable = False
+    return layout

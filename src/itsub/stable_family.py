@@ -95,13 +95,10 @@ class TemperedStableParams:
 
 def _pow1pm1(x, y, beta):
     """(1 + x + i y)**beta - 1 at real x, y or arrays of them, through log1p
-    and expm1, so that |x + i y| << 1 loses nothing to the cancellation."""
-    try:  # p = beta log|1 + x + iy|, from hypot where the sum overflows
-        with np.errstate(over="raise"):
-            p = 0.5 * beta * np.log1p(x * (2.0 + x) + y * y)
-    except FloatingPointError:
-        with np.errstate(over="ignore"):
-            p = 0.5 * beta * np.log1p(x * (2.0 + x) + y * y)
+    and expm1, so that |x + i y| << 1 loses nothing to the cancellation;
+    the caller's np.errstate rules its overflow past |x + i y| ~ 1e154."""
+    p = 0.5 * beta * np.log1p(x * (2.0 + x) + y * y)  # beta log|1 + x + iy|,
+    if not p.max(initial=-np.inf) < np.inf:  # from hypot where it overflowed
         p = np.where(p < np.inf, p, beta * np.log(np.hypot(1.0 + x, y)))
     q = beta * np.arctan2(y, 1.0 + x)                  # beta arg(1 + x + iy)
     return (np.expm1(p) * np.cos(q) - 2.0 * np.sin(q / 2) ** 2
@@ -135,38 +132,40 @@ def sum_series_rows(block, n_rows, max_terms, floor, rel, known=0):
     (Higham 2002, ch. 4); it has converged when that is within max(floor,
     rel * |sum|). max_terms terms end a row unconverged, as does a
     log_scale above 700, with the sum before it as value and error. A
-    row's sums run along that row alone."""
+    row's sums run along that row alone, in place in one buffer a round."""
     out = [None] * n_rows
     live = np.arange(n_rows)  # the rows still summing,
-    acc = np.zeros((2, n_rows, 1))  # their sum and rounding so far
+    acc = np.zeros((2, n_rows))  # their sum and rounding so far
     last = np.zeros((n_rows, 2), dtype=bool)  # and last two small flags
     j0, step = 1, max(_SERIES_BLOCK, min(known, max_terms // max(n_rows, 1)))
-    while len(live) and j0 <= max_terms:
-        js = np.arange(j0, min(j0 + step, max_terms + 1))
-        log_scale, mantissa, rel_j = block(js, live)
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(live) and j0 <= max_terms:
+            js = np.arange(j0, min(j0 + step, max_terms + 1))
+            log_scale, mantissa, rel_j = block(js, live)
             big = log_scale > 700.0
-            v = np.where(big, 0.0, mantissa * np.exp(log_scale))
-            own = (rel_j + 2.2e-16 * (np.abs(log_scale) + 4.0)) * np.abs(v)
-            # a zero term's log_scale may be -inf
-            acc = np.concatenate([acc, np.stack(
-                [v, np.where(v != 0.0, own, 0.0)])], axis=2).cumsum(axis=2)
-            sums, rnd = acc[:, :, 1:]
-            small = np.hstack([last, np.abs(v) < 1e-15 * np.maximum(
+            buf = np.empty((2, len(live), 1 + len(js)))
+            buf[:, :, 0] = acc
+            v, own = buf[:, :, 1:]
+            v[:] = np.where(big, 0.0, mantissa * np.exp(log_scale))
+            size = np.abs(v)
+            own[:] = (rel_j + 2.2e-16 * (np.abs(log_scale) + 4.0)) * size
+            own[size == 0.0] = 0.0  # a zero term's log_scale may be -inf
+            sums, rnd = np.add.accumulate(buf, axis=2, out=buf)[:, :, 1:]
+            small = np.hstack([last, size < 1e-15 * np.maximum(
                 np.abs(sums), 1e-300)])
-        three = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
-        stop = big | three
-        stop[:, -1] |= js[-1] == max_terms
-        done = stop.any(axis=1)
-        r, k = np.flatnonzero(done), stop[done].argmax(axis=1)
-        total, big, three = sums[r, k], big[r, k], three[r, k]
-        err = np.where(big, np.abs(total), np.abs(v[r, k]) + rnd[r, k])
-        ok = three & ~big & (err <= np.maximum(floor, rel * np.abs(total)))
-        for i, *res in zip(live[r].tolist(), total.tolist(), err.tolist(),
-                           (k + j0).tolist(), ok.tolist()):
-            out[i] = SeriesEval(*res)
-        live, acc, last = live[~done], acc[:, ~done, -1:], small[~done, -2:]
-        j0, step = j0 + step, _SERIES_BLOCK
+            three = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
+            stop = big | three
+            stop[:, -1] |= js[-1] == max_terms
+            done = stop.any(axis=1)
+            r, k = np.flatnonzero(done), stop[done].argmax(axis=1)
+            total, big, three = sums[r, k], big[r, k], three[r, k]
+            err = np.where(big, np.abs(total), size[r, k] + rnd[r, k])
+            ok = three & ~big & (err <= np.maximum(floor, rel * np.abs(total)))
+            for i, *res in zip(live[r].tolist(), total.tolist(),
+                               err.tolist(), (k + j0).tolist(), ok.tolist()):
+                out[i] = SeriesEval(*res)
+            live, acc = live[~done], buf[:, ~done, -1]
+            last, j0, step = small[~done, -2:], j0 + step, _SERIES_BLOCK
     return out
 
 

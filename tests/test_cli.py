@@ -4,10 +4,11 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from itsub import its_density, pde_check
-from itsub.cli import build_parser, main, parse_grid
+from itsub.cli import _write, build_parser, main, parse_grid
 from itsub.stable_family import NonConvergenceError, TemperedStableParams
 
 
@@ -27,6 +28,19 @@ def test_parse_grid():
     assert parse_grid("2:2:0.1") == []
     grid = parse_grid("0:4:0.01")
     assert len(grid) == 401
+
+
+def test_write_csv_fields_are_17_digit_floats_or_str():
+    # every field not a str is written as format(float(v), ".17g")
+    rows = [[math.nan, math.inf, -math.inf, "series"],
+            [-0.0, 5e-324, 2 ** 53 + 1, "saddle"],
+            [np.float64(0.1), np.float32(0.1), np.int64(7), np.str_("x")]]
+    out = io.StringIO()
+    _write(out, "csv", ["a", "b", "c", "d"], rows)
+    expected = ["a,b,c,d"] + [",".join(
+        v if isinstance(v, str) else format(float(v), ".17g") for v in r)
+        for r in rows]
+    assert out.getvalue() == "\n".join(expected) + "\n"
 
 
 def test_density_profile(capsys):
@@ -294,6 +308,10 @@ _SIMULATE = ["simulate", "--beta", "0.5", "--lambda", "1", "--t", "1"]
     ["density", "--beta", "0.5", "--lambda", "1", "--t", "nan", "--x", "1"],
     _DENSITY + ["--x", "0:inf:1"],
     _DENSITY + ["--x", "0:1:nan"],
+    # finite ends whose point count overflows a float
+    _DENSITY + ["--x", "0:1e308:1e-308"],
+    _DENSITY + ["--x=-1e308:1e308:1"],
+    ["moments", "--beta", "0.5", "--q", "1", "--t", "0:1e308:1e-308"],
     ["simulate", "--beta", "0.5", "--lambda", "nan", "--t", "1"],
     _SIMULATE + ["--step", "nan"],
     _SIMULATE + ["--horizon", "inf"],

@@ -19,7 +19,7 @@ from itsub.its_density import (
     eval_integral,
     eval_series,
 )
-from itsub import its_density
+from itsub import its_density, quadrature
 from itsub.moments import MomentQuery, moment_exact
 from itsub.montecarlo import SimConfig
 from itsub.stable_family import (
@@ -809,12 +809,15 @@ def test_series_computes_each_coefficient_block_once(monkeypatch):
     assert calls == []
 
 
-def test_series_rows_are_the_same_cold_and_warm(monkeypatch):
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_series_rows_are_the_same_cold_and_warm(monkeypatch, lam):
     # a warm call's first round spans every A_j already cached, so a
     # one-row call that took four rounds cold takes one; it adds the same
     # terms in the same order, so every series row of eval, cdf and
-    # eval_density_grid is the same to the last bit, cold or warm
-    params = TemperedStableParams(0.6, 0.0)
+    # eval_density_grid is the same to the last bit, cold or warm. At
+    # lam = 1 the gamma's bound enters each term's error, and x = 4 is a
+    # saddle row, laid out from the half line's first-round memo when warm
+    params = TemperedStableParams(0.6, lam)
     xs = [0.5, 2.0, 4.0]
     calls = ([lambda x=x: eval_density(EvalPoint(x, 1.0), params)
               for x in xs] + [lambda x=x: cdf(x, 1.0, params) for x in xs]
@@ -822,9 +825,12 @@ def test_series_rows_are_the_same_cold_and_warm(monkeypatch):
     cold = []
     for call in calls:
         its_density._coefficients.cache_clear()
+        quadrature._first_round.cache_clear()
         cold.append(repr(call()))
     assert [repr(call()) for call in calls] == cold
-    assert "saddle" not in "".join(cold)
+    assert ("saddle" in "".join(cold)) == (lam > 0)
+    if lam > 0:
+        return
     blocks = []
     sum_rows = its_density.sum_series_rows
 

@@ -9,6 +9,8 @@ from itsub.quadrature import (
     BAR,
     MAX_SUBDIVISIONS,
     REL_TOL,
+    _first_round,
+    _layout,
     _lockstep,
     integrate_semi_infinite,
     integrate_semi_infinite_rows,
@@ -20,8 +22,8 @@ def _interval(f, edges):
     """_lockstep's one-row integral of f over [edges[0], edges[-1]], from
     one panel in y between each pair of consecutive edges; f takes the
     2-d y of the row's panels."""
-    return _lockstep(lambda k, y: f(y),
-                     [(0, 2, a, b) for a, b in zip(edges, edges[1:])], 1)[0]
+    panels = [(0, 2, a, b) for a, b in zip(edges, edges[1:])]
+    return _lockstep(lambda k, y: f(y), _layout(panels), 1)[0]
 
 
 def _check(result, expected, tol=1e-10):
@@ -202,6 +204,19 @@ def test_rows_in_lockstep_equal_their_single_integrals():
     assert rows == {0}
     assert [r.converged for r in singles] == [True, True, False, True]
     assert integrate_semi_infinite_rows(f, 0, 1.0, 0.4) == []
+
+
+def test_first_round_layout_is_shared_and_read_only():
+    # the half line's first round is laid out once per (scale, power
+    # singularity) and shared by every later call, so no integrand may
+    # write into its nodes: one that tries raises, and the layout holds
+    _first_round.cache_clear()
+    first = integrate_semi_infinite(lambda y: np.exp(-y), 2.0)
+    with pytest.raises(ValueError, match="read-only"):
+        integrate_semi_infinite(lambda y: np.exp(-np.negative(y, out=y)),
+                                2.0)
+    assert integrate_semi_infinite(lambda y: np.exp(-y), 2.0) == first
+    assert _first_round.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("k", [4, 10])

@@ -32,13 +32,18 @@ one of its 5 x to a larger one. Each (beta, lam, t) also goes through
 `eval_density`, the one-row call: the same raise, a series row equal to
 the point in value, error and terms, and any other row with the same
 method, the same terms or panels and a value within the point's error
-estimate. Then the PDE check's `initial_condition_check`, which is 0
-analytically, runs over 8 beta x 5 x, where it must return below 1e-8 or
-raise NonConvergenceError. A stable-family pass runs
-`tempered_density`, the first-passage identity over the same dispatcher
-in logs, at each (beta, lam, t) and x = {1e-2, 0.3, 1, 3, 30} times
-beta lam**(beta-1) t, or t**(1/beta) at lam = 0, every warning raised as
-an error, and prints the count of each path its log density took
+estimate. Then, with `_coefficients` (the A_j prefix and the parts of
+the series' terms that depend on j alone) and the half line's memoized
+first-round layout cleared before each call, `eval_density` and `cdf`
+run again at all 420 points, and every repr, a raise's included, must
+equal the one the sweep got with those caches warm; the count of
+differing points is printed. Then the PDE check's
+`initial_condition_check`, which is 0 analytically, runs over 8 beta x
+5 x, where it must return below 1e-8 or raise NonConvergenceError. A
+stable-family pass runs `tempered_density`, the first-passage identity
+over the same dispatcher in logs, at each (beta, lam, t) and
+x = {1e-2, 0.3, 1, 3, 30} times beta lam**(beta-1) t, or t**(1/beta) at
+lam = 0, every warning raised as an error, and prints the count of each path its log density took
 (series, saddle, laplace, bound). Last, a Monte Carlo corner pass runs
 `first_passage_samples` with 400 paths at 3 beta x 3 lam, t = 1, a grid
 step of 1/100 and a horizon of 20 times the mean E[E(1)] from
@@ -50,7 +55,8 @@ direct `_saddle` call did not converge, if a
 density's error is above 1e-8 of its value, if a series/integral,
 series/saddle, gated integral/saddle or gated cdf/branch-cut pair lies
 outside its summed errors, if a cdf falls with
-x, if a grid row differs from its point, if an initial-condition value
+x, if a grid row differs from its point, if a cold density or cdf
+differs from the warm one, if an initial-condition value
 is 1e-8 or more, if a saddle-point contour value lies above its bound,
 if a stable-family point gives neither a finite value >= 0 nor a
 ParameterError or NonConvergenceError, or at beta 1/2 lies beyond 1e-8
@@ -298,6 +304,29 @@ def _differs(point, grid):
             or abs(point.value - grid.value) > point.error_estimate)
 
 
+def cold_rows(rows):
+    """eval_density and cdf again at every point, outside the panel
+    counter, each call made cold: after _coefficients and the half line's
+    first-round layout memo are cleared. The (row, cold density, cold cdf)
+    whose repr differs from the row's warm one, and the seconds taken."""
+    differ, seconds = [], 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for row in rows:
+            params, t, x = row[:3]
+            got = []
+            for f in (lambda: eval_density(EvalPoint(x, t), params),
+                      lambda: cdf(x, t, params)):
+                its_density._coefficients.cache_clear()
+                quadrature._first_round.cache_clear()
+                res, s = _timed(f)
+                got.append(res)
+                seconds += s
+            if list(map(repr, got)) != list(map(repr, row[3:5])):
+                differ.append((row, *got))
+    return differ, seconds
+
+
 def initial_conditions():
     """initial_condition_check over IC_BETAS x IC_XS: (beta, x, value or
     the NonConvergenceError raised) triples and the seconds taken."""
@@ -503,6 +532,12 @@ def main():
           f"eval_density {len(differ)}")
     for row, g in differ:
         print(f"  at {_where(row)}: point {row[3]!r}, grid {g!r}")
+    cold, cold_s = cold_rows(rows)
+    print(f"cold density and cdf at {len(rows)} points in {cold_s:.1f} s, "
+          f"differing from the warm ones {len(cold)}")
+    for row, h, c in cold:
+        print(f"  at {_where(row)}: warm {row[3]!r} and {row[4]!r}, cold "
+              f"{h!r} and {c!r}")
     ic, ic_s = initial_conditions()
     ic_raised = [v for _, _, v in ic if isinstance(v, NonConvergenceError)]
     ic_bad = [(b, x, v) for b, x, v in ic
@@ -547,7 +582,8 @@ def main():
               f"{shown}, {s:.2f} s")
     return 1 if (moment_bad or raised or apart or loose or missed
                  or series_apart or cut_apart or cdf_apart or above or falls or differ
-                 or ic_bad or stable_bad or stable_off or mc_bad) else 0
+                 or cold or ic_bad or stable_bad or stable_off
+                 or mc_bad) else 0
 
 
 if __name__ == "__main__":
