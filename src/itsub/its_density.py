@@ -126,10 +126,11 @@ def _line(m, x, t, params):
     xab = x * a ** beta
     q2 = xab * beta * (1.0 - beta) * 2.0 ** (beta / 2.0) / 4.0
     u = xab * 2.0 ** ((beta - 1.0) / 2.0) * math.sin((1 - beta) * math.pi / 4)
-    log_j = np.logaddexp(
-        math.log(a * math.sqrt(math.pi / q2) * math.erf(math.sqrt(q2)) / 2),
-        math.log(a / beta) + u - q2 + _log_upper_gamma_scaled_pos(1 / beta, u))
-    return c, w, phi, at_c, float(phi + math.log(at_c / math.pi) + log_j)
+    near = math.log(a * math.sqrt(math.pi / q2) * math.erf(math.sqrt(q2)) / 2)
+    far = (math.log(a / beta) + u - q2
+           + _log_upper_gamma_scaled_pos(1 / beta, u))
+    log_j = max(near, far) + math.log1p(math.exp(-abs(near - far)))
+    return c, w, phi, at_c, phi + math.log(at_c / math.pi) + log_j
 
 
 def _saddle(m, xs, t, params, lines, floor=_LOG_TINY):
@@ -168,7 +169,7 @@ def _saddle(m, xs, t, params, lines, floor=_LOG_TINY):
     if not run:
         return out
     x = np.array([xs[i] for i in run])
-    cs, ws, _, at_cs, _ = map(np.array, zip(*(lines[i] for i in run)))
+    cs, ws, _, at_cs, _ = np.array([lines[i] for i in run]).T
     beta, a = params.beta, cs + params.lam
     ga, psi = (2.0 - beta) / 6.0, at_cs * cs  # g a
 

@@ -16,6 +16,7 @@ its exact value.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,10 @@ def sample_stable_increment(dt, beta, rng, size=None):
     a(u) = sin(beta*u)**(beta/(1-beta)) * sin((1-beta)*u)
            / sin(u)**(1/(1-beta)).
     Scaling by dt**(1/beta) gives the transform exp(-dt * s**beta).
+    Where dt**(1/beta) is not a normal double (at beta 0.02 it is
+    subnormal below dt ~ 7e-7 and 0 below dt ~ 3.4e-7, which would make
+    every draw 0), the scale goes inside the outer power as dt**(1/(1-beta));
+    ParameterError where neither is normal, as at beta 1/2 and dt 1e-300.
     The power beta/(1-beta) is taken out of the outer power, leaving
     (sin(beta*U) / sin(U)) * (sin((1-beta)*U) / (W sin(U)))**((1-beta)/beta):
     near beta = 1 the powers of the sines underflow to 0/0 as U -> 0 and
@@ -97,6 +102,12 @@ def sample_stable_increment(dt, beta, rng, size=None):
     """
     require_beta(beta)
     require_positive("dt", dt)
+    outer = _normal_power(dt, 1.0 / beta)
+    inner = _normal_power(dt, 1.0 / (1.0 - beta)) if outer is None else None
+    if outer is None and inner is None:
+        raise ParameterError(
+            f"neither dt**(1/beta) nor dt**(1/(1-beta)) is a normal double "
+            f"at dt = {dt}, beta = {beta}")
     half, w, tan_u, csc_u, lead = (
         np.empty(1 if size is None else size) for _ in range(5))
     rng.random(out=half)
@@ -118,11 +129,23 @@ def sample_stable_increment(dt, beta, rng, size=None):
     tail /= tan_u
     tail *= csc_u
     tail /= w
+    if inner is not None:
+        tail *= inner
     with np.errstate(over="ignore"):
         tail **= (1.0 - beta) / beta
-    lead *= dt ** (1.0 / beta)
+    if outer is not None:
+        lead *= outer
     lead *= tail
     return float(lead[0]) if size is None else lead
+
+
+def _normal_power(dt, p):
+    """dt**p, or None where it is not a normal double."""
+    try:
+        s = float(dt) ** p
+    except OverflowError:
+        return None
+    return s if s >= sys.float_info.min else None
 
 
 def _accepted(lam, prop, rng):

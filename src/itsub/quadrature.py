@@ -147,11 +147,13 @@ def _lockstep(g, layout, n):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while live:
             for p, v, e, fl in zip(layout[0], *_gk15_rows(g, layout, n)):
-                row = panels[p[0]]
-                if row[2] and not math.isfinite(row[2][-1]):
+                ends, values, errors, floors = panels[p[0]]
+                if errors and not math.isfinite(errors[-1]):
                     continue
-                for col, item in zip(row, (p, v, e, fl)):
-                    col.append(item)
+                ends.append(p)
+                values.append(v)
+                errors.append(e)
+                floors.append(fl)
             new = []
             for i in live:
                 ends, values, errors, floors = panels[i]

@@ -116,9 +116,10 @@ def upper_incomplete_gamma_scaled(a, u):
 
 
 def _log_upper_gamma_scaled_pos(a, u):
-    """log g(a, u) at a > 0: by the continued fraction above u = a + 1,
-    else log Q(a, u) + lgamma(a) - a log u, Q >= Q(a, a + 1) there."""
-    if u > a + 1.0:
+    """log g(a, u) at a > 0: log Q(a, u) + lgamma(a) - a log u wherever
+    scipy's regularized Q is a normal double, as it is at every u <= a + 1
+    (Q >= Q(a, a + 1)); the continued fraction where Q underflows."""
+    q = sp.gammaincc(a, u)
+    if q < sys.float_info.min:
         return math.log(_upper_gamma_cf(a, u)) - u
-    return (math.log(sp.gammaincc(a, u)) + math.lgamma(a)
-            - a * math.log(u))
+    return math.log(q) + math.lgamma(a) - a * math.log(u)

@@ -132,7 +132,9 @@ def sum_series_rows(block, n_rows, max_terms, floor, rel, known=0):
     (Higham 2002, ch. 4); it has converged when that is within max(floor,
     rel * |sum|). max_terms terms end a row unconverged, as does a
     log_scale above 700, with the sum before it as value and error. A
-    row's sums run along that row alone, in place in one buffer a round."""
+    row's sums run along that row alone, in place in one buffer a round,
+    and its small flags in a bool buffer that opens with the round
+    before's last two; a stopped row is read out as scalars."""
     out = [None] * n_rows
     live = np.arange(n_rows)  # the rows still summing,
     acc = np.zeros((2, n_rows))  # their sum and rounding so far
@@ -140,10 +142,10 @@ def sum_series_rows(block, n_rows, max_terms, floor, rel, known=0):
     j0, step = 1, max(_SERIES_BLOCK, min(known, max_terms // max(n_rows, 1)))
     with np.errstate(over="ignore", invalid="ignore"):
         while len(live) and j0 <= max_terms:
-            js = np.arange(j0, min(j0 + step, max_terms + 1))
-            log_scale, mantissa, rel_j = block(js, live)
+            j1 = min(j0 + step, max_terms + 1)
+            log_scale, mantissa, rel_j = block(np.arange(j0, j1), live)
             big = log_scale > 700.0
-            buf = np.empty((2, len(live), 1 + len(js)))
+            buf = np.empty((2, len(live), 1 + j1 - j0))
             buf[:, :, 0] = acc
             v, own = buf[:, :, 1:]
             v[:] = np.where(big, 0.0, mantissa * np.exp(log_scale))
@@ -151,21 +153,24 @@ def sum_series_rows(block, n_rows, max_terms, floor, rel, known=0):
             own[:] = (rel_j + 2.2e-16 * (np.abs(log_scale) + 4.0)) * size
             own[size == 0.0] = 0.0  # a zero term's log_scale may be -inf
             sums, rnd = np.add.accumulate(buf, axis=2, out=buf)[:, :, 1:]
-            small = np.hstack([last, size < 1e-15 * np.maximum(
-                np.abs(sums), 1e-300)])
+            small = np.empty((len(live), 2 + j1 - j0), dtype=bool)
+            small[:, :2] = last
+            np.less(size, 1e-15 * np.maximum(np.abs(sums), 1e-300),
+                    out=small[:, 2:])
             three = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
             stop = big | three
-            stop[:, -1] |= js[-1] == max_terms
+            stop[:, -1] |= j1 > max_terms
             done = stop.any(axis=1)
-            r, k = np.flatnonzero(done), stop[done].argmax(axis=1)
-            total, big, three = sums[r, k], big[r, k], three[r, k]
-            err = np.where(big, np.abs(total), size[r, k] + rnd[r, k])
-            ok = three & ~big & (err <= np.maximum(floor, rel * np.abs(total)))
-            for i, *res in zip(live[r].tolist(), total.tolist(),
-                               err.tolist(), (k + j0).tolist(), ok.tolist()):
-                out[i] = SeriesEval(*res)
+            at = stop.argmax(axis=1).tolist()  # each row's first stop
+            for r in done.nonzero()[0].tolist():
+                k = at[r]
+                total, b = sums.item(r, k), big.item(r, k)
+                err = abs(total) if b else size.item(r, k) + rnd.item(r, k)
+                ok = (three.item(r, k) and not b
+                      and err <= max(floor, rel * abs(total)))
+                out[live.item(r)] = SeriesEval(total, err, k + j0, ok)
             live, acc = live[~done], buf[:, ~done, -1]
-            last, j0, step = small[~done, -2:], j0 + step, _SERIES_BLOCK
+            last, j0, step = small[~done, -2:], j1, _SERIES_BLOCK
     return out
 
 

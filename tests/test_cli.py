@@ -288,6 +288,16 @@ def test_simulate_exit_codes(capsys):
     assert "simulation failed" in err
 
 
+def test_simulate_step_below_double_range_exits_2(capsys):
+    # dt**2 is 0 at beta 1/2 and dt 1e-300, so every draw was 0 and the
+    # walk ran on without end
+    code, out, err = _run(capsys, "simulate", "--beta", "0.5", "--t", "1",
+                          "--paths", "3", "--step", "1e-300")
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
 @pytest.mark.parametrize("bad", [["--q", "60"], ["--t", "-1"],
                                  ["--t", "0:1:0.5"], ["--t", "one"]])
 def test_moments_bad_parameter_exits_2(capsys, bad):

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -329,6 +330,51 @@ def test_near_one_beta_draws_stay_finite():
                 SimConfig(10000, seed=seed, horizon=5.0), params, 1.0)
             assert np.all(np.isfinite(samples))
             assert samples.mean() == pytest.approx(1.0084, abs=0.01)
+
+
+def test_small_step_scale_goes_inside_the_outer_power():
+    # at beta 0.02 the scale dt**50 underflows below dt ~ 1e-7, which made
+    # every draw 0 (and 0 * inf a nan); dt**(1/(1-beta)) inside the outer
+    # power gives each draw the dt = 1 draw of the same uniforms times
+    # dt**50, in logs, wherever that lies in the normal range
+    beta, dt = 0.02, 1e-7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        small = sample_stable_increment(dt, beta, np.random.default_rng(1),
+                                        size=100_000)
+        unit = sample_stable_increment(1.0, beta, np.random.default_rng(1),
+                                       size=100_000)
+    assert np.all(np.isfinite(small)) and np.all(small >= 0.0)
+    with np.errstate(divide="ignore"):
+        shifted = np.log(unit) + math.log(dt) / beta
+    normal = small >= sys.float_info.min
+    assert 10_000 < np.count_nonzero(normal) < 100_000
+    np.testing.assert_allclose(np.log(small[normal]), shifted[normal],
+                               rtol=1e-14, atol=0.0)
+    assert np.all(shifted[~normal] < math.log(sys.float_info.min) + 1e-9)
+
+
+@pytest.mark.parametrize("beta,dt", [(0.5, 1e-300), (0.5, 1e200)])
+def test_stable_increment_refuses_a_scale_out_of_range(beta, dt):
+    # dt**(1/beta) and dt**(1/(1-beta)) both outside the normal range
+    with pytest.raises(ParameterError):
+        sample_stable_increment(dt, beta, np.random.default_rng(0), size=4)
+
+
+def test_stable_increment_takes_a_large_step_inside_the_power():
+    # dt**50 overflows at dt = 1e10, dt**(50/49) does not
+    draws = sample_stable_increment(1e10, 0.02, np.random.default_rng(2), 8)
+    assert np.all(draws > 0.0)
+
+
+def test_small_beta_small_step_walk_crosses():
+    # dt 1e-7 at beta 0.02, lam 0: every draw was 0 and the walk ran into
+    # its horizon; E(1) has mean 1 / Gamma(1.02) = 1.01, some 1e7 steps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples = first_passage_samples(
+            SimConfig(3, 1e-7, 20.0, 1), TemperedStableParams(0.02), 1.0)
+    assert np.all(np.isfinite(samples)) and np.all(samples > 0.0)
 
 
 def test_empirical_moment_basics():

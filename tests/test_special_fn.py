@@ -4,7 +4,13 @@ import sys
 import pytest
 from scipy import special as sp
 
-from itsub.special_fn import GammaDomainError, upper_incomplete_gamma_scaled
+from itsub.its_density import _line
+from itsub.special_fn import (
+    GammaDomainError,
+    _log_upper_gamma_scaled_pos,
+    upper_incomplete_gamma_scaled,
+)
+from itsub.stable_family import TemperedStableParams
 
 # Gamma(a, u) computed with mpmath.gammainc at 40 digits; the tests
 # compare the scaled form with ref * u**(-a).
@@ -134,7 +140,7 @@ def test_domain_errors():
 
 def test_positive_order_below_double_range_of_gamma():
     # Gamma(200) overflows a double, but g(200, u) does not: the value
-    # comes from log Q + lgamma(a) - a log u, and above u = a + 1 from
+    # comes from log Q + lgamma(a) - a log u, and where Q underflows from
     # the continued fraction; mpmath.gammainc at 40 digits (1.1e-4347,
     # 0 in a double, at the last)
     for a, u, ref in ((200.0, 200.0, 1.203882301104167e-88),
@@ -147,3 +153,69 @@ def test_positive_order_below_double_range_of_gamma():
 def test_scaled_limit_at_zero():
     # g(a, 0) = -1/a exactly for a < 0
     assert upper_incomplete_gamma_scaled(-0.7, 0.0) == 1.0 / 0.7
+
+
+# log g(a, u) = log Gamma(a, u) - a log u from mpmath.gammainc at 40
+# digits, at a = 1/beta for beta in {0.02, 0.3, 0.6, 0.98} and a = 200: u
+# at (a + 1) / 2, either side of a + 1, and 1 below and above the u where
+# scipy's Q(a, u) leaves the normal range (897.04, 722.74, 712.88, 708.54
+# and 1273.37), where the continued fraction takes over.
+_POSITIVE_ORDER_LOG_G = [
+    (50.0, 25.5, -17.368190221866521497),
+    (50.0, 50.949, -52.823218777557612811),
+    (50.0, 51.050999999999995, -52.936322953252950364),
+    (50.0, 896.0428574273016, -902.78467684195184394),
+    (50.0, 898.0428574273016, -904.78703489429113684),
+    (3.3333333333333335, 2.166666666666667, -1.9023459489041767476),
+    (3.3333333333333335, 4.329000000000001, -5.254154690715290267),
+    (3.3333333333333335, 4.337666666666667, -5.2658735852397218029),
+    (3.3333333333333335, 721.7383029014179, -728.31673183653546227),
+    (3.3333333333333335, 723.7383029014179, -730.31950802973231426),
+    (1.6666666666666667, 1.3333333333333335, -1.2648156025064168635),
+    (1.6666666666666667, 2.664, -3.4384557549961233889),
+    (1.6666666666666667, 2.6693333333333333, -3.4461330021813757441),
+    (1.6666666666666667, 711.8792089961041, -718.44618162988296624),
+    (1.6666666666666667, 713.8792089961041, -720.44898977486822564),
+    (1.0204081632653061, 1.010204081632653, -1.0082331186549986408),
+    (1.0204081632653061, 2.0183877551020406, -2.7133478572657727296),
+    (1.0204081632653061, 2.022428571428571, -2.7193999664661421548),
+    (1.0204081632653061, 707.5418310572434, -714.1035990066648841),
+    (1.0204081632653061, 709.5418310572434, -716.10642178816655971),
+    (200.0, 100.5, -64.097875673968651513),
+    (200.0, 200.799, -203.28623505675379524),
+    (200.0, 201.20099999999996, -203.71056223444852695),
+    (200.0, 1272.3670713866804, -1279.3457994995903249),
+    (200.0, 1274.3670713866804, -1281.3476604217279646),
+]
+
+
+@pytest.mark.parametrize("a,u,ref", _POSITIVE_ORDER_LOG_G)
+def test_positive_order_against_frozen_mpmath(a, u, ref):
+    # measured worst: 2.0e-15 relative in log g, at (50, 25.5), and
+    # 1.4e-13 relative in g, at (200, 200.799), where exp takes the
+    # rounding of a log g of -203 into g; g is checked where it is normal
+    assert _log_upper_gamma_scaled_pos(a, u) == pytest.approx(
+        ref, rel=4e-15, abs=0.0)
+    g = upper_incomplete_gamma_scaled(a, u)
+    if math.exp(ref) >= sys.float_info.min:
+        assert g == pytest.approx(math.exp(ref), rel=3e-13, abs=0.0)
+    else:
+        assert 0.0 <= g < sys.float_info.min
+
+
+@pytest.mark.parametrize("beta,lam,t,x,ref", [
+    (0.6, 1.0, 1.0, 3.0, -1.0287756098864276),
+    (0.3, 0.0, 1.0, 5.0, -3.9264105473518374),
+    (0.9, 20.0, 0.1, 2.0, -39671858032.8189),
+    (0.02, 1.0, 1.0, 10.0, 68.35909611168022),
+    (0.5, 0.001, 1000.0, 400.0, -32.26397724145056),
+    (0.8, 1.0, 1.0, 30.0, -1990622.139197577),
+])
+def test_line_bound_matches_the_continued_fraction_route(beta, lam, t, x,
+                                                         ref):
+    # log B of the saddle contour's bound, which takes g(1/beta, u), as
+    # the continued fraction above u = 1/beta + 1 gave it
+    params = TemperedStableParams(beta, lam)
+    log_b = _line(1, x, t, params)[4]
+    assert type(log_b) is float
+    assert log_b == pytest.approx(ref, rel=1e-13, abs=0.0)

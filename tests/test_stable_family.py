@@ -8,6 +8,7 @@ from scipy.special import gamma as G
 from itsub import its_density
 from itsub.stable_family import (
     ParameterError,
+    SeriesEval,
     TemperedStableParams,
     _stable_log_density,
     inverse_stable_density,
@@ -391,6 +392,71 @@ def test_sum_series_rows_sums_each_row_on_its_own():
     both = _sum_rows(*rows, max_terms=50)
     assert both == [_sum_rows(row, max_terms=50)[0] for row in rows]
     assert len({r.terms for r in both}) == 3
+
+
+def _plain_sum(term, max_terms, floor=1e-13, rel=1e-8):
+    """One row by the rules of sum_series_rows' docstring, a term at a
+    time in plain Python."""
+    total = rounding = 0.0
+    last = [False, False]
+    for j in range(1, max_terms + 1):
+        log_scale, mantissa, rel_j = term(j)
+        big = log_scale > 700.0
+        v = 0.0 if big else mantissa * math.exp(log_scale)
+        size = abs(v)
+        own = (rel_j + 2.2e-16 * (abs(log_scale) + 4.0)) * size
+        total += v
+        rounding += own if size else 0.0
+        small = size < 1e-15 * max(abs(total), 1e-300)
+        three = small and all(last)
+        last = [last[1], small]
+        if big or three or j == max_terms:
+            err = abs(total) if big else size + rounding
+            ok = three and not big and err <= max(floor, rel * abs(total))
+            return SeriesEval(total, err, j, ok)
+
+
+def _tiny_at(*js, rel=0.0):
+    # terms (-0.7)**j, tiny (1e-20 of the sum) at the j of js; a log
+    # scale of 0 keeps each term exact in both sums
+    return lambda j: (0.0, 1e-20 if j in js else (-0.7) ** j, rel)
+
+
+# Each at its first round of 32 terms, or of 50 where 50 are known:
+_SERIES_EDGES = {
+    "three small straddling the round boundary": _tiny_at(31, 32, 33),
+    "two flags carried, the third small next round": _tiny_at(32, 33, 34),
+    "stops inside a known first round of 50": _tiny_at(43, 44, 45),
+    "straddles a known first round of 50": _tiny_at(49, 50, 51, rel=1e-12),
+    "a zero term with log scale -inf mid-series": lambda j: (
+        (-math.inf, 1.0, 0.0) if j == 10 else _tiny_at(60, 61, 62)(j)),
+    "a log scale above 700": lambda j: (
+        (701.0, 1.0, 0.0) if j == 40 else (0.0, 0.9 ** j, 1e-10)),
+    "the max_terms end": lambda j: (0.0, 1.0 / j, 0.0),
+    "three small ending at max_terms": _tiny_at(78, 79, 80),
+}
+
+
+@pytest.mark.parametrize("known", [0, 50])
+def test_sum_series_rows_is_the_plain_loop(known):
+    # bit for bit the plain loop over the docstring's rules, where the
+    # small flags of one round decide the stop in the next, a first round
+    # is longer than 32, a term is 0 at log scale -inf, a log scale passes
+    # 700, or max_terms ends the row; each edge alone and among rows that
+    # stop in other rounds, in two orders
+    edges = list(_SERIES_EDGES.values())
+    ref = [_plain_sum(term, 80) for term in edges]
+    assert [r.terms for r in ref] == [33, 34, 45, 51, 62, 40, 80, 80]
+
+    def kernel(terms):
+        return sum_series_rows(_block(*terms), len(terms), 80, 1e-13, 1e-8,
+                               known)
+
+    for term, want in zip(edges, ref):
+        assert repr(kernel([term])) == repr([want])
+    assert repr(kernel(edges)) == repr(ref)
+    assert repr(kernel(edges[::-1])) == repr(ref[::-1])
+    assert [r.converged for r in ref] == [True] * 5 + [False] * 2 + [True]
 
 
 def test_inverse_series_passes_zero_terms():
