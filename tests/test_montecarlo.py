@@ -368,12 +368,13 @@ def test_stable_increment_takes_a_large_step_inside_the_power():
 
 
 def test_small_beta_small_step_walk_crosses():
-    # dt 1e-7 at beta 0.02, lam 0: every draw was 0 and the walk ran into
-    # its horizon; E(1) has mean 1 / Gamma(1.02) = 1.01, some 1e7 steps
+    # dt 1e-4 at beta 0.01, lam 0: dt**100 underflows to 0, so every draw
+    # was 0 and the walk ran into its horizon; dt**(1/0.99) is normal.
+    # E(1) has mean 1 / Gamma(1.01) = 1.006, some 1e4 steps a path
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         samples = first_passage_samples(
-            SimConfig(3, 1e-7, 20.0, 1), TemperedStableParams(0.02), 1.0)
+            SimConfig(3, 1e-4, 20.0, 1), TemperedStableParams(0.01), 1.0)
     assert np.all(np.isfinite(samples)) and np.all(samples > 0.0)
 
 

@@ -159,7 +159,8 @@ def test_scaled_limit_at_zero():
 # digits, at a = 1/beta for beta in {0.02, 0.3, 0.6, 0.98} and a = 200: u
 # at (a + 1) / 2, either side of a + 1, and 1 below and above the u where
 # scipy's Q(a, u) leaves the normal range (897.04, 722.74, 712.88, 708.54
-# and 1273.37), where the continued fraction takes over.
+# and 1273.37), where the continued fraction takes over; and (200, 262.6),
+# near the worst error in g.
 _POSITIVE_ORDER_LOG_G = [
     (50.0, 25.5, -17.368190221866521497),
     (50.0, 50.949, -52.823218777557612811),
@@ -184,6 +185,7 @@ _POSITIVE_ORDER_LOG_G = [
     (200.0, 100.5, -64.097875673968651513),
     (200.0, 200.799, -203.28623505675379524),
     (200.0, 201.20099999999996, -203.71056223444852695),
+    (200.0, 262.6, -266.79581409405399797),
     (200.0, 1272.3670713866804, -1279.3457994995903249),
     (200.0, 1274.3670713866804, -1281.3476604217279646),
 ]
@@ -191,9 +193,11 @@ _POSITIVE_ORDER_LOG_G = [
 
 @pytest.mark.parametrize("a,u,ref", _POSITIVE_ORDER_LOG_G)
 def test_positive_order_against_frozen_mpmath(a, u, ref):
-    # measured worst: 2.0e-15 relative in log g, at (50, 25.5), and
-    # 1.4e-13 relative in g, at (200, 200.799), where exp takes the
-    # rounding of a log g of -203 into g; g is checked where it is normal
+    # measured worst: 2.1e-15 relative in log g, at (50, 25.5), and, over
+    # 1500 u from a + 1 to 720 at each a = 1/beta and 10, 50, 100, 200,
+    # 2.8e-13 relative in g, at (200, 273.31) (2.4e-13 at (200, 262.6)),
+    # where exp takes the rounding of a log g near -270 into g; g is
+    # checked where it is normal
     assert _log_upper_gamma_scaled_pos(a, u) == pytest.approx(
         ref, rel=4e-15, abs=0.0)
     g = upper_incomplete_gamma_scaled(a, u)

@@ -1,10 +1,10 @@
 """Layer figures of the density path: microseconds per warm call.
 
-Each figure is the least time of a call over --calls warm calls (after one
-untimed call that fills the caches: the A_j prefix of `_coefficients` and
-the half line's first-round layout), printed with its method and its
-terms or panels, so that a change in work can be told apart from a change
-in speed:
+Each figure is the least time of a call over CALLS warm calls (CALLS // 20
+for a grid), after one untimed call that fills the caches (the A_j prefix
+of `_coefficients` and the half line's first-round layout). It is printed
+with its method and its terms or panels, so that a change in work can be
+told apart from a change in speed:
 
 - one-row `eval` and `cdf` at beta 0.4, lam 1, t 1 and x 0.8 (series)
   and 3 (saddle);
@@ -18,10 +18,9 @@ in speed:
 Timings are process-local and swing between runs; nothing is gated. Exits
 non-zero only if a call raises. Run as
 
-    PYTHONPATH=src python tools/layers.py [--calls N]
+    PYTHONPATH=src python tools/layers.py
 """
 
-import argparse
 import collections
 import math
 import time
@@ -31,6 +30,7 @@ from itsub.its_density import eval_density_grid
 from itsub.special_fn import upper_incomplete_gamma_scaled
 from itsub.stable_family import TemperedStableParams
 
+CALLS = 200
 GAMMA_POINTS = ((-2.8, 1.0), (-0.5, 1.5), (-120.4, 1.0), (2.5, 5.0))
 GRID_BETAS = (0.2, 0.4, 0.6)
 GRID_X = [0.02 * i for i in range(201)]
@@ -47,31 +47,27 @@ def best_us(fn, calls):
     return out, least * 1e6
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--calls", type=int, default=200,
-                        help="warm calls per figure (default 200)")
-    calls = parser.parse_args(argv).calls
+def main():
     params = TemperedStableParams(0.4, 1.0)
     for x in (0.8, 3.0):
         res, us = best_us(lambda: eval_density(EvalPoint(x, 1.0), params),
-                          calls)
+                          CALLS)
         print(f"eval  beta=0.4 lam=1 t=1 x={x}: {us:8.1f} us, "
               f"{res.method} {res.terms_or_panels}")
-        _, us = best_us(lambda: cdf(x, 1.0, params), calls)
+        _, us = best_us(lambda: cdf(x, 1.0, params), CALLS)
         print(f"cdf   beta=0.4 lam=1 t=1 x={x}: {us:8.1f} us")
-    line, us = best_us(lambda: _line(1, 3.0, 1.0, params), calls)
+    line, us = best_us(lambda: _line(1, 3.0, 1.0, params), CALLS)
     print(f"_line beta=0.4 lam=1 t=1 x=3.0: {us:8.1f} us, c {line[0]:.6g}, "
           f"log B {line[4]:.6g}")
     for a, u in GAMMA_POINTS:
-        g, us = best_us(lambda: upper_incomplete_gamma_scaled(a, u), calls)
+        g, us = best_us(lambda: upper_incomplete_gamma_scaled(a, u), CALLS)
         print(f"upper_incomplete_gamma_scaled a={a} u={u}: {us:8.2f} us, "
               f"{g:.6g}")
     for beta in GRID_BETAS:
         grid_params = TemperedStableParams(beta, 1.0)
         rows, us = best_us(
             lambda: eval_density_grid(GRID_X, 1.0, grid_params),
-            max(1, calls // 20))
+            max(1, CALLS // 20))
         raised = [r for r in rows if isinstance(r, Exception)]
         if raised:
             raise raised[0]
