@@ -19,12 +19,10 @@ from .moments import (
     InversionError,
     MomentQuery,
     MomentResult,
-    gaver_stehfest_inversion,
     moment_asymptotic,
     moment_exact,
     moment_lt,
     moment_table,
-    talbot_inversion,
 )
 from .montecarlo import (
     HorizonError,
@@ -32,15 +30,8 @@ from .montecarlo import (
     empirical_moment,
     first_passage_samples,
     sample_stable_increment,
-    sample_tempered_increment,
 )
-from .pde_check import (
-    PdeCase,
-    boundary_derivative_check,
-    initial_condition_check,
-    pde_residual,
-    residual_decay_ratio,
-)
+from .pde_check import PdeCase, initial_condition_check, pde_residual
 from .quadrature import QuadratureResult, integrate_semi_infinite
 from .special_fn import upper_incomplete_gamma_scaled
 from .stable_family import (

@@ -113,7 +113,11 @@ def cmd_moments(args, out):
         # At lam = 0 the large-t form does not exist.
         large = (moments.moment_asymptotic(query, "large_t")
                  if params.lam > 0 else math.nan)
-        rows.append([query.t, exact, small, large, exact / small, exact / large])
+        # a form underflowed to 0 gives an inf or nan ratio, not a warning
+        # or a ZeroDivisionError
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.divide(exact, [small, large]).tolist()
+        rows.append([query.t, exact, small, large, *ratios])
     _write(out, args.format, ["t", "exact", "small_t_asym", "large_t_asym",
                               "ratio_small", "ratio_large"], rows)
     return status
@@ -128,7 +132,7 @@ def cmd_simulate(args, out):
     _write(out, args.format, ["path_id", "t", "E_lambda"],
            ([i, t, v] for i, v in enumerate(samples)))
     mean, se = empirical_moment(samples, 1.0)
-    var = float(np.var(samples, ddof=1))
+    var = float(np.var(samples, ddof=1)) if len(samples) > 1 else math.nan
     xs = np.quantile(samples, np.linspace(0.01, 0.99, 99))
     analytic = np.array([its_density.cdf(x, t, params) for x in xs])
     emp = np.searchsorted(np.sort(samples), xs, side="right") / len(samples)

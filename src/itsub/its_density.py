@@ -253,10 +253,10 @@ def eval_integral(p, params):
     return DensityResult(res[0], res[1], "integral", res[2])
 
 
-def _series(m, xs, t, params, floor=1e-13 / math.pi, bar=BAR):
+def _series(m, xs, t, params):
     """The series at every x of xs, one row each of sum_series_rows: per x
-    a DensityResult, or None where the sum's error is above max(floor,
-    bar * |sum|) or it did not converge otherwise. m = 1 sums h
+    a DensityResult, or None where the sum's error is above max(1e-13/pi,
+    BAR * |sum|) or it did not converge otherwise. m = 1 sums h
     (eval_series), m = 0 its integral from 0, the CDF: the j-th term of h
     is the x-derivative of (-1)**(j-1) A_j e**(lam**beta x) x**j / (j! pi).
     Its j-only parts come from _coefficients, where an A_j that underflowed
@@ -279,7 +279,7 @@ def _series(m, xs, t, params, floor=1e-13 / math.pi, bar=BAR):
         return ls, sign, rel + 2.2e-16 * (np.abs(lp) + abs_la + np.abs(lw)
                                           + lr)
 
-    rows = sum_series_rows(block, len(xs), 400, floor, bar,
+    rows = sum_series_rows(block, len(xs), 400, 1e-13 / math.pi, BAR,
                            _coefficients(t, params)(1).shape[1])
     return [DensityResult(r.value, r.error_estimate, "series", r.terms)
             if r.converged else None for r in rows]
@@ -379,8 +379,9 @@ def _log_density(x, t, params, floor):
     _saddle, -inf where _line's bound is below floor. NonConvergenceError
     where neither converged."""
     if x * params.lam ** params.beta <= _SERIES_MAX_X_LAM_BETA:
-        res, = _series(1, [x], t, params, 0.0, 1e-12)
-        if res is not None and res.value > 0.0:
+        res, = _series(1, [x], t, params)
+        if (res is not None and res.value > 0.0
+                and res.error_estimate <= 1e-12 * res.value):
             return math.log(res.value)
     res, = _saddle(1, [x], t, params, [_line(1, x, t, params)], floor)
     if res is None:

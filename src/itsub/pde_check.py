@@ -4,17 +4,18 @@ tempered stable density at reciprocal-integer stability beta = 1/m:
     sum_{j=1}^{m} (-1)**j C(m,j) lam**(1-j/m) d^j/dx^j h = dh/dt
 
 (for lam = 0 only the j = m term survives: (-1)**m d^m/dx^m h = dh/dt).
-Also checked: the vanishing (m-1)-th x-derivative at x = 0 and the
-vanishing t -> 0 limit of the lam = 0 density at fixed x > 0.
+Also checked: the vanishing t -> 0 limit of the lam = 0 density at fixed
+x > 0. The boundary condition, a vanishing (m-1)-th x-derivative at
+x = 0, is its_density.derivative_at_zero(m - 1, t, params) at lam = 0.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .its_density import _cut_integrand, derivative_at_zero, eval_density_grid
+from .its_density import _cut_integrand, eval_density_grid
 from .its_density import eval as eval_density  # not called; bench/spans.py wraps this name
 from .quadrature import integrate_semi_infinite
 from .stable_family import (
@@ -118,26 +119,6 @@ def pde_residual(case, beta=None):
     if dt_scale == 0.0:
         raise NonConvergenceError("dh/dt vanished on the whole lattice")
     return residuals / dt_scale
-
-
-def residual_decay_ratio(case, beta=None):
-    """Max relative residual at (hx, ht) divided by the same at
-    (hx/2, ht/2); approximately 4 for a second-order-consistent PDE fit,
-    near 1 (or below) when the grid is too coarse to resolve anything or
-    the PDE does not hold."""
-    coarse = float(np.max(pde_residual(case, beta)))
-    fine_case = replace(case, hx=case.hx / 2, ht=case.ht / 2)
-    fine = float(np.max(pde_residual(fine_case, beta)))
-    return coarse / max(fine, 1e-300)
-
-
-def boundary_derivative_check(m, t=1.0):
-    """|d^(m-1)/dx^(m-1) h_0(x, t)| at x = 0 for beta = 1/m; equals 0
-    analytically because 1/Gamma(0) = 0."""
-    if m < 2:
-        raise ParameterError(f"require m >= 2, got {m}")
-    params = TemperedStableParams(1.0 / m, 0.0)
-    return abs(derivative_at_zero(m - 1, t, params))
 
 
 def initial_condition_check(beta, x):

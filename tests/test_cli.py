@@ -190,6 +190,31 @@ def test_moment_beyond_double_range_exits_3(capsys, beta, lam, t):
     assert math.isnan(float(row["exact"]))
 
 
+@pytest.mark.parametrize("argv, ratios", [
+    # the exact moment and the small-t form both underflow to 0: 0/0
+    (["--beta", "0.9", "--q", "50", "--t", "1e-300"], ("nan", "nan")),
+    # the large-t form underflows to 0 alone: a ZeroDivisionError escaped
+    (["--beta", "0.1", "--lambda", "1", "--q", "2", "--t", "1e-200"],
+     ("1.0000000000110867", "inf")),
+])
+def test_moments_ratio_of_an_underflowed_form(capsys, argv, ratios):
+    # a RuntimeWarning, an error under pytest's filter, used to escape
+    code, out, err = _run(capsys, "moments", *argv)
+    assert code == 0
+    assert err == ""
+    (row,) = _rows(out)
+    assert (row["ratio_small"], row["ratio_large"]) == ratios
+
+
+def test_simulate_single_path_variance_is_nan(capsys):
+    # np.var with ddof=1 of one sample warned of its degrees of freedom
+    code, _, err = _run(capsys, "simulate", "--beta", "0.5", "--t", "1",
+                        "--paths", "1")
+    assert code == 0
+    assert err.startswith("# n=1 ")
+    assert " var=nan " in err
+
+
 def test_simulate_deterministic(capsys):
     argv = ["simulate", "--beta", "0.5", "--lambda", "1", "--t", "1",
             "--paths", "50", "--seed", "42", "--horizon", "60"]

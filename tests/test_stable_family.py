@@ -147,6 +147,26 @@ def test_stable_half_closed_form_over_the_range():
         assert abs(log_f - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
+def test_stable_log_density_rejects_a_series_above_1e12_of_its_sum(
+        monkeypatch):
+    # at beta 0.02 the series of h(3.16, 0.001) converges to _series' own
+    # bar, 0.0313 +- 2.6e-13 (8.3e-12 relative), which is too loose for
+    # log f; the log path takes the parabola's quadrature instead
+    taken = []
+    saddle = its_density._saddle
+
+    def traced(*args):
+        results = saddle(*args)
+        taken.append(results[0])
+        return results
+
+    monkeypatch.setattr(its_density, "_saddle", traced)
+    log_f = _stable_log_density(0.001, 3.1622776601683795, 0.02)
+    (res,) = taken
+    assert res[2] == 9
+    assert log_f == pytest.approx(0.6834812473472383, rel=1e-12)
+
+
 def test_stable_time_scaling():
     # f(x, t) = t**(-1/beta) f(x * t**(-1/beta), 1)
     for beta in (0.3, 0.6, 0.8):
