@@ -21,11 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .quadrature import (
-    BAR,
-    integrate_semi_infinite,  # not called; bench/spans.py wraps this name
-    integrate_semi_infinite_rows,
-)
+from .quadrature import BAR, integrate_semi_infinite
+from .quadrature import integrate_semi_infinite_rows
 from .special_fn import GAMMA_REL_ERROR, upper_incomplete_gamma_scaled
 from .special_fn import _log_upper_gamma_scaled_pos
 from .stable_family import (
@@ -87,8 +84,7 @@ def _branch_cut(m, x, t, params):
     0+. (value, error, panels), or None where the quadrature did not
     converge."""
     f = _cut_integrand(m, t, params)
-    r, = integrate_semi_infinite_rows(lambda k, y: f(x, y), 1, 1.0 / t,
-                                      params.beta)
+    r = integrate_semi_infinite(lambda y: f(x, y), 1.0 / t, params.beta)
     return (r.value / math.pi, r.error_estimate / math.pi,
             r.subdivisions_used) if r.converged else None
 
@@ -97,38 +93,52 @@ def _line(m, x, t, params):
     """(c, w, phi(c), Psi(c)**m / c, log B) of _saddle's contour at x.
 
     c is the saddle point s* of phi(s) = s t - x Psi(s), a = s* + lam =
-    (x beta / t)**(1/(1-beta)) kept in e**(+-700) and above 1e-15 lam; at
-    m = 0 within the width w = phi''(s*)**-0.5 of the pole at 0, c = 2 w.
-    B bounds |I| on any contour: at m = 0 |I| is a tail of E(t), e**phi(c)
-    by Chernoff; at m = 1 |Psi(s) / s| <= Psi(c) / c on Re s = c, so
-    B = e**phi(c) Psi(c) J / (c pi), J = int_0^inf e**(-x r(y)) dy,
-    r = Re (a+iy)**beta - a**beta, r' = beta rho**(beta-1)
-    sin((1-beta) theta), a + iy = rho e**(i theta). For y <= a,
-    sin((1-beta) theta) >= (1-beta) y / rho and rho <= sqrt(2) a give
-    r >= k1 y**2; for y > a, theta > pi/4 and rho < sqrt(2) y give
+    (x beta / t)**(1/(1-beta)) kept in e**(+-700) and above 1e-15 lam, and
+    w = phi''(s*)**-0.5 its width, inf from e**709 up. B bounds |I| on any
+    contour: at m = 0 |I| is the tail of E(t) on c's side of the pole at 0,
+    e**phi(c) by Chernoff, and c moves to 2 w only where it lies within w
+    of the pole and that bound at s* does not certify 0; at m = 1
+    |Psi(s) / s| <= Psi(c) / c on Re s = c, so B = e**phi(c) Psi(c) J /
+    (c pi), J = int_0^inf e**(-x r(y)) dy, r = Re (a+iy)**beta - a**beta,
+    r' = beta rho**(beta-1) sin((1-beta) theta), a + iy = rho e**(i theta).
+    For y <= a, sin((1-beta) theta) >= (1-beta) y / rho and rho <= sqrt(2) a
+    give r >= k1 y**2; for y > a, theta > pi/4 and rho < sqrt(2) y give
     r >= k1 a**2 + k2 (y**beta - a**beta). So J <= a sqrt(pi) erf(q) / (2q)
     + (a/beta) e**(u - q**2) g(1/beta, u), q**2 = x k1 a**2, u = x k2 a**beta,
     k1 = beta (1-beta) 2**(beta/2) a**(beta-2) / 4, k2 = 2**((beta-1)/2)
-    sin((1-beta) pi/4), g(b, u) = Gamma(b, u) u**-b."""
+    sin((1-beta) pi/4), g(b, u) = Gamma(b, u) u**-b; a term floored at the
+    least subnormal, or taken at q = u = 0 where they underflow, still
+    bounds J."""
     beta, lam = params.beta, params.lam
-    la = min(max(math.log(x * beta / t) / (1.0 - beta), -700.0), 700.0)
+    la = min(max(math.log(max(x * beta / t, 1e-305)) / (1.0 - beta), -700.0),
+             700.0)  # log(1e-305) / (1 - beta) < -700: the clamp holds
     c = max(math.exp(la), 1e-15 * lam) - lam
     a = c + lam
-    w = math.exp((2 - beta) / 2 * math.log(a)
-                 - math.log(x * beta * (1 - beta)) / 2)
-    if m == 0 and abs(c) < w:
-        c = 2.0 * w
+    xb = x * beta * (1 - beta)
+    lw = (2 - beta) / 2 * math.log(a) - (
+        math.log(xb) if xb else math.log(x) + math.log(beta * (1 - beta))) / 2
+    w = math.exp(lw) if lw < 709.0 else math.inf
     psi = params.laplace_symbol(c)
     phi = c * t - x * psi
+    if m == 0 and abs(c) < w < math.inf and not phi < _LOG_TINY:
+        c = 2.0 * w
+        phi = c * t - x * params.laplace_symbol(c)
     at_c = 1.0 / c if m == 0 else psi / c if c else beta * lam ** (beta - 1)
     if m == 0 or phi == -math.inf:
         return c, w, phi, at_c, phi
     xab = x * a ** beta
     q2 = xab * beta * (1.0 - beta) * 2.0 ** (beta / 2.0) / 4.0
     u = xab * 2.0 ** ((beta - 1.0) / 2.0) * math.sin((1 - beta) * math.pi / 4)
-    near = math.log(a * math.sqrt(math.pi / q2) * math.erf(math.sqrt(q2)) / 2)
-    far = (math.log(a / beta) + u - q2
-           + _log_upper_gamma_scaled_pos(1 / beta, u))
+    if q2 and u:
+        near = math.log(max(a * math.sqrt(math.pi / q2)
+                            * math.erf(math.sqrt(q2)) / 2, 5e-324))
+        far = (math.log(a / beta) + u - q2
+               + _log_upper_gamma_scaled_pos(1 / beta, u))
+    else:  # erf(q) / q <= 2 / sqrt(pi), Gamma(1/beta, u) <= Gamma(1/beta)
+        k2 = 2.0 ** ((beta - 1.0) / 2.0) * math.sin((1 - beta) * math.pi / 4)
+        near = math.log(a)
+        far = (math.log(a / beta) + math.lgamma(1 / beta)
+               - (math.log(x) + beta * math.log(a) + math.log(k2)) / beta)
     log_j = max(near, far) + math.log1p(math.exp(-abs(near - far)))
     return c, w, phi, at_c, phi + math.log(at_c / math.pi) + log_j
 
@@ -149,17 +159,17 @@ def _saddle(m, xs, t, params, lines, floor=_LOG_TINY):
     default the least subnormal), and Laplace's term, the integral in
     y / w taken as sqrt(pi / 2), where the rounding of the exponent,
     eps (|c t| + |c t - phi(c)|), passes 1 and hides the integrand from
-    any quadrature, with that rounding as its relative error; None at
-    m = 0 and lam = 0 where _line moved c to 2 w, right of a pole that is
-    also the branch point, and where the quadrature did not converge to a
-    positive integral or its error, with the rounding of phi(c) and of the
-    phase w t, is above BAR * max(1, |I|)."""
+    any quadrature, with that rounding as its relative error; None where
+    w is inf, at m = 0 and lam = 0 where _line moved c to 2 w, right of a
+    pole that is also the branch point, and where the quadrature did not
+    converge to a positive integral or its error, with the rounding of
+    phi(c) and of the phase w t, is above BAR * max(1, |I|)."""
     out, run = [None] * len(lines), []
     for i, (c, w, phi, at_c, log_b) in enumerate(lines):
         noise = 2.2e-16 * (abs(c * t) + abs(c * t - phi))
         if log_b < floor:
             out[i] = (-math.inf, 0.0, 0)
-        elif m == 0 and params.lam == 0 and c == 2.0 * w:
+        elif w == math.inf or m == 0 and params.lam == 0 and c == 2.0 * w:
             continue
         elif noise > 1.0:
             log_i = phi + math.log(abs(at_c) * w / math.sqrt(2 * math.pi))
@@ -300,15 +310,6 @@ def eval_series(p, params):
     return res
 
 
-def _boundary(t, params):
-    """h(0+, t) = A_1 / pi, with the gamma's bound plus the rounding of
-    exp(log A_1) as its error."""
-    la = float(_coefficients(t, params)(2)[0, 0])
-    value = math.exp(la) / math.pi
-    rel = GAMMA_REL_ERROR + 2.2e-16 * (abs(la) + 4.0) if value else 0.0
-    return DensityResult(value, value * rel, "boundary", 0)
-
-
 def eval(p, params):
     """Density h(x, t) at one point: the one-row call of eval_density_grid,
     whose DensityResult it returns and whose ParameterError or
@@ -322,7 +323,7 @@ def eval(p, params):
 def _grid(m, xs, t, params):
     """The density (m = 1) or the CDF (m = 0) at every x of xs, t and
     params shared: per x a DensityResult, or the ParameterError or
-    NonConvergenceError raised there. x = 0 gives A_1 / pi (_boundary) at
+    NonConvergenceError raised there. x = 0 gives A_1 / pi (_at_zero) at
     m = 1, 0 at m = 0; else _series where x * lam**beta <= 2 and it
     converges, its rows summed together, and every other row from _saddle's
     parabola through the saddle point c (method saddle; a tail of 0 with
@@ -336,13 +337,13 @@ def _grid(m, xs, t, params):
         try:
             EvalPoint(x, t)
             if x == 0:
-                out[i] = (_boundary(t, params) if m
+                out[i] = (_at_zero(0, t, params) if m
                           else DensityResult(0.0, 0.0, "boundary", 0))
             elif x * lb <= _SERIES_MAX_X_LAM_BETA:
                 series.append(i)
             else:
                 rest.append(i)
-        except ParameterError as e:
+        except (ParameterError, NonConvergenceError) as e:
             out[i] = e
     if series:
         try:
@@ -397,30 +398,38 @@ def boundary_value(t, params):
     return eval(EvalPoint(0.0, t), params).value
 
 
-def derivative_at_zero(k, t, params):
-    """k-th x-derivative of h(x, t) at x = 0+, for every lam >= 0: the
-    series' sum_j C(k,j) lam**(beta*(k-j)) (-1)**j (A_{j+1} - lam**beta A_j)
-    / pi, A_0 = 0, collected by coefficient. At lam = 0 it is
-    (-1)**k * t**(-(k+1)*beta) / Gamma(1 - (k+1)*beta). NonConvergenceError
-    where it overflows a double.
-    """
-    require_finite("k", k)
-    if k < 0 or k != int(k):
-        raise ParameterError(f"require integer k >= 0, got {k}")
-    require_positive("t", t)
-    k = int(k)
+def _at_zero(k, t, params):
+    """The k-th x-derivative of h(x, t) at 0+ (k = 0: A_1 / pi), method
+    boundary: the series' sum_j C(k,j) lam**(beta*(k-j)) (-1)**j (A_{j+1}
+    - lam**beta A_j) / pi, A_0 = 0, by coefficient; its error is each
+    term's gamma bound and the rounding of its exp(log|A_m|).
+    NonConvergenceError where it overflows a double."""
     lb = params.lam ** params.beta
-    terms = zip(range(1, k + 2), *_coefficients(t, params)(k + 2).tolist())
+    la, sign = _coefficients(t, params)(k + 2)[:2, :k + 1].tolist()
     try:  # sign: (-1)**(m-1) sign(A_m)
-        value = sum(math.comb(k + 1, m) * lb ** (k + 1 - m) * sign
-                    * math.exp(la) for m, la, sign, *_ in terms) / math.pi
+        terms = [math.comb(k + 1, m) * lb ** (k + 1 - m) * s * math.exp(a)
+                 for m, a, s in zip(range(1, k + 2), la, sign)]
     except OverflowError:
-        value = math.inf
+        terms = [math.inf]
+    value = sum(terms) / math.pi
     if not math.isfinite(value):
         raise NonConvergenceError(
             f"derivative {k} at x=0+, t={t}, beta={params.beta}, "
             f"lam={params.lam} overflows a double")
-    return value
+    return DensityResult(value, sum(
+        (abs(v) / math.pi * (GAMMA_REL_ERROR + 2.2e-16 * (abs(a) + 4.0))
+         for v, a in zip(terms, la) if v), 0.0), "boundary", 0)
+
+
+def derivative_at_zero(k, t, params):
+    """k-th x-derivative of h(x, t) at x = 0+, for every lam >= 0 (_at_zero).
+    At lam = 0 it is (-1)**k * t**(-(k+1)*beta) / Gamma(1 - (k+1)*beta).
+    NonConvergenceError where it overflows a double."""
+    require_finite("k", k)
+    if k < 0 or k != int(k):
+        raise ParameterError(f"require integer k >= 0, got {k}")
+    require_positive("t", t)
+    return _at_zero(int(k), t, params).value
 
 
 def cdf(x, t, params):

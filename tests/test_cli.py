@@ -290,6 +290,17 @@ def test_density_unconverged_point_fails(capsys, monkeypatch):
     assert _rows(out)[0]["method"] == "failed"
 
 
+def test_density_boundary_overflow_is_a_failed_row(capsys):
+    # h(0+, t) = A_1 / pi overflows a double at subnormal t: the x = 0 row
+    # used to end the run in a raw OverflowError with a traceback
+    code, out, _ = _run(capsys, "density", "--beta", "0.98", "--t", "5e-324",
+                        "--x", "0:1:0.5")
+    assert code == 3
+    rows = _rows(out)
+    assert (rows[0]["method"], rows[0]["h"]) == ("failed", "nan")
+    assert [r["method"] for r in rows[1:]] == ["saddle", "saddle"]
+
+
 def test_density_large_lam_t(capsys):
     code, out, _ = _run(capsys, "density", "--beta", "0.5", "--lambda", "1",
                         "--t", "1000", "--x", "0.5")

@@ -509,6 +509,13 @@ def test_derivative_at_zero_raises_where_it_overflows():
     assert math.isfinite(derivative_at_zero(60, 1e-3, params))
     with pytest.raises(NonConvergenceError, match="overflows"):
         derivative_at_zero(80, 1e-3, params)
+    # the boundary value is its k = 0 sum: at subnormal t it overflows too,
+    # where the x = 0 row used to raise a bare OverflowError
+    with pytest.raises(NonConvergenceError, match="overflows"):
+        boundary_value(5e-324, params)
+    row, tail = its_density.eval_density_grid([0.0, 1e-3], 5e-324, params)
+    assert isinstance(row, NonConvergenceError)
+    assert tail == DensityResult(0.0, 0.0, "saddle", 0)
 
 
 def test_boundary_error_holds_against_the_reference():
@@ -1095,6 +1102,36 @@ def test_sweep_returns_a_value_or_a_typed_error():
                             continue
                         assert math.isfinite(res.value) and res.value >= 0.0
                         assert res.error_estimate <= 1e-8 * max(1.0, res.value)
+
+
+@pytest.mark.parametrize("beta, lam, t, x", [
+    (0.5, 50.0, 1e3, 1e-320),  # eval: pi / q2 with q2 underflowed
+    (0.02, 50.0, 1e3, 1e-323),  # eval: log of x beta (1 - beta) = 0
+    (0.5, 1.0, 1e300, 1e-300),  # eval and cdf: log of x beta / t = 0
+    (0.3, 1.0, 1e3, 1e-25),  # cdf: Laplace's term at c = 2 w overflowed
+    (0.9, 50.0, 1e2, 1e-20),
+])
+def test_tiny_x_returns_a_value_or_a_typed_error(beta, lam, t, x):
+    # every A_j underflows at large lam t, so the series gives up and the
+    # row falls to the saddle-point line, whose setup raised a bare
+    # ZeroDivisionError, ValueError or OverflowError at these points
+    params = TemperedStableParams(beta, lam)
+    calls = (lambda: eval_density(EvalPoint(x, t), params),
+             lambda: eval_series(EvalPoint(x, t), params),
+             lambda: eval_integral(EvalPoint(x, t), params))
+    for call in calls:
+        try:
+            res = call()
+        except (ParameterError, NonConvergenceError):
+            continue
+        assert math.isfinite(res.value)
+        assert 0.0 <= res.error_estimate <= quadrature.BAR * max(
+            1.0, abs(res.value))
+    # Chernoff's bound at the saddle point s* < 0 itself certifies the
+    # cdf: phi(s*) is -1000 at (0.3, 1, 1e3), where c = 2 w gave nothing
+    assert its_density._grid(0, [x], t, params)[0] == DensityResult(
+        0.0, 0.0, "saddle", 0)
+    assert cdf(x, t, params) == 0.0
 
 
 def _grid_matches_eval(xs, t, params):

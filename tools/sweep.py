@@ -44,7 +44,11 @@ stable-family pass runs `tempered_density`, the first-passage identity
 over the same dispatcher in logs, at each (beta, lam, t) and
 x = {1e-2, 0.3, 1, 3, 30} times beta lam**(beta-1) t, or t**(1/beta) at
 lam = 0, every warning raised as an error, and prints the count of each path its log density took
-(series, saddle, laplace, bound). Last, a Monte Carlo corner pass runs
+(series, saddle, laplace, bound). An edge pass runs `eval_density`,
+`cdf` and `boundary_value` per (beta, lam) at x = {5e-324, 1e-300, 1e-20}
+and t = {1e-3, 1e3}, and at x = 0 and t = {5e-324, 1e-300}, with one
+`eval_density_grid` call per (beta, lam, t), every warning raised as an
+error. Last, a Monte Carlo corner pass runs
 `first_passage_samples` with 400 paths at 3 beta x 3 lam, t = 1, a grid
 step of 1/100 and a horizon of 20 times the mean E[E(1)] from
 `moment_exact`, every warning raised as an error, and prints the z-score
@@ -60,7 +64,10 @@ differs from the warm one, if an initial-condition value
 is 1e-8 or more, if a saddle-point contour value lies above its bound,
 if a stable-family point gives neither a finite value >= 0 nor a
 ParameterError or NonConvergenceError, or at beta 1/2 lies beyond 1e-8
-of Levy's closed form where that is above 1e-300, or if a Monte Carlo
+of Levy's closed form where that is above 1e-300, if an edge-pass call
+raises anything but ParameterError or NonConvergenceError or gives a
+value that is not finite, whose error lies outside [0, BAR * max(1,
+|value|)], or, for the cdf, outside [0, 1], or if a Monte Carlo
 corner raised (a HorizonError included) or warned, or its sample mean
 lies more than 5 standard errors from `moment_exact`.
 
@@ -76,6 +83,7 @@ import warnings
 from itsub import its_density, quadrature
 from itsub.its_density import (
     EvalPoint,
+    boundary_value,
     cdf,
     eval as eval_density,
     eval_density_grid,
@@ -103,6 +111,9 @@ MC_LAMS = (0.0, 1.0, 50.0)
 MC_PATHS = 400
 MC_Z = 5.0
 STABLE_MULTIPLES = (1e-2, 0.3, 1.0, 3.0, 30.0)
+EDGE_TS = (1e-3, 1e3)
+EDGE_XS = (5e-324, 1e-300, 1e-20)
+EDGE_ZERO_TS = (5e-324, 1e-300)
 
 
 def moment_tables():
@@ -402,6 +413,52 @@ def stable_family_pass(tables):
     return out, time.perf_counter() - start
 
 
+def edge_pass():
+    """eval_density, cdf and boundary_value at the edges of double range,
+    every warning raised as an error: per (beta, lam) of the box, x =
+    EDGE_XS at t = EDGE_TS and x = 0 at t = EDGE_ZERO_TS, with one
+    eval_density_grid call per (beta, lam, t) on its x. The number of
+    calls, of typed errors among them, and (call, params, t, x, result or
+    raise) for every raise other than ParameterError or NonConvergenceError
+    and every value that is not finite, whose error lies outside
+    [0, BAR * max(1, |value|)], or, for the cdf, outside [0, 1]."""
+    calls, typed, bad = 0, 0, []
+
+    def check(name, params, t, x, fn):
+        nonlocal calls, typed
+        calls += 1
+        res = _timed(fn)[0]
+        if isinstance(res, (ParameterError, NonConvergenceError)):
+            typed += 1
+            return
+        value, err = ((res.value, res.error_estimate)
+                      if isinstance(res, its_density.DensityResult)
+                      else (res, 0.0))
+        if (isinstance(res, Exception) or not math.isfinite(value)
+                or not 0.0 <= err <= quadrature.BAR * max(1.0, abs(value))
+                or name == "cdf" and not 0.0 <= value <= 1.0):
+            bad.append((name, params, t, x, res))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in BETAS:
+            for lam in LAMS:
+                params = TemperedStableParams(beta, lam)
+                for t, xs in ([(t, EDGE_XS) for t in EDGE_TS]
+                              + [(t, (0.0,)) for t in EDGE_ZERO_TS]):
+                    for x in xs:
+                        check("density", params, t, x, lambda: eval_density(
+                            EvalPoint(x, t), params))
+                        check("cdf", params, t, x, lambda: cdf(x, t, params))
+                    grid = _timed(lambda: eval_density_grid(xs, t, params))[0]
+                    for x, row in zip(xs, grid if isinstance(grid, list)
+                                      else [grid] * len(xs)):
+                        check("grid", params, t, x, lambda: row)
+                    check("boundary", params, t, 0.0,
+                          lambda: boundary_value(t, params))
+    return calls, typed, bad
+
+
 def _half_closed_form(params, t, x):
     """The tempered density at beta = 1/2 from Levy's closed form, its
     tilt taken in logs."""
@@ -569,6 +626,12 @@ def main():
         print(f"  at {_where(r)}: {r[3]!r}")
     for r, ref, err in stable_off:
         print(f"  at {_where(r)}: {r[3]!r} against {ref!r}")
+    edge_calls, edge_typed, edge_bad = edge_pass()
+    print(f"edge pass: {edge_calls} calls, typed errors {edge_typed}, "
+          f"raised otherwise or out of range {len(edge_bad)}")
+    for name, params, t, x, res in edge_bad:
+        print(f"  {name} at beta={params.beta} lam={params.lam} t={t!r} "
+              f"x={x!r}: {res!r}")
     corners = monte_carlo()
     mc_bad = [c for c in corners
               if isinstance(c[2], Exception) or not abs(c[2]) <= MC_Z]
@@ -583,7 +646,7 @@ def main():
     return 1 if (moment_bad or raised or apart or loose or missed
                  or series_apart or cut_apart or cdf_apart or above or falls or differ
                  or cold or ic_bad or stable_bad or stable_off
-                 or mc_bad) else 0
+                 or edge_bad or mc_bad) else 0
 
 
 if __name__ == "__main__":
